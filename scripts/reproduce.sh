@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full benchmark reproduction: trains both datasets with the tuned
-# configurations and reports filtered test-split metrics. Expect several
-# hours on a multicore CPU. Datasets are looked up under $CET_DATA_ROOT
+# configurations and reports filtered test-split metrics. Expect about 3
+# hours for FB15kET and 3.5 days for YAGO43kET on one BLAS thread (see the
+# README). Datasets are looked up under $CET_DATA_ROOT
 # (default ./data), laid out as described in the README.
 set -euo pipefail
 

@@ -40,16 +40,24 @@ __all__ = [
 LOSS_KINDS = ("bce", "fna")
 
 
+def _as_float(x) -> np.ndarray:
+    """``x`` as an array, keeping a floating dtype and promoting others to float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(float)
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x), overflow-safe."""
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x), overflow-safe, in the input's float dtype."""
+    x = _as_float(x)
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable on both tails."""
-    x = np.asarray(x, dtype=float)
+    """Elementwise logistic function, stable on both tails, in the input's float dtype."""
+    x = _as_float(x)
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    r = 1.0 / (1.0 + t)
+    return np.where(x >= 0, r, t * r)
 
 
 def sigmoid_probs(pooled: np.ndarray) -> np.ndarray:
@@ -58,11 +66,11 @@ def sigmoid_probs(pooled: np.ndarray) -> np.ndarray:
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -softplus(-np.asarray(x, dtype=float))
+    return -softplus(-_as_float(x))
 
 
 def log1m_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -softplus(np.asarray(x, dtype=float))
+    return -softplus(_as_float(x))
 
 
 def _positive_mask(num_types: int, positives: Iterable[int]) -> np.ndarray:
@@ -74,48 +82,54 @@ def _positive_mask(num_types: int, positives: Iterable[int]) -> np.ndarray:
 
 
 def _loss_terms(
-    pooled: np.ndarray, pos_mask: np.ndarray, loss_kind: str, beta: float
-) -> tuple[float, np.ndarray]:
-    """Loss value and d(loss)/d(pooled), skipping -inf (fully masked) entries.
+    pooled: np.ndarray, positives, loss_kind: str, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row loss and d(loss)/d(pooled) over the last (type) axis.
 
+    ``pooled`` is (..., L); ``positives`` indexes its positive entries, as a
+    boolean mask of the same shape or a tuple of index arrays. The loss has
+    the leading shape and both results keep the input's float dtype.
     Positive columns contribute -log p; negative columns contribute
     -log(1-p), weighted by beta*p*(1-p) for the false-negative-aware loss.
+    -inf (fully masked) entries contribute neither loss nor gradient.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
-    x = np.asarray(pooled, dtype=float)
+    x = _as_float(pooled)
     live = np.isfinite(x)
-    p = sigmoid(np.where(live, x, 0.0))
-    sp_pos = softplus(-x)  # -log p
-    sp_neg = softplus(x)  # -log(1-p)
-
-    grad = np.zeros_like(x)
-    pos = pos_mask & live
-    neg = ~pos_mask & live
-    loss = float(sp_pos[pos].sum())
-    grad[pos] = p[pos] - 1.0
+    all_live = bool(live.all())
+    if not all_live:
+        x = np.where(live, x, 0)
+    p = sigmoid(x)
+    sp = softplus(x)  # -log(1-p)
+    # Every column is first taken as a negative; the few positives are
+    # overwritten after.
     if loss_kind == "bce":
-        loss += float(sp_neg[neg].sum())
-        grad[neg] = p[neg]
+        terms, grad = sp, p
     else:
-        pn, sn = p[neg], sp_neg[neg]
-        loss += float(beta * (pn * (1.0 - pn) * sn).sum())
-        grad[neg] = beta * pn * (1.0 - pn) * (pn + (1.0 - 2.0 * pn) * sn)
-    return loss, grad
+        weight = beta * p * (1.0 - p)
+        terms = weight * sp
+        grad = weight * (p + (1.0 - 2.0 * p) * sp)
+    grad[positives] = p[positives] - 1.0
+    terms[positives] = softplus(-x[positives])
+    if not all_live:
+        terms[~live] = 0
+        grad[~live] = 0
+    return terms.sum(axis=-1), grad
 
 
 def bce_loss(pooled: np.ndarray, positives: Iterable[int]) -> float:
     """Binary cross-entropy over all types; non-positives count as negatives."""
     pos_mask = _positive_mask(len(pooled), positives)
     loss, _ = _loss_terms(pooled, pos_mask, "bce", 0.0)
-    return loss
+    return float(loss)
 
 
 def fna_loss(pooled: np.ndarray, positives: Iterable[int], beta: float) -> float:
     """False-negative-aware loss: negatives down-weighted by beta*p*(1-p)."""
     pos_mask = _positive_mask(len(pooled), positives)
     loss, _ = _loss_terms(pooled, pos_mask, "fna", beta)
-    return loss
+    return float(loss)
 
 
 @dataclass
@@ -197,6 +211,7 @@ def backward(
     pooled = bundle.pooled
     pos_mask = _positive_mask(len(pooled), positives)
     loss, dpooled = _loss_terms(pooled, pos_mask, loss_kind, beta)
+    loss = float(loss)
 
     candidates = bundle.candidate_scores
     weights = bundle.weights
@@ -272,7 +287,7 @@ def loss_of_entity(
     )
     pos_mask = _positive_mask(len(bundle.pooled), positives)
     loss, _ = _loss_terms(bundle.pooled, pos_mask, loss_kind, beta)
-    return loss
+    return float(loss)
 
 
 def finite_diff_oracle(

@@ -103,27 +103,36 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
 
-    def update(name: str, target: np.ndarray, grad: np.ndarray, rows=None) -> None:
+    def update_rows(name: str, target: np.ndarray, grad: np.ndarray, rows: np.ndarray) -> None:
         _check_finite(name, grad)
-        m = state.m[name][rows] if rows is not None else state.m[name]
-        v = state.v[name][rows] if rows is not None else state.v[name]
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * grad * grad
-        step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if rows is not None:
-            state.m[name][rows] = m
-            state.v[name][rows] = v
-            target[rows] -= step
-        else:
-            state.m[name][:] = m
-            state.v[name][:] = v
-            target -= step
+        m = b1 * state.m[name][rows] + (1.0 - b1) * grad
+        v = b2 * state.v[name][rows] + (1.0 - b2) * grad * grad
+        state.m[name][rows] = m
+        state.v[name][rows] = v
+        target[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-    update("W", params.W, grads.W)
-    update("b", params.b, grads.b)
+    def update_dense(name: str, target: np.ndarray, grad: np.ndarray) -> None:
+        # The formula of ``update_rows``, operation for operation (so the
+        # result is bitwise the same), in place through two scratch buffers.
+        _check_finite(name, grad)
+        m, v = state.m[name], state.v[name]
+        tmp, step = np.empty_like(target), np.empty_like(target)
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(grad, 1.0 - b2, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        tmp += eps
+        np.divide(m, bc1, out=step)
+        step *= lr
+        target -= np.divide(step, tmp, out=step)
+
+    update_dense("W", params.W, grads.W)
+    update_dense("b", params.b, grads.b)
     if params.agg_W is not None and grads.agg_W is not None:
-        update("agg_W", params.agg_W, grads.agg_W)
-        update("agg_b", params.agg_b, grads.agg_b)
+        update_dense("agg_W", params.agg_W, grads.agg_W)
+        update_dense("agg_b", params.agg_b, grads.agg_b)
 
     for name, table, rows in (
         ("entity_emb", params.entity_emb, grads.entity_rows),
@@ -136,4 +145,4 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
         order = np.argsort(idx)
         idx = idx[order]
         grad = np.stack([rows[int(i)] for i in idx]).astype(table.dtype, copy=False)
-        update(name, table, grad, rows=idx)
+        update_rows(name, table, grad, idx)

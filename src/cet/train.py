@@ -7,12 +7,20 @@ mode scores from all neighbors and blanks self-revealing candidates instead.
 One Adam step is taken per batch on the batch-summed gradients.
 
 Sampled batches are uniform in shape, so their forward/backward runs through
-a vectorized path; a per-entity reference path covers mask mode and serves
-as the correctness anchor for the vectorized one.
+a vectorized kernel; a per-entity reference path covers mask mode and serves
+as the correctness anchor for the kernel. Pooling is a softmax over each type
+column and both losses are sums over type columns, so the kernel walks the
+types in blocks: each block is scored, pooled, differentiated and written to
+its own rows of the classifier gradients before the next one starts. Only the
+neighbor-representation gradient accumulates across blocks. Memory per batch
+is therefore bounded by the block, not by the number of types, and all
+arithmetic stays in the parameters' dtype (float32 in training, float64 under
+gradient checking). The block holds about ``_CELLS`` candidate cells.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import asdict, dataclass
 
@@ -23,7 +31,7 @@ from .ranking import evaluate
 from .graph import AugmentedGraph, Neighbor, Vocab
 from .loss import GradientSet, _loss_terms, backward
 from .optim import AdamState, NumericError, adam_step, init_params
-from .scoring import ParameterSet, score_all_neighbors
+from .scoring import ParameterSet, neighbor_reps, score_all_neighbors
 
 log = logging.getLogger(__name__)
 
@@ -80,13 +88,21 @@ def sample_neighbors(
     ]
 
 
-def _positives_matrix(
-    entities: list[int], dataset: TypingDataset, num_types: int
-) -> np.ndarray:
-    mat = np.zeros((len(entities), num_types), dtype=bool)
-    for row, entity in enumerate(entities):
-        mat[row, dataset.positives(entity)] = True
-    return mat
+def _positive_pairs(
+    entities: list[int], dataset: TypingDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """(batch row, type) pairs of the entities' training labels, unique and ordered by type."""
+    labels = [dataset.positives(entity) for entity in entities]
+    rows = np.repeat(np.arange(len(entities)), [len(types) for types in labels])
+    cols = np.fromiter(itertools.chain.from_iterable(labels), dtype=np.int64, count=len(rows))
+    key = np.unique(cols * len(entities) + rows)
+    return key % len(entities), key // len(entities)
+
+
+# Candidate cells (batch * candidate rows * types) in one type block of the
+# sampled kernel, which sets the block width; the kernel's working slabs
+# scale with it.
+_CELLS = 1 << 19
 
 
 def _batch_forward_backward(
@@ -95,7 +111,7 @@ def _batch_forward_backward(
     inv: np.ndarray,
     is_type: np.ndarray,
     tgt: np.ndarray,
-    pos_mat: np.ndarray,
+    positives: tuple[np.ndarray, np.ndarray],
     alpha: float,
     loss_kind: str,
     beta: float,
@@ -104,68 +120,99 @@ def _batch_forward_backward(
 ) -> tuple[np.ndarray, GradientSet]:
     """Vectorized loss + gradients for a uniform sampled batch.
 
-    Array arguments have shape (batch, sample_size); ``pos_mat`` is
-    (batch, num_types). Mirrors the per-entity backward exactly, up to
-    float summation order.
+    Array arguments have shape (batch, sample_size); ``positives`` holds the
+    (batch row, type) index pairs of the labels, ordered by type, as
+    ``_positive_pairs`` builds them. Types are processed in blocks (see the
+    module docstring); only ``dreps`` and ``dh`` sum across blocks. Mirrors
+    the per-entity backward exactly, up to float summation order.
     """
     batch, m = rel.shape
     num_types = params.num_types
-    rel_vec = params.relation_emb[rel]  # (B, m, k)
-    ent = params.entity_emb[np.where(is_type, 0, tgt)]
-    typ = params.type_emb[np.where(is_type, tgt, 0)]
-    tgt_vec = np.where(is_type[..., None], typ, ent)
-    reps = np.where(inv[..., None], tgt_vec + rel_vec, tgt_vec - rel_vec)
+    reps = neighbor_reps(params, rel, inv, is_type, tgt)  # (B, m, k)
     activated = np.maximum(reps, 0) if use_activation else reps
-
     flat_z = activated.reshape(batch * m, -1)
-    n2t = (flat_z @ params.W.T + params.b).reshape(batch, m, num_types)
+    # Scores are kept as s = alpha * (x - b): the column bias b shifts every
+    # row of a column alike and cancels in the softmax weights, so the
+    # weights are exp(s - max s), pooled = mean_w(s) / alpha + b, and
+    # 1 + alpha * (x - pooled) = s + 1 - mean_w(s).
+    scaled_z = alpha * flat_z
     if use_agg2t:
         h = reps.mean(axis=1)  # (B, k)
         h_act = np.maximum(h, 0) if use_activation else h
+        scaled_h = alpha * h_act
         agg_w, agg_b = params.agg_head()
-        agg_row = h_act @ agg_w.T + agg_b  # (B, L)
-        cand = np.concatenate([agg_row[:, None, :], n2t], axis=1)
-    else:
-        cand = n2t
-
-    scaled = alpha * cand
-    expw = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    weights = expw / expw.sum(axis=1, keepdims=True)
-    pooled = (weights * cand).sum(axis=1)  # (B, L)
-
-    # Loss terms (no masking in sampling mode, every pooled entry is finite).
-    losses = np.empty(batch, dtype=float)
-    dpooled = np.empty_like(pooled, dtype=float)
-    for row in range(batch):
-        losses[row], dpooled[row] = _loss_terms(pooled[row], pos_mat[row], loss_kind, beta)
-
-    dcand = (
-        dpooled[:, None, :] * weights * (1.0 + alpha * (cand - pooled[:, None, :]))
-    ).astype(cand.dtype, copy=False)
+    rows = m + 1 if use_agg2t else m
+    width = max(1, _CELLS // (batch * rows))
 
     grads = GradientSet.zeros_like(params)
-    offset = 1 if use_agg2t else 0
-    dn2t = dcand[:, offset:, :]
-    flat_dn2t = dn2t.reshape(batch * m, num_types)
-    grads.W += flat_dn2t.T @ flat_z
-    grads.b += flat_dn2t.sum(axis=0)
-    dreps = (flat_dn2t @ params.W).reshape(batch, m, -1)
-    if use_activation:
-        dreps = dreps * (reps > 0)
-
     if use_agg2t:
-        dagg = dcand[:, 0, :]  # (B, L)
-        if params.separate_heads:
-            grads.agg_W += dagg.T @ h_act
-            grads.agg_b += dagg.sum(axis=0)
-        else:
-            grads.W += dagg.T @ h_act
-            grads.b += dagg.sum(axis=0)
-        agg_w, _ = params.agg_head()
-        dh = dagg @ agg_w
+        agg_gw = grads.agg_W if params.separate_heads else grads.W
+        dh = np.zeros_like(h)
+    losses = np.zeros(batch)
+    pos_rows, pos_cols = positives
+    dreps = np.zeros_like(flat_z)
+    slab = np.empty((2, batch * m * min(width, num_types)), dtype=flat_z.dtype)
+    for s in range(0, num_types, width):
+        e = min(s + width, num_types)
+        score, expw = (buf[: batch * m * (e - s)].reshape(batch * m, e - s) for buf in slab)
+        score3, expw3 = score.reshape(batch, m, e - s), expw.reshape(batch, m, e - s)
+        w_blk = params.W[s:e]
+        np.matmul(scaled_z, w_blk.T, out=score)
+        top = score3.max(axis=1)  # (B, cols)
+        if use_agg2t:
+            agg = scaled_h @ agg_w[s:e].T
+            if params.separate_heads:
+                agg += alpha * (agg_b[s:e] - params.b[s:e])
+            np.maximum(top, agg, out=top)
+            agg_exp = np.exp(agg - top)
+        np.subtract(score3, top[:, None, :], out=expw3)
+        np.exp(expw, out=expw)
+        denom = expw3.sum(axis=1)
+        score *= expw
+        mean_s = score3.sum(axis=1)
+        if use_agg2t:
+            denom += agg_exp
+            mean_s += agg_exp * agg
+        mean_s /= denom
+
+        lo, hi = np.searchsorted(pos_cols, (s, e))
+        block_loss, dpooled = _loss_terms(
+            mean_s / alpha + params.b[s:e],
+            (pos_rows[lo:hi], pos_cols[lo:hi] - s),
+            loss_kind,
+            beta,
+        )
+        losses += block_loss
+        # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
+        #              = (dpooled / denom) * exp(s - max s) * (s + 1 - mean_w(s)).
+        gain = dpooled / denom
+        shift = 1.0 - mean_s
+        expw3 *= shift[:, None, :]
+        expw += score
+        expw3 *= gain[:, None, :]
+        dn2t = expw  # d(loss)/d(N2T score), (B*m, cols)
+        np.matmul(dn2t.T, flat_z, out=grads.W[s:e])
+        dreps += dn2t @ w_blk
+        # A bias shared by every row of a column moves the pooled score one
+        # for one, so its gradient is the batch sum of dpooled.
+        grads.b[s:e] = dpooled.sum(axis=0)
+        if use_agg2t:
+            agg += shift
+            agg *= agg_exp
+            agg *= gain  # d(loss)/d(Agg2T score), (B, cols)
+            agg_gw[s:e] += agg.T @ h_act
+            dh += agg @ agg_w[s:e]
+            if params.separate_heads:
+                grads.agg_b[s:e] = agg.sum(axis=0)
+                grads.b[s:e] -= grads.agg_b[s:e]
+
+    dreps = dreps.reshape(batch, m, -1)
+    if use_activation:
+        dreps *= reps > 0
+    if use_agg2t:
         if use_activation:
-            dh = dh * (h > 0)
-        dreps = dreps + dh[:, None, :] / m
+            dh *= h > 0
+        dreps += dh[:, None, :] / m
 
     sign = np.where(inv, 1.0, -1.0).astype(dreps.dtype)
     drel = dreps * sign[..., None]
@@ -247,14 +294,14 @@ def _sampled_batch(params, graph, dataset, batch, config, rng):
         inv[row] = e_inv[idx]
         is_type[row] = e_is_type[idx]
         tgt[row] = e_tgt[idx]
-    pos_mat = _positives_matrix(batch, dataset, params.num_types)
+    positives = _positive_pairs(batch, dataset)
     return _batch_forward_backward(
         params,
         rel,
         inv,
         is_type,
         tgt,
-        pos_mat,
+        positives,
         config.alpha,
         config.loss_kind,
         config.beta,

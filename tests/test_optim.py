@@ -133,3 +133,32 @@ class TestAdamStep:
             adam_step(params, state, grads)
             runs.append(params.W.tobytes())
         assert runs[0] == runs[1]
+
+    def test_dense_update_bitwise_matches_formula(self):
+        # The in-place dense update must reproduce the textbook expression
+        # bit for bit, in float32, over several steps and with a separate head.
+        vocab = build_vocab(
+            [(f"e{i}", "r", f"e{i+1}") for i in range(6)], [(f"e{i}", f"t{i}") for i in range(5)]
+        )
+        params = init_params(vocab, 7, seed=3, separate_heads=True)
+        state = AdamState(params, lr=0.01)
+        names = ("W", "b", "agg_W", "agg_b")
+        expected = {n: getattr(params, n).copy() for n in names}
+        m = {n: np.zeros_like(a) for n, a in expected.items()}
+        v = {n: np.zeros_like(a) for n, a in expected.items()}
+        b1, b2, lr, eps = 0.9, 0.999, 0.01, 1e-8
+        rng = np.random.default_rng(1)
+        for t in range(1, 6):
+            grads = GradientSet.zeros_like(params)
+            for n in names:
+                getattr(grads, n)[...] = rng.normal(size=expected[n].shape)
+            adam_step(params, state, grads)
+            for n in names:
+                g = getattr(grads, n)
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                expected[n] -= lr * (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t)) + eps)
+                assert getattr(params, n).dtype == np.float32
+                assert getattr(params, n).tobytes() == expected[n].tobytes()
+                assert state.m[n].tobytes() == m[n].tobytes()
+                assert state.v[n].tobytes() == v[n].tobytes()

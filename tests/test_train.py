@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import cet.train
+
 from cet import (
     AdamState,
     TrainConfig,
@@ -13,7 +15,7 @@ from cet import (
     train_epoch,
 )
 from cet.loss import GradientSet, max_relative_error
-from cet.train import _batch_forward_backward, _positives_matrix, format_log
+from cet.train import _batch_forward_backward, _positive_pairs, format_log
 from synth import assembled, hub_marker_corpus
 
 
@@ -76,42 +78,117 @@ class TestSampleNeighbors:
         assert a == b
 
 
+def sampled_arrays(graph, batch, m, rng):
+    """Neighbor arrays of shape (len(batch), m) plus the same draws as lists."""
+    shape = (len(batch), m)
+    rel = np.empty(shape, np.int32)
+    inv = np.empty(shape, bool)
+    is_type = np.empty(shape, bool)
+    tgt = np.empty(shape, np.int32)
+    lists = []
+    for row, entity in enumerate(batch):
+        nbs = sample_neighbors(graph, entity, m, rng)
+        lists.append(nbs)
+        for j, nb in enumerate(nbs):
+            rel[row, j], inv[row, j] = nb.relation, nb.inverted
+            is_type[row, j], tgt[row, j] = nb.target_is_type, nb.target
+    return (rel, inv, is_type, tgt), lists
+
+
 class TestBatchedPath:
-    def test_matches_per_entity_reference(self, hub_setup):
+    # (loss_kind, use_agg2t, separate_heads, use_activation)
+    CASES = [
+        ("fna", True, False, True),
+        ("bce", True, False, True),
+        ("fna", False, False, True),
+        ("bce", False, False, True),
+        ("fna", True, True, True),
+        ("fna", True, False, False),
+    ]
+    M = 7
+
+    def setup_batch(self, hub_setup, separate_heads=False):
         vocab, dataset, graph, *_ = hub_setup
-        params = init_params(vocab, 12, seed=5, dtype=np.float64)
+        params = init_params(vocab, 12, seed=5, dtype=np.float64, separate_heads=separate_heads)
         rng = np.random.default_rng(2)
+        # Non-zero biases, different per head, so the pooling sees them.
+        params.b[:] = rng.normal(size=vocab.num_types)
+        if separate_heads:
+            params.agg_b[:] = rng.normal(size=vocab.num_types)
         batch = [e for e in sorted(dataset.train_types) if graph.degree(e) > 0][:16]
-        m = 7
-        shape = (len(batch), m)
-        rel = np.empty(shape, np.int32)
-        inv = np.empty(shape, bool)
-        is_type = np.empty(shape, bool)
-        tgt = np.empty(shape, np.int32)
-        lists = []
+        arrays, lists = sampled_arrays(graph, batch, self.M, rng)
+        pos = _positive_pairs(batch, dataset)
+        return params, batch, arrays, lists, pos
+
+    @staticmethod
+    def reference(params, graph, dataset, batch, lists, loss_kind, use_agg2t, use_activation):
+        grads = GradientSet.zeros_like(params)
+        losses = []
         for row, entity in enumerate(batch):
-            nbs = sample_neighbors(graph, entity, m, rng)
-            lists.append(nbs)
-            for j, nb in enumerate(nbs):
-                rel[row, j], inv[row, j] = nb.relation, nb.inverted
-                is_type[row, j], tgt[row, j] = nb.target_is_type, nb.target
-        pos = _positives_matrix(batch, dataset, vocab.num_types)
-        for loss_kind, use_agg2t in (("fna", True), ("bce", True), ("fna", False)):
-            losses, grads = _batch_forward_backward(
-                params, rel, inv, is_type, tgt, pos, 0.5, loss_kind, 4.0,
-                use_agg2t, True,
+            bundle = score_entity(
+                params, graph, entity, lists[row], 0.5,
+                use_agg2t=use_agg2t, use_activation=use_activation,
             )
-            reference = GradientSet.zeros_like(params)
-            ref_losses = []
-            for row, entity in enumerate(batch):
-                bundle = score_entity(
-                    params, graph, entity, lists[row], 0.5, use_agg2t=use_agg2t
+            loss, grad = backward(bundle, dataset.positives(entity), loss_kind, 4.0)
+            losses.append(loss)
+            grads.accumulate(grad)
+        return np.array(losses), grads
+
+    @staticmethod
+    def blocked(monkeypatch, width, params, arrays, pos, loss_kind, use_agg2t, use_activation):
+        """The batched kernel with type blocks ``width`` columns wide."""
+        batch, m = arrays[0].shape
+        rows = m + 1 if use_agg2t else m
+        monkeypatch.setattr(cet.train, "_CELLS", width * batch * rows)
+        return _batch_forward_backward(
+            params, *arrays, pos, 0.5, loss_kind, 4.0, use_agg2t, use_activation
+        )
+
+    def test_matches_per_entity_reference(self, hub_setup, monkeypatch):
+        vocab, dataset, graph, *_ = hub_setup
+        ragged = 3
+        assert vocab.num_types % ragged != 0
+        for loss_kind, use_agg2t, separate_heads, use_activation in self.CASES:
+            params, batch, arrays, lists, pos = self.setup_batch(hub_setup, separate_heads)
+            ref_losses, reference = self.reference(
+                params, graph, dataset, batch, lists, loss_kind, use_agg2t, use_activation
+            )
+            results = []
+            for width in (vocab.num_types, ragged):
+                losses, grads = self.blocked(
+                    monkeypatch, width, params, arrays, pos, loss_kind, use_agg2t, use_activation
                 )
-                loss, grad = backward(bundle, dataset.positives(entity), loss_kind, 4.0)
-                ref_losses.append(loss)
-                reference.accumulate(grad)
-            np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
-            assert max_relative_error(grads, reference) < 1e-9
+                np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
+                assert max_relative_error(grads, reference) < 1e-9
+                results.append((losses, grads))
+            (one_losses, one_grads), (ragged_losses, ragged_grads) = results
+            np.testing.assert_allclose(ragged_losses, one_losses, rtol=1e-6)
+            assert max_relative_error(ragged_grads, one_grads) < 1e-6
+
+    def test_float32_matches_float64_reference(self, hub_setup, monkeypatch):
+        # float32 carries ~7 significant digits; sums over a few hundred
+        # terms keep 1e-4 of each tensor's largest entry with wide margin.
+        tol = 1e-4
+        vocab, dataset, graph, *_ = hub_setup
+        for loss_kind, use_agg2t, separate_heads, use_activation in self.CASES:
+            params, batch, arrays, lists, pos = self.setup_batch(hub_setup, separate_heads)
+            ref_losses, reference = self.reference(
+                params, graph, dataset, batch, lists, loss_kind, use_agg2t, use_activation
+            )
+            losses, grads = self.blocked(
+                monkeypatch, 3, params.astype(np.float32), arrays, pos,
+                loss_kind, use_agg2t, use_activation,
+            )
+            np.testing.assert_allclose(losses, ref_losses, rtol=tol)
+            for (name, got), (_, want) in zip(grads.named_dense(), reference.named_dense()):
+                assert got.dtype == np.float32, name
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+            for (name, got), (_, want) in zip(grads.named_sparse(), reference.named_sparse()):
+                assert got.keys() == want.keys(), name
+                scale = max(np.abs(row).max() for row in want.values())
+                for row, vec in got.items():
+                    assert vec.dtype == np.float32, name
+                    np.testing.assert_allclose(vec, want[row], rtol=0, atol=tol * scale)
 
 
 class TestTrainEpoch:
