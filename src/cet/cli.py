@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -199,6 +200,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         filtered=not args.unfiltered,
         threads=args.threads,
     )
+    if not (math.isfinite(report.mr) and math.isfinite(report.mrr)):
+        raise NumericError(f"non-finite {args.split} metrics: MR {report.mr}, MRR {report.mrr}")
     print(f"split\t{args.split}")
     print(f"samples\t{len(report.ranks)}")
     for line in report.lines():

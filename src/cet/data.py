@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import Vocab, build_vocab
+from .graph import Vocab, _dedupe, build_vocab
 
 log = logging.getLogger(__name__)
 
@@ -91,16 +91,6 @@ class TypingDataset:
         return self.train_types.get(entity, [])
 
 
-def _dedupe_pairs(pairs: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], int]:
-    seen: set[tuple[str, str]] = set()
-    out = []
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return out, len(pairs) - len(out)
-
-
 def assemble(
     triples: list[tuple[str, str, str]],
     train_pairs: list[tuple[str, str]],
@@ -115,9 +105,9 @@ def assemble(
     pairs repeated across splits.
     """
     triples, dup_triples = _dedupe(triples)
-    train_pairs, dup_train = _dedupe_pairs(train_pairs)
-    valid_pairs, dup_valid = _dedupe_pairs(valid_pairs)
-    test_pairs, dup_test = _dedupe_pairs(test_pairs)
+    train_pairs, dup_train = _dedupe(train_pairs)
+    valid_pairs, dup_valid = _dedupe(valid_pairs)
+    test_pairs, dup_test = _dedupe(test_pairs)
 
     vocab = build_vocab(triples, train_pairs)
 
@@ -174,16 +164,6 @@ def assemble(
         drop_counts=drop_counts,
     )
     return vocab, dataset
-
-
-def _dedupe(items: list) -> tuple[list, int]:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out, len(items) - len(out)
 
 
 def default_paths(data_dir: str | Path) -> dict[str, Path]:

@@ -157,24 +157,6 @@ class GradientSet:
             agg_b=None if params.agg_b is None else np.zeros_like(params.agg_b),
         )
 
-    def accumulate(self, other: "GradientSet") -> None:
-        """Add another gradient set in place (ordered, deterministic)."""
-        self.W += other.W
-        self.b += other.b
-        if self.agg_W is not None and other.agg_W is not None:
-            self.agg_W += other.agg_W
-            self.agg_b += other.agg_b
-        for mine, theirs in (
-            (self.entity_rows, other.entity_rows),
-            (self.relation_rows, other.relation_rows),
-            (self.type_rows, other.type_rows),
-        ):
-            for row, vec in theirs.items():
-                if row in mine:
-                    mine[row] = mine[row] + vec
-                else:
-                    mine[row] = vec.copy()
-
     def named_dense(self):
         yield "W", self.W
         yield "b", self.b

@@ -45,7 +45,9 @@ def rank_one(pooled: np.ndarray, gold: int, filter_types: set[int] | None = None
     """Filtered fractional rank of ``gold`` within a score vector.
 
     Candidates are all types except the filter set minus the gold itself.
-    The rank is 1 + (number of strictly greater candidates) + (ties) / 2.
+    The rank is 1 + (number of strictly greater candidates) + (ties) / 2,
+    or NaN when any candidate score is NaN, so a numeric failure never reads
+    as a rank.
     """
     scores = np.asarray(pooled)
     if not 0 <= gold < len(scores):
@@ -55,6 +57,8 @@ def rank_one(pooled: np.ndarray, gold: int, filter_types: set[int] | None = None
         keep[list(filter_types)] = False
     keep[gold] = True
     kept = scores[keep]
+    if np.isnan(kept).any():
+        return float("nan")
     gold_score = scores[gold]
     greater = int((kept > gold_score).sum())
     ties = int((kept == gold_score).sum()) - 1
@@ -88,8 +92,10 @@ def evaluate(
 
     Entities are scored once and the vector reused for all their queried
     types. Isolated entities (possible only without type edges) fall back to
-    the bias vector. ``filtered=False`` is a debugging mode that skips the
-    known-type removal.
+    the bias vector. Every query of an entity whose pooled scores are not all
+    finite gets rank NaN, so a numeric failure makes MR and MRR NaN rather
+    than a wrong number. ``filtered=False`` is a debugging mode that skips
+    the known-type removal.
     """
     pairs = dataset.split(split)
     if not pairs:
@@ -112,6 +118,8 @@ def evaluate(
                 use_agg2t=use_agg2t,
                 use_activation=use_activation,
             ).pooled
+        if not np.isfinite(pooled).all():
+            return [(idx, float("nan")) for idx in by_entity[entity]]
         known = dataset.known_types.get(entity) if filtered else None
         out = []
         for idx in by_entity[entity]:

@@ -6,16 +6,27 @@ number of neighbors drawn uniformly with replacement; the alternative mask
 mode scores from all neighbors and blanks self-revealing candidates instead.
 One Adam step is taken per batch on the batch-summed gradients.
 
-Sampled batches are uniform in shape, so their forward/backward runs through
-a vectorized kernel; a per-entity reference path covers mask mode and serves
-as the correctness anchor for the kernel. Pooling is a softmax over each type
-column and both losses are sums over type columns, so the kernel walks the
-types in blocks: each block is scored, pooled, differentiated and written to
-its own rows of the classifier gradients before the next one starts. Only the
-neighbor-representation gradient accumulates across blocks. Memory per batch
-is therefore bounded by the block, not by the number of types, and all
-arithmetic stays in the parameters' dtype (float32 in training, float64 under
-gradient checking). The block holds about ``_CELLS`` candidate cells.
+Both modes run one kernel, ``_batch_forward_backward``, over (batch, rows)
+neighbor arrays. A sampled batch fills every row and needs neither padding
+nor masks. A mask-mode batch is sorted by degree and cut into buckets of at
+most ``_BUCKET_ROWS`` padded rows, one kernel call each; short neighbor
+lists are padded with copies of their first edge, which a validity mask
+gives pooling weight 0 and keeps out of the Agg2T mean. The self-evidence
+mask blanks each has_type row at its own type and the Agg2T row at the
+entity's labels; a column with every row blanked pools to -inf and drops
+out of the loss.
+
+Pooling is a softmax over each type column and both losses are sums over
+type columns, so the kernel walks the types in blocks: each block is scored,
+pooled, differentiated and added to its own rows of the classifier
+gradients before the next one starts. Only the neighbor-representation
+gradient accumulates across blocks; it is scattered into the sparse
+embedding rows once per batch. Memory per call is therefore bounded by the
+block, not by the number of types, and all arithmetic stays in the
+parameters' dtype (float32 in training, float64 under gradient checking).
+The block holds about ``_CELLS`` candidate cells. The per-entity path in
+``scoring`` and ``loss`` serves evaluation, explanation and gradient
+checking, and is the kernel's reference in the tests.
 """
 
 from __future__ import annotations
@@ -29,9 +40,10 @@ import numpy as np
 from .data import TypingDataset
 from .ranking import evaluate
 from .graph import AugmentedGraph, Neighbor, Vocab
-from .loss import GradientSet, _loss_terms, backward
+# backward and score_all_neighbors are unused here; the benchmark hooks them on this module.
+from .loss import GradientSet, _loss_terms, backward  # noqa: F401
 from .optim import AdamState, NumericError, adam_step, init_params
-from .scoring import ParameterSet, neighbor_reps, score_all_neighbors
+from .scoring import ParameterSet, neighbor_reps, score_all_neighbors  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -100,34 +112,44 @@ def _positive_pairs(
 
 
 # Candidate cells (batch * candidate rows * types) in one type block of the
-# sampled kernel, which sets the block width; the kernel's working slabs
-# scale with it.
+# kernel, which sets the block width; the kernel's working slabs scale with it.
 _CELLS = 1 << 19
+
+# Padded neighbor rows (entities * largest degree) in one degree bucket of a
+# mask-mode batch. Each bucket is one kernel call, so smaller buckets pad
+# less but pay the per-call cost more often.
+_BUCKET_ROWS = 512
 
 
 def _batch_forward_backward(
     params: ParameterSet,
+    grads: GradientSet,
     rel: np.ndarray,
     inv: np.ndarray,
     is_type: np.ndarray,
     tgt: np.ndarray,
     positives: tuple[np.ndarray, np.ndarray],
-    alpha: float,
-    loss_kind: str,
-    beta: float,
-    use_agg2t: bool,
-    use_activation: bool,
-) -> tuple[np.ndarray, GradientSet]:
-    """Vectorized loss + gradients for a uniform sampled batch.
+    config: TrainConfig,
+    valid: np.ndarray | None = None,
+    self_mask: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entity losses and d(loss)/d(neighbor representation) for one batch.
 
-    Array arguments have shape (batch, sample_size); ``positives`` holds the
+    Array arguments have shape (batch, rows); ``positives`` holds the
     (batch row, type) index pairs of the labels, ordered by type, as
-    ``_positive_pairs`` builds them. Types are processed in blocks (see the
-    module docstring); only ``dreps`` and ``dh`` sum across blocks. Mirrors
-    the per-entity backward exactly, up to float summation order.
+    ``_positive_pairs`` builds them. ``valid`` marks the real neighbor rows
+    of a padded batch. Padded rows must copy a real row of their entity, so
+    that they never raise a column's maximum; they take no pooling weight,
+    stay out of the Agg2T mean, and their returned gradient is meaningless. ``self_mask`` blanks every forward
+    has_type row at its own type and the Agg2T row at the labels. The
+    classifier gradients are added into ``grads``; the embedding rows are
+    left to ``_scatter_rows``. Types are processed in blocks (see the module
+    docstring). Mirrors the per-entity backward exactly, up to float
+    summation order.
     """
     batch, m = rel.shape
     num_types = params.num_types
+    alpha, use_agg2t, use_activation = config.alpha, config.use_agg2t, config.use_activation
     reps = neighbor_reps(params, rel, inv, is_type, tgt)  # (B, m, k)
     activated = np.maximum(reps, 0) if use_activation else reps
     flat_z = activated.reshape(batch * m, -1)
@@ -136,18 +158,27 @@ def _batch_forward_backward(
     # weights are exp(s - max s), pooled = mean_w(s) / alpha + b, and
     # 1 + alpha * (x - pooled) = s + 1 - mean_w(s).
     scaled_z = alpha * flat_z
+    if valid is None:
+        count = m
+    else:
+        count = valid.sum(axis=1, keepdims=True).astype(reps.dtype)
+        pad = np.flatnonzero(~valid)
     if use_agg2t:
-        h = reps.mean(axis=1)  # (B, k)
+        h = reps.mean(axis=1) if valid is None else (reps * valid[..., None]).sum(axis=1) / count
         h_act = np.maximum(h, 0) if use_activation else h
         scaled_h = alpha * h_act
         agg_w, agg_b = params.agg_head()
+        agg_gw = grads.agg_W if params.separate_heads else grads.W
+        dh = np.zeros_like(h)
+    if self_mask:
+        # Forward has_type rows (padding copies included), ordered by type.
+        own = np.flatnonzero(is_type & ~inv)
+        own_cols = tgt.ravel()[own]
+        by_col = np.argsort(own_cols, kind="stable")
+        own, own_cols = own[by_col], own_cols[by_col]
     rows = m + 1 if use_agg2t else m
     width = max(1, _CELLS // (batch * rows))
 
-    grads = GradientSet.zeros_like(params)
-    if use_agg2t:
-        agg_gw = grads.agg_W if params.separate_heads else grads.W
-        dh = np.zeros_like(h)
     losses = np.zeros(batch)
     pos_rows, pos_cols = positives
     dreps = np.zeros_like(flat_z)
@@ -156,32 +187,51 @@ def _batch_forward_backward(
         e = min(s + width, num_types)
         score, expw = (buf[: batch * m * (e - s)].reshape(batch * m, e - s) for buf in slab)
         score3, expw3 = score.reshape(batch, m, e - s), expw.reshape(batch, m, e - s)
+        lo, hi = np.searchsorted(pos_cols, (s, e))
+        labels = (pos_rows[lo:hi], pos_cols[lo:hi] - s)
         w_blk = params.W[s:e]
         np.matmul(scaled_z, w_blk.T, out=score)
+        if self_mask:
+            a, z = np.searchsorted(own_cols, (s, e))
+            blank = (own[a:z], own_cols[a:z] - s)
+            score[blank] = -np.inf
         top = score3.max(axis=1)  # (B, cols)
         if use_agg2t:
             agg = scaled_h @ agg_w[s:e].T
             if params.separate_heads:
                 agg += alpha * (agg_b[s:e] - params.b[s:e])
+            if self_mask:
+                agg[labels] = -np.inf
             np.maximum(top, agg, out=top)
+        if self_mask:
+            # A column with every row blanked gets weight 0 everywhere and
+            # pools to -inf, which the loss drops.
+            dead = np.isneginf(top)
+            top[dead] = 0
+        if use_agg2t:
             agg_exp = np.exp(agg - top)
+            if self_mask:
+                agg[labels] = 0
         np.subtract(score3, top[:, None, :], out=expw3)
         np.exp(expw, out=expw)
+        if valid is not None:
+            expw[pad] = 0
+        if self_mask:
+            score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
         denom = expw3.sum(axis=1)
         score *= expw
         mean_s = score3.sum(axis=1)
         if use_agg2t:
             denom += agg_exp
             mean_s += agg_exp * agg
+        if self_mask:
+            denom[dead] = 1
         mean_s /= denom
 
-        lo, hi = np.searchsorted(pos_cols, (s, e))
-        block_loss, dpooled = _loss_terms(
-            mean_s / alpha + params.b[s:e],
-            (pos_rows[lo:hi], pos_cols[lo:hi] - s),
-            loss_kind,
-            beta,
-        )
+        pooled = mean_s / alpha + params.b[s:e]
+        if self_mask:
+            pooled[dead] = -np.inf
+        block_loss, dpooled = _loss_terms(pooled, labels, config.loss_kind, config.beta)
         losses += block_loss
         # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
         #              = (dpooled / denom) * exp(s - max s) * (s + 1 - mean_w(s)).
@@ -191,11 +241,11 @@ def _batch_forward_backward(
         expw += score
         expw3 *= gain[:, None, :]
         dn2t = expw  # d(loss)/d(N2T score), (B*m, cols)
-        np.matmul(dn2t.T, flat_z, out=grads.W[s:e])
+        grads.W[s:e] += dn2t.T @ flat_z
         dreps += dn2t @ w_blk
         # A bias shared by every row of a column moves the pooled score one
         # for one, so its gradient is the batch sum of dpooled.
-        grads.b[s:e] = dpooled.sum(axis=0)
+        db = dpooled.sum(axis=0)
         if use_agg2t:
             agg += shift
             agg *= agg_exp
@@ -203,8 +253,10 @@ def _batch_forward_backward(
             agg_gw[s:e] += agg.T @ h_act
             dh += agg @ agg_w[s:e]
             if params.separate_heads:
-                grads.agg_b[s:e] = agg.sum(axis=0)
-                grads.b[s:e] -= grads.agg_b[s:e]
+                agg_db = agg.sum(axis=0)
+                grads.agg_b[s:e] += agg_db
+                db -= agg_db
+        grads.b[s:e] += db
 
     dreps = dreps.reshape(batch, m, -1)
     if use_activation:
@@ -212,30 +264,47 @@ def _batch_forward_backward(
     if use_agg2t:
         if use_activation:
             dh *= h > 0
-        dreps += dh[:, None, :] / m
+        dreps += (dh / count)[:, None, :]
+    return losses, dreps
 
+
+def _scatter_rows(
+    grads: GradientSet,
+    rel: np.ndarray,
+    inv: np.ndarray,
+    is_type: np.ndarray,
+    tgt: np.ndarray,
+    dreps: np.ndarray,
+) -> None:
+    """Sum per-edge representation gradients into the sparse row maps.
+
+    Arguments are flat over the batch's edges, with ``dreps`` of shape
+    (edges, k). The row maps must be empty: each table gets one
+    ``np.unique``/``np.add.at`` pass.
+    """
     sign = np.where(inv, 1.0, -1.0).astype(dreps.dtype)
-    drel = dreps * sign[..., None]
+    for rows, idx, grad in (
+        (grads.entity_rows, tgt[~is_type], dreps[~is_type]),
+        (grads.type_rows, tgt[is_type], dreps[is_type]),
+        (grads.relation_rows, rel, dreps * sign[:, None]),
+    ):
+        if idx.size:
+            uniq, inverse = np.unique(idx, return_inverse=True)
+            acc = np.zeros((len(uniq), grad.shape[-1]), dtype=grad.dtype)
+            np.add.at(acc, inverse, grad)
+            rows.update(zip(uniq.tolist(), acc))
 
-    def scatter(rows: dict[int, np.ndarray], idx: np.ndarray, grad: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        acc = np.zeros((len(uniq), grad.shape[-1]), dtype=grad.dtype)
-        np.add.at(acc, inverse, grad)
-        for pos, row in enumerate(uniq.tolist()):
-            if row in rows:
-                rows[row] = rows[row] + acc[pos]
-            else:
-                rows[row] = acc[pos]
 
-    flat_is_type = is_type.ravel()
-    flat_tgt = tgt.ravel()
-    flat_dreps = dreps.reshape(batch * m, -1)
-    scatter(grads.entity_rows, flat_tgt[~flat_is_type], flat_dreps[~flat_is_type])
-    scatter(grads.type_rows, flat_tgt[flat_is_type], flat_dreps[flat_is_type])
-    scatter(grads.relation_rows, rel.ravel(), drel.reshape(batch * m, -1))
-    return losses, grads
+def _degree_buckets(degrees: np.ndarray):
+    """Slices of ascending ``degrees`` whose padded size fits ``_BUCKET_ROWS``.
+
+    An entity whose degree alone exceeds the budget gets a bucket of its own.
+    """
+    start = 0
+    for i in range(1, len(degrees) + 1):
+        if i == len(degrees) or (i - start + 1) * degrees[i] > _BUCKET_ROWS:
+            yield slice(start, i)
+            start = i
 
 
 def _trainable_entities(graph: AugmentedGraph, dataset: TypingDataset) -> tuple[list[int], int]:
@@ -294,39 +363,38 @@ def _sampled_batch(params, graph, dataset, batch, config, rng):
         inv[row] = e_inv[idx]
         is_type[row] = e_is_type[idx]
         tgt[row] = e_tgt[idx]
-    positives = _positive_pairs(batch, dataset)
-    return _batch_forward_backward(
-        params,
-        rel,
-        inv,
-        is_type,
-        tgt,
-        positives,
-        config.alpha,
-        config.loss_kind,
-        config.beta,
-        config.use_agg2t,
-        config.use_activation,
+    grads = GradientSet.zeros_like(params)
+    arrays = (rel, inv, is_type, tgt)
+    losses, dreps = _batch_forward_backward(
+        params, grads, *arrays, _positive_pairs(batch, dataset), config
     )
+    _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(rel.size, -1))
+    return losses, grads
 
 
 def _masked_batch(params, graph, dataset, batch, config):
-    losses = np.empty(len(batch), dtype=float)
+    """All neighbors of each entity, in degree buckets padded to their largest degree."""
+    degrees = np.array([graph.degree(entity) for entity in batch])
+    order = np.argsort(degrees, kind="stable")
+    losses = np.empty(len(batch))
     grads = GradientSet.zeros_like(params)
-    for row, entity in enumerate(batch):
-        labels = dataset.positives(entity)
-        bundle = score_all_neighbors(
-            params,
-            graph,
-            entity,
-            config.alpha,
-            mask_labels=labels,
-            use_agg2t=config.use_agg2t,
-            use_activation=config.use_activation,
+    edges = []
+    for bucket in _degree_buckets(degrees[order]):
+        members = order[bucket]
+        width = degrees[members[-1]]
+        valid = np.arange(width) < degrees[members][:, None]
+        # Padding repeats each entity's first edge.
+        pick = np.where(valid, np.arange(width), 0)
+        columns = zip(*(graph.neighbor_arrays(batch[i]) for i in members))
+        arrays = [np.stack([a[p] for a, p in zip(col, pick)]) for col in columns]
+        entities = [batch[i] for i in members]
+        bucket_losses, dreps = _batch_forward_backward(
+            params, grads, *arrays, _positive_pairs(entities, dataset), config,
+            valid=valid, self_mask=True,
         )
-        loss, entity_grads = backward(bundle, labels, config.loss_kind, config.beta)
-        losses[row] = loss
-        grads.accumulate(entity_grads)
+        losses[members] = bucket_losses
+        edges.append([a[valid] for a in arrays] + [dreps[valid]])
+    _scatter_rows(grads, *(np.concatenate(parts) for parts in zip(*edges)))
     return losses, grads
 
 
@@ -394,6 +462,8 @@ def fit(
                 keep_ranks=False,
             )
             mrr = report.mrr
+            if not np.isfinite(mrr):
+                raise NumericError(f"non-finite validation MRR {mrr} at epoch {epoch}")
             if mrr > best_mrr:
                 best_mrr = mrr
                 best_epoch = epoch

@@ -223,6 +223,23 @@ class TestEval:
         assert code == 4
 
 
+    def test_non_finite_metric_is_numeric_error(self, trained, tmp_path, capsys):
+        from cet.checkpoint import load_checkpoint, save_checkpoint
+
+        base, out = trained
+        params, vocab, config = load_checkpoint(out / "checkpoint.cet")
+        params.W[:] = np.nan
+        diverged = tmp_path / "diverged.cet"
+        save_checkpoint(diverged, params, vocab, config)
+        code = main(
+            ["eval", "--data-dir", str(base), "--checkpoint", str(diverged)]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "mrr" not in captured.out
+        assert "non-finite" in captured.err
+
+
 class TestExplainCommand:
     def test_report_shape(self, trained, tmp_path, capsys):
         base, out = trained

@@ -41,6 +41,13 @@ class TestRankOne:
         scores = np.array([1.0, 2.0])
         assert rank_one(scores, gold=0, filter_types={0, 1}) == 1.0
 
+    def test_nan_scores_give_nan_rank(self):
+        # A NaN gold or kept candidate must not rank (it used to read 0.5).
+        assert np.isnan(rank_one(np.array([np.nan, 1.0, 2.0]), gold=0))
+        assert np.isnan(rank_one(np.array([3.0, np.nan, 2.0]), gold=0))
+        # A NaN that the filter removes does not touch the rank.
+        assert rank_one(np.array([3.0, np.nan, 2.0]), gold=0, filter_types={1}) == 1.0
+
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError):
             rank_one(np.array([1.0]), gold=3)
@@ -217,6 +224,16 @@ class TestEvaluate:
         report = evaluate(params, graph, dataset, "valid", alpha=0.5)
         assert report.hits1 <= report.hits3 <= report.hits10
         assert report.mrr >= report.hits1
+
+    def test_non_finite_pooled_scores_fail_every_query(self):
+        params, graph, dataset, vocab = one_hot_model()
+        e0 = vocab.entity_ids["e0"]
+        params.entity_emb[vocab.entity_ids["h0"], 0] = np.inf
+        report = evaluate(params, graph, dataset, "test", alpha=0.5)
+        ranks = {entity: rank for entity, _, rank in report.ranks}
+        assert np.isnan(ranks.pop(e0))
+        assert list(ranks.values()) == [1.0, 1.0]
+        assert np.isnan(report.mr) and np.isnan(report.mrr)
 
     def test_empty_split_rejected(self):
         params, graph, dataset, _ = one_hot_model()

@@ -1,7 +1,7 @@
 """The benchmark's tiny-shape runs, as a gate on the hooks and metrics it reads.
 
-Each workload named in BENCHMARK.json runs traced for one second on the tiny
-corpus; fb15ket-train also runs untraced. A run must exit 0, pass its own
+Each workload named in BENCHMARK.json runs traced and untraced for one second
+on the tiny corpus. A run must exit 0, pass its own
 correctness checks, report exactly the metric names and units of
 BENCHMARK.json, and find every library hook it wraps, so a refactor that
 renames or drops one fails here rather than reading as a gain.
@@ -46,7 +46,8 @@ def test_traced_tiny_run(workload):
     assert metrics["trace.missing_hooks"]["value"] == 0
 
 
-def test_untraced_tiny_run():
-    metrics = run_bench("fb15ket-train", trace=0)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_untraced_tiny_run(workload):
+    metrics = run_bench(workload, trace=0)
     assert {name: m["unit"] for name, m in metrics.items()} == units("end_to_end")
     assert all(m["value"] is not None and m["value"] > 0 for m in metrics.values())

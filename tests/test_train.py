@@ -5,17 +5,19 @@ import cet.train
 
 from cet import (
     AdamState,
+    NumericError,
     TrainConfig,
     backward,
     evaluate,
     fit,
     init_params,
     sample_neighbors,
+    score_all_neighbors,
     score_entity,
     train_epoch,
 )
 from cet.loss import GradientSet, max_relative_error
-from cet.train import _batch_forward_backward, _positive_pairs, format_log
+from cet.train import _masked_batch, _sampled_batch, format_log
 from synth import assembled, hub_marker_corpus
 
 
@@ -78,24 +80,56 @@ class TestSampleNeighbors:
         assert a == b
 
 
-def sampled_arrays(graph, batch, m, rng):
-    """Neighbor arrays of shape (len(batch), m) plus the same draws as lists."""
-    shape = (len(batch), m)
-    rel = np.empty(shape, np.int32)
-    inv = np.empty(shape, bool)
-    is_type = np.empty(shape, bool)
-    tgt = np.empty(shape, np.int32)
-    lists = []
+def add_into(total, part):
+    """``total += part`` for gradient sets: dense tensors and sparse row maps."""
+    for (_, mine), (_, theirs) in zip(total.named_dense(), part.named_dense()):
+        mine += theirs
+    for (_, mine), (_, theirs) in zip(total.named_sparse(), part.named_sparse()):
+        for row, vec in theirs.items():
+            mine[row] = mine[row] + vec if row in mine else vec.copy()
+
+
+def reference(params, graph, dataset, batch, config, lists=None):
+    """Per-entity losses and their summed gradients, one entity at a time.
+
+    With ``lists`` each entity is scored from its sampled neighbors;
+    without, from all of them under the self-evidence mask.
+    """
+    grads = GradientSet.zeros_like(params)
+    losses = []
+    routes = dict(use_agg2t=config.use_agg2t, use_activation=config.use_activation)
     for row, entity in enumerate(batch):
-        nbs = sample_neighbors(graph, entity, m, rng)
-        lists.append(nbs)
-        for j, nb in enumerate(nbs):
-            rel[row, j], inv[row, j] = nb.relation, nb.inverted
-            is_type[row, j], tgt[row, j] = nb.target_is_type, nb.target
-    return (rel, inv, is_type, tgt), lists
+        labels = dataset.positives(entity)
+        if lists is None:
+            bundle = score_all_neighbors(
+                params, graph, entity, config.alpha, mask_labels=labels, **routes
+            )
+        else:
+            bundle = score_entity(params, graph, entity, lists[row], config.alpha, **routes)
+        loss, grad = backward(bundle, labels, config.loss_kind, config.beta)
+        losses.append(loss)
+        add_into(grads, grad)
+    return np.array(losses), grads
+
+
+def assert_float32_close(losses, grads, ref_losses, reference_grads, tol=1e-4):
+    # float32 carries ~7 significant digits; sums over a few hundred terms
+    # keep 1e-4 of each tensor's largest entry with wide margin.
+    np.testing.assert_allclose(losses, ref_losses, rtol=tol)
+    for (name, got), (_, want) in zip(grads.named_dense(), reference_grads.named_dense()):
+        assert got.dtype == np.float32, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+    for (name, got), (_, want) in zip(grads.named_sparse(), reference_grads.named_sparse()):
+        assert got.keys() == want.keys(), name
+        scale = max(np.abs(row).max() for row in want.values())
+        for row, vec in got.items():
+            assert vec.dtype == np.float32, name
+            np.testing.assert_allclose(vec, want[row], rtol=0, atol=tol * scale)
 
 
 class TestBatchedPath:
+    """The batch kernel against the per-entity path, in both training modes."""
+
     # (loss_kind, use_agg2t, separate_heads, use_activation)
     CASES = [
         ("fna", True, False, True),
@@ -106,89 +140,132 @@ class TestBatchedPath:
         ("fna", True, False, False),
     ]
     M = 7
+    RAGGED = 3  # type-block width that does not divide the 8 types
 
-    def setup_batch(self, hub_setup, separate_heads=False):
+    @staticmethod
+    def setup_case(hub_setup, case):
         vocab, dataset, graph, *_ = hub_setup
+        loss_kind, use_agg2t, separate_heads, use_activation = case
+        config = TrainConfig(
+            loss_kind=loss_kind, use_agg2t=use_agg2t, separate_heads=separate_heads,
+            use_activation=use_activation, sample_size=TestBatchedPath.M,
+        )
         params = init_params(vocab, 12, seed=5, dtype=np.float64, separate_heads=separate_heads)
         rng = np.random.default_rng(2)
         # Non-zero biases, different per head, so the pooling sees them.
         params.b[:] = rng.normal(size=vocab.num_types)
         if separate_heads:
             params.agg_b[:] = rng.normal(size=vocab.num_types)
+        # Entity order, so degrees are unsorted (2 to 9 here).
         batch = [e for e in sorted(dataset.train_types) if graph.degree(e) > 0][:16]
-        arrays, lists = sampled_arrays(graph, batch, self.M, rng)
-        pos = _positive_pairs(batch, dataset)
-        return params, batch, arrays, lists, pos
+        return config, params, batch
 
     @staticmethod
-    def reference(params, graph, dataset, batch, lists, loss_kind, use_agg2t, use_activation):
-        grads = GradientSet.zeros_like(params)
-        losses = []
-        for row, entity in enumerate(batch):
-            bundle = score_entity(
-                params, graph, entity, lists[row], 0.5,
-                use_agg2t=use_agg2t, use_activation=use_activation,
-            )
-            loss, grad = backward(bundle, dataset.positives(entity), loss_kind, 4.0)
-            losses.append(loss)
-            grads.accumulate(grad)
-        return np.array(losses), grads
-
-    @staticmethod
-    def blocked(monkeypatch, width, params, arrays, pos, loss_kind, use_agg2t, use_activation):
-        """The batched kernel with type blocks ``width`` columns wide."""
-        batch, m = arrays[0].shape
-        rows = m + 1 if use_agg2t else m
-        monkeypatch.setattr(cet.train, "_CELLS", width * batch * rows)
-        return _batch_forward_backward(
-            params, *arrays, pos, 0.5, loss_kind, 4.0, use_agg2t, use_activation
+    def sampled(monkeypatch, width, params, hub_setup, batch, config):
+        """The sampled batch with type blocks ``width`` columns wide, plus the draws as lists."""
+        vocab, dataset, graph, *_ = hub_setup
+        rows = config.sample_size + (1 if config.use_agg2t else 0)
+        monkeypatch.setattr(cet.train, "_CELLS", width * len(batch) * rows)
+        losses, grads = _sampled_batch(
+            params, graph, dataset, batch, config, np.random.default_rng(3)
         )
+        rng = np.random.default_rng(3)
+        lists = [sample_neighbors(graph, e, config.sample_size, rng) for e in batch]
+        return losses, grads, lists
+
+    def masked_layouts(self, monkeypatch, params, hub_setup, batch, config):
+        """Mask-mode batch results: one bucket and one type block, one bucket
+        with ragged type blocks, then several padded buckets with blocks of
+        one to three types."""
+        vocab, dataset, graph, *_ = hub_setup
+        rows = max(graph.degree(e) for e in batch) + (1 if config.use_agg2t else 0)
+        for cells, bucket_rows in (
+            (vocab.num_types * len(batch) * rows, 10**6),
+            (self.RAGGED * len(batch) * rows, 10**6),
+            (self.RAGGED * 12, 12),
+        ):
+            monkeypatch.setattr(cet.train, "_CELLS", cells)
+            monkeypatch.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
+            yield _masked_batch(params, graph, dataset, batch, config)
 
     def test_matches_per_entity_reference(self, hub_setup, monkeypatch):
         vocab, dataset, graph, *_ = hub_setup
-        ragged = 3
-        assert vocab.num_types % ragged != 0
-        for loss_kind, use_agg2t, separate_heads, use_activation in self.CASES:
-            params, batch, arrays, lists, pos = self.setup_batch(hub_setup, separate_heads)
-            ref_losses, reference = self.reference(
-                params, graph, dataset, batch, lists, loss_kind, use_agg2t, use_activation
-            )
+        assert vocab.num_types % self.RAGGED != 0
+        for case in self.CASES:
+            config, params, batch = self.setup_case(hub_setup, case)
             results = []
-            for width in (vocab.num_types, ragged):
-                losses, grads = self.blocked(
-                    monkeypatch, width, params, arrays, pos, loss_kind, use_agg2t, use_activation
+            for width in (vocab.num_types, self.RAGGED):
+                losses, grads, lists = self.sampled(
+                    monkeypatch, width, params, hub_setup, batch, config
                 )
+                ref_losses, ref_grads = reference(params, graph, dataset, batch, config, lists)
                 np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
-                assert max_relative_error(grads, reference) < 1e-9
+                assert max_relative_error(grads, ref_grads) < 1e-9
                 results.append((losses, grads))
             (one_losses, one_grads), (ragged_losses, ragged_grads) = results
             np.testing.assert_allclose(ragged_losses, one_losses, rtol=1e-6)
             assert max_relative_error(ragged_grads, one_grads) < 1e-6
 
-    def test_float32_matches_float64_reference(self, hub_setup, monkeypatch):
-        # float32 carries ~7 significant digits; sums over a few hundred
-        # terms keep 1e-4 of each tensor's largest entry with wide margin.
-        tol = 1e-4
+    def test_masked_matches_per_entity_reference(self, hub_setup, monkeypatch):
         vocab, dataset, graph, *_ = hub_setup
-        for loss_kind, use_agg2t, separate_heads, use_activation in self.CASES:
-            params, batch, arrays, lists, pos = self.setup_batch(hub_setup, separate_heads)
-            ref_losses, reference = self.reference(
-                params, graph, dataset, batch, lists, loss_kind, use_agg2t, use_activation
+        for case in self.CASES:
+            config, params, batch = self.setup_case(hub_setup, case)
+            ref_losses, ref_grads = reference(params, graph, dataset, batch, config)
+            results = list(self.masked_layouts(monkeypatch, params, hub_setup, batch, config))
+            for losses, grads in results:
+                np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
+                assert max_relative_error(grads, ref_grads) < 1e-9
+            (one_losses, one_grads), *others = results
+            for losses, grads in others:
+                np.testing.assert_allclose(losses, one_losses, rtol=1e-6)
+                assert max_relative_error(grads, one_grads) < 1e-6
+
+    def test_float32_matches_float64_reference(self, hub_setup, monkeypatch):
+        vocab, dataset, graph, *_ = hub_setup
+        for case in self.CASES:
+            config, params, batch = self.setup_case(hub_setup, case)
+            losses, grads, lists = self.sampled(
+                monkeypatch, self.RAGGED, params.astype(np.float32), hub_setup, batch, config
             )
-            losses, grads = self.blocked(
-                monkeypatch, 3, params.astype(np.float32), arrays, pos,
-                loss_kind, use_agg2t, use_activation,
-            )
-            np.testing.assert_allclose(losses, ref_losses, rtol=tol)
-            for (name, got), (_, want) in zip(grads.named_dense(), reference.named_dense()):
-                assert got.dtype == np.float32, name
-                np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
-            for (name, got), (_, want) in zip(grads.named_sparse(), reference.named_sparse()):
-                assert got.keys() == want.keys(), name
-                scale = max(np.abs(row).max() for row in want.values())
-                for row, vec in got.items():
-                    assert vec.dtype == np.float32, name
-                    np.testing.assert_allclose(vec, want[row], rtol=0, atol=tol * scale)
+            ref_losses, ref_grads = reference(params, graph, dataset, batch, config, lists)
+            assert_float32_close(losses, grads, ref_losses, ref_grads)
+
+            ref_losses, ref_grads = reference(params, graph, dataset, batch, config)
+            for losses, grads in self.masked_layouts(
+                monkeypatch, params.astype(np.float32), hub_setup, batch, config
+            ):
+                assert_float32_close(losses, grads, ref_losses, ref_grads)
+
+    def test_fully_blanked_column(self):
+        # "c" has one neighbor, its own has_type edge, and one type exists:
+        # both of its candidates for t0 are blanked, so the column pools to
+        # -inf and drops out of the loss. "a" keeps one live candidate.
+        from cet import build_graph, build_vocab
+        from cet.data import TypingDataset
+
+        triples = [("a", "r", "b")]
+        pairs = [("a", "t0"), ("c", "t0")]
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, pairs)
+        a, c = vocab.entity_ids["a"], vocab.entity_ids["c"]
+        assert graph.degree(c) == 1
+        train = [(a, 0), (c, 0)]
+        dataset = TypingDataset(
+            train=train, valid=[], test=[], known_types={a: {0}, c: {0}},
+            train_types={a: [0], c: [0]},
+        )
+        params = init_params(vocab, 3, seed=1, dtype=np.float64)
+        config = TrainConfig(mask_mode=True, loss_kind="bce")
+        ref_losses, ref_grads = reference(params, graph, dataset, [a, c], config)
+        losses, grads = _masked_batch(params, graph, dataset, [a, c], config)
+        assert np.isfinite(losses).all() and losses[1] == 0
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
+        assert max_relative_error(grads, ref_grads) < 1e-9
+        np.testing.assert_array_equal(grads.type_rows[0], 0)
+        dead_losses, dead_grads = _masked_batch(params, graph, dataset, [c], config)
+        assert dead_losses.tolist() == [0.0]
+        for _, tensor in dead_grads.named_dense():
+            np.testing.assert_array_equal(tensor, 0)
 
 
 class TestTrainEpoch:
@@ -234,6 +311,21 @@ class TestTrainEpoch:
         state = AdamState(params, config.lr)
         loss = train_epoch(params, state, graph, dataset, config, np.random.default_rng(0))
         assert np.isfinite(loss) and loss > 0
+
+    def test_mask_mode_epochs_replay_bitwise(self, hub_setup):
+        vocab, dataset, graph, *_ = hub_setup
+        config = TrainConfig(seed=3, mask_mode=True)
+        runs = []
+        for _ in range(2):
+            params = init_params(vocab, config.dim, config.seed)
+            state = AdamState(params, config.lr)
+            rng = np.random.default_rng(config.seed)
+            losses = [train_epoch(params, state, graph, dataset, config, rng) for _ in range(2)]
+            runs.append((losses, params))
+        (losses_a, params_a), (losses_b, params_b) = runs
+        assert losses_a == losses_b
+        for name in ("entity_emb", "relation_emb", "type_emb", "W", "b"):
+            assert getattr(params_a, name).tobytes() == getattr(params_b, name).tobytes(), name
 
     def test_epoch_order_replays_with_seed(self, hub_setup):
         vocab, dataset, graph, *_ = hub_setup
@@ -309,6 +401,21 @@ class TestFit:
             result.params, graph, dataset, "valid", config.alpha, keep_ranks=False
         )
         assert report.mrr == pytest.approx(result.best_valid_mrr, abs=1e-12)
+
+    def test_non_finite_validation_mrr_is_refused(self, hub_setup, monkeypatch):
+        # A diverged model must never be kept as the best snapshot.
+        vocab, dataset, graph, *_ = hub_setup
+        good = cet.train.evaluate
+
+        def nan_mrr(*args, **kwargs):
+            report = good(*args, **kwargs)
+            report.mrr = float("nan")
+            return report
+
+        monkeypatch.setattr(cet.train, "evaluate", nan_mrr)
+        config = TrainConfig(max_epochs=1, eval_every=1, seed=0)
+        with pytest.raises(NumericError, match="validation MRR"):
+            fit(vocab, graph, dataset, config)
 
     def test_log_format(self):
         text = format_log([(1, 0.5, None), (2, 0.25, 0.875)])
