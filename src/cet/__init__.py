@@ -34,12 +34,8 @@ from .optim import AdamState, NumericError, adam_step, init_params
 from .scoring import (
     ParameterSet,
     ScoreBundle,
-    agg2t_scores,
-    n2t_scores,
-    neighbor_rep,
     pool,
     score_all_neighbors,
-    score_entity,
 )
 from .train import FitResult, TrainConfig, fit, format_log, sample_neighbors, train_epoch
 
@@ -66,7 +62,6 @@ __all__ = [
     "UnknownNameError",
     "Vocab",
     "adam_step",
-    "agg2t_scores",
     "assemble",
     "backward",
     "bce_loss",
@@ -83,15 +78,12 @@ __all__ = [
     "load_pairs",
     "load_triples",
     "max_relative_error",
-    "n2t_scores",
     "neighbor_profile",
-    "neighbor_rep",
     "pool",
     "rank_one",
     "sample_neighbors",
     "save_checkpoint",
     "score_all_neighbors",
-    "score_entity",
     "sigmoid_probs",
     "train_epoch",
     "__version__",

@@ -5,13 +5,16 @@ UTF-8 JSON header (dimension, tensor counts, config echo and the three
 vocabulary name tables), the parameter tensors as little-endian float32 in
 a fixed order, and a trailing 64-bit checksum (blake2b, 8-byte digest) over
 everything between the magic and the checksum. Save/load round-trips are
-byte-identical.
+byte-identical. A save writes a temporary sibling file, syncs it to disk and
+renames it over the target, so a crash mid-save leaves the previous
+checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -62,10 +65,19 @@ def save_checkpoint(
         arr = getattr(params, name)
         blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(blob)
-        handle.write(_digest(bytes(blob)))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(blob)
+            handle.write(_digest(bytes(blob)))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterSet, Vocab, dict]:

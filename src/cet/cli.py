@@ -24,6 +24,8 @@ from .train import TrainConfig, fit, format_log
 
 log = logging.getLogger(__name__)
 
+__all__ = ["build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -141,19 +143,13 @@ def _load_corpus(args: argparse.Namespace):
     return triples, train, valid, test
 
 
-def _default_threads() -> int:
-    # BLAS already runs matmuls on all cores; extra eval workers help only
-    # where that is disabled, so oversubscription is opt-in.
-    return 1
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_train_config(args)
     triples, train, valid, test = _load_corpus(args)
     vocab, dataset = assemble(triples, train, valid, test)
     graph = build_graph(vocab, triples, train, include_type_edges=config.use_tan)
 
-    result = fit(vocab, graph, dataset, config, eval_threads=args.threads)
+    result = fit(vocab, graph, dataset, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,7 +194,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         use_agg2t=bool(config.get("use_agg2t", True)),
         use_activation=bool(config.get("use_activation", True)),
         filtered=not args.unfiltered,
-        threads=args.threads,
     )
     if not (math.isfinite(report.mr) and math.isfinite(report.mrr)):
         raise NumericError(f"non-finite {args.split} metrics: MR {report.mr}, MRR {report.mrr}")
@@ -306,7 +301,6 @@ def build_parser() -> _Parser:
         default=None,
         dest="separate_heads",
     )
-    p_train.add_argument("--threads", type=int, default=_default_threads())
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="filtered ranking metrics for a split")
@@ -316,7 +310,6 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--alpha", type=float, default=None, help="override checkpoint alpha")
     p_eval.add_argument("--rank-dump", help="write entity<TAB>type<TAB>rank TSV")
     p_eval.add_argument("--unfiltered", action="store_true", help="debug: skip filtering")
-    p_eval.add_argument("--threads", type=int, default=_default_threads())
     p_eval.set_defaults(func=cmd_eval)
 
     p_explain = sub.add_parser("explain", help="rank information sources for one query")

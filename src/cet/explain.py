@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AugmentedGraph, Neighbor, Vocab
-from .scoring import AGGREGATION, ParameterSet, n2t_scores, score_all_neighbors
+from .scoring import AGGREGATION, ParameterSet, score_all_neighbors, score_neighbor_arrays
 
 __all__ = [
     "ExplanationRow",
@@ -115,7 +115,12 @@ def neighbor_profile(
     """Types most strongly indicated by a single neighbor, best first."""
     if top_k <= 0:
         return []
-    scores = n2t_scores(params, nb, use_activation=use_activation)
+    edge = (nb.relation, nb.inverted, nb.target_is_type, nb.target)
+    # One N2T row and no Agg2T row: pooling returns the row at any alpha.
+    bundle = score_neighbor_arrays(
+        params, *(np.array([v]) for v in edge), 1.0, use_agg2t=False, use_activation=use_activation
+    )
+    scores = bundle.candidate_scores[0]
     order = np.argsort(-scores, kind="stable")[:top_k]
     return [(vocab.type_names[i], float(scores[i])) for i in order]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import Vocab, build_graph, build_vocab
 from .loss import backward, finite_diff_oracle, max_relative_error
-from .scoring import ParameterSet, score_entity
+from .scoring import ParameterSet, score_neighbor_arrays
 from .train import sample_neighbors
 
 __all__ = ["GradcheckCase", "GradcheckReport", "run_gradient_check"]
@@ -153,39 +153,21 @@ def run_gradient_check(
         params = _draw_params(vocab, k, rng, separate_heads)
 
         if masked:
-            sampled = graph.neighbors(entity)
+            neighbors = graph.neighbor_arrays(entity)
             mask_labels = positives
         else:
             m = int(rng.integers(1, sample_max + 1))
-            sampled = sample_neighbors(graph, entity, m, rng)
+            neighbors = sample_neighbors(graph, entity, m, rng)
             mask_labels = None
 
         beta = float(rng.uniform(0.5, 4.0))
         alpha = float(rng.uniform(0.3, 1.5))
-        bundle = score_entity(
-            params,
-            graph,
-            entity,
-            sampled,
-            alpha,
-            mask_labels,
-            use_agg2t=use_agg2t,
-            use_activation=use_activation,
-        )
+        routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
+        bundle = score_neighbor_arrays(params, *neighbors, alpha, mask_labels, **routes)
         _, analytic = backward(bundle, positives, loss_kind, beta)
         oracle = finite_diff_oracle(
-            params,
-            graph,
-            entity,
-            sampled,
-            positives,
-            loss_kind,
-            beta,
-            step,
-            alpha=alpha,
-            mask_labels=mask_labels,
-            use_agg2t=use_agg2t,
-            use_activation=use_activation,
+            params, neighbors, positives, loss_kind, beta, step,
+            alpha=alpha, mask_labels=mask_labels, **routes,
         )
         cases.append(
             GradcheckCase(

@@ -4,8 +4,9 @@ The scoring graph is the input knowledge graph after two augmentations:
 every known (entity, type) pair becomes an edge through the reserved
 ``has_type`` relation, and every edge gains an inverted twin, so that the
 whole neighborhood of a node is visible from its outgoing adjacency alone.
-Type nodes live in their own index space; their (inverse) adjacency is
-stored for completeness but never traversed by the scorer.
+Only entity adjacency is stored, as CSR arrays: type nodes live in their
+own index space and are never scored, so their inverse ``has_type`` edges
+are only counted.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ class UnknownNameError(LookupError):
 
 @dataclass(frozen=True)
 class Neighbor:
-    """One outgoing edge: relation id, direction flag and target node.
+    """One outgoing edge as a value: relation id, direction flag and target node.
+
+    Scoring works on the edge arrays of ``AugmentedGraph.neighbor_arrays``;
+    this form labels the sources of an explanation.
 
     ``target`` indexes the type table when ``target_is_type`` is set (which
     happens exactly for forward ``has_type`` edges) and the entity table
@@ -174,28 +178,19 @@ class AugmentedGraph:
     def __init__(
         self,
         num_entities: int,
-        num_type_nodes: int,
         entity_csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        type_csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         num_edges_original: int,
         num_type_edges: int,
     ):
         self.num_entities = num_entities
-        self.num_type_nodes = num_type_nodes
         self._offsets, self._rel, self._inv, self._is_type, self._tgt = entity_csr
-        (
-            self._t_offsets,
-            self._t_rel,
-            self._t_inv,
-            self._t_is_type,
-            self._t_tgt,
-        ) = type_csr
         self.num_edges_original = num_edges_original
         self.num_type_edges = num_type_edges
 
     @property
     def num_directed_edges(self) -> int:
-        return len(self._rel) + len(self._t_rel)
+        """Entity edges plus the inverse has_type edges on type nodes."""
+        return len(self._rel) + self.num_type_edges
 
     def _check_entity(self, entity: int) -> None:
         if not 0 <= entity < self.num_entities:
@@ -217,25 +212,6 @@ class AugmentedGraph:
             self._is_type[lo:hi],
             self._tgt[lo:hi],
         )
-
-    def neighbors(self, entity: int) -> list[Neighbor]:
-        rel, inv, is_type, tgt = self.neighbor_arrays(entity)
-        return [
-            Neighbor(int(r), bool(i), int(t), bool(k))
-            for r, i, k, t in zip(rel, inv, is_type, tgt)
-        ]
-
-    def type_node_neighbors(self, type_id: int) -> list[Neighbor]:
-        """Inverse has_type edges stored on a type node (never used for scoring)."""
-        if not 0 <= type_id < self.num_type_nodes:
-            raise IndexError(f"type index {type_id} out of range [0, {self.num_type_nodes})")
-        lo, hi = self._t_offsets[type_id], self._t_offsets[type_id + 1]
-        return [
-            Neighbor(int(r), bool(i), int(t), bool(k))
-            for r, i, k, t in zip(
-                self._t_rel[lo:hi], self._t_inv[lo:hi], self._t_is_type[lo:hi], self._t_tgt[lo:hi]
-            )
-        ]
 
 
 def _resolve_triples(
@@ -307,8 +283,9 @@ def build_graph(
 
     Every triple (s, r, o) contributes a forward edge on s and an inverted
     edge on o. When ``include_type_edges`` is set, every (e, t) pair
-    contributes a forward ``has_type`` edge on e and an inverted edge on the
-    type node t. Duplicates in either input are dropped with a warning.
+    contributes a forward ``has_type`` edge on e; its inverted twin on the
+    type node t is counted but not stored. Duplicates in either input are
+    dropped with a warning.
     """
     triples, dup_triples = _dedupe(triples)
     train_pairs, dup_pairs = _dedupe(train_pairs)
@@ -347,22 +324,9 @@ def build_graph(
     is_type[2 * n :] = True
     tgt[2 * n :] = pair_types
 
-    entity_csr = _pack_csr(vocab.num_entities, node, rel, inv, is_type, tgt)
-
-    type_csr = _pack_csr(
-        vocab.num_types,
-        pair_types.astype(np.int64),
-        np.full(p, HAS_TYPE_ID, dtype=np.int32),
-        np.ones(p, dtype=bool),
-        np.zeros(p, dtype=bool),
-        pair_ents,
-    )
-
     return AugmentedGraph(
         num_entities=vocab.num_entities,
-        num_type_nodes=vocab.num_types,
-        entity_csr=entity_csr,
-        type_csr=type_csr,
+        entity_csr=_pack_csr(vocab.num_entities, node, rel, inv, is_type, tgt),
         num_edges_original=n,
-        num_type_edges=p if include_type_edges else 0,
+        num_type_edges=p,
     )

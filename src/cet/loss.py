@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import AugmentedGraph, Neighbor
-from .scoring import ParameterSet, ScoreBundle, score_entity
+from .scoring import ParameterSet, ScoreBundle, score_neighbor_arrays
 
 __all__ = [
     "GradientSet",
@@ -244,9 +243,7 @@ def backward(
 
 def loss_of_entity(
     params: ParameterSet,
-    graph: AugmentedGraph,
-    entity: int,
-    sampled: list[Neighbor],
+    neighbors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     positives: Iterable[int],
     loss_kind: str,
     beta: float,
@@ -256,12 +253,14 @@ def loss_of_entity(
     use_agg2t: bool = True,
     use_activation: bool = True,
 ) -> float:
-    """Forward-only loss for one entity; the function the oracle differentiates."""
-    bundle = score_entity(
+    """Forward-only loss for one entity; the function the oracle differentiates.
+
+    ``neighbors`` holds the (relation, inverted, target_is_type, target)
+    arrays of the scored edges.
+    """
+    bundle = score_neighbor_arrays(
         params,
-        graph,
-        entity,
-        sampled,
+        *neighbors,
         alpha,
         mask_labels,
         use_agg2t=use_agg2t,
@@ -274,9 +273,7 @@ def loss_of_entity(
 
 def finite_diff_oracle(
     params: ParameterSet,
-    graph: AugmentedGraph,
-    entity: int,
-    sampled: list[Neighbor],
+    neighbors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     positives: Iterable[int],
     loss_kind: str,
     beta: float,
@@ -298,9 +295,7 @@ def finite_diff_oracle(
     def loss_at() -> float:
         return loss_of_entity(
             work,
-            graph,
-            entity,
-            sampled,
+            neighbors,
             positives,
             loss_kind,
             beta,
@@ -335,15 +330,13 @@ def finite_diff_oracle(
         for i in range(arr.shape[0]):
             out[i] = diff(arr, i)
 
-    touched_entities = sorted({nb.target for nb in sampled if not nb.target_is_type})
-    touched_types = sorted({nb.target for nb in sampled if nb.target_is_type})
-    touched_relations = sorted({nb.relation for nb in sampled})
+    rel, _, is_type, tgt = neighbors
     for rows, table, touched in (
-        (grads.entity_rows, work.entity_emb, touched_entities),
-        (grads.type_rows, work.type_emb, touched_types),
-        (grads.relation_rows, work.relation_emb, touched_relations),
+        (grads.entity_rows, work.entity_emb, tgt[~is_type]),
+        (grads.type_rows, work.type_emb, tgt[is_type]),
+        (grads.relation_rows, work.relation_emb, rel),
     ):
-        for row in touched:
+        for row in np.unique(touched).tolist():
             vec = np.zeros(params.k, dtype=table.dtype)
             for j in range(params.k):
                 vec[j] = diff(table, (row, j))

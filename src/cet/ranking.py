@@ -8,7 +8,6 @@ rank, so evaluation is deterministic without a tie-break coin flip.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,6 @@ def evaluate(
     use_agg2t: bool = True,
     use_activation: bool = True,
     filtered: bool = True,
-    threads: int = 1,
     keep_ranks: bool = True,
 ) -> MetricsReport:
     """Rank every (entity, type) pair of a split and aggregate the metrics.
@@ -104,9 +102,9 @@ def evaluate(
     by_entity: dict[int, list[int]] = {}
     for idx, (entity, _) in enumerate(pairs):
         by_entity.setdefault(entity, []).append(idx)
-    entities = list(by_entity)
 
-    def rank_entity(entity: int) -> list[tuple[int, float]]:
+    ranks = np.empty(len(pairs))
+    for entity, indices in by_entity.items():
         if graph.degree(entity) == 0:
             pooled = params.b
         else:
@@ -119,29 +117,14 @@ def evaluate(
                 use_activation=use_activation,
             ).pooled
         if not np.isfinite(pooled).all():
-            return [(idx, float("nan")) for idx in by_entity[entity]]
+            ranks[indices] = np.nan
+            continue
         known = dataset.known_types.get(entity) if filtered else None
-        out = []
-        for idx in by_entity[entity]:
-            gold = pairs[idx][1]
-            out.append((idx, rank_one(pooled, gold, known)))
-        return out
+        for idx in indices:
+            ranks[idx] = rank_one(pooled, pairs[idx][1], known)
 
-    results: list[tuple[int, float]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            for chunk in pool_.map(rank_entity, entities):
-                results.extend(chunk)
-    else:
-        for entity in entities:
-            results.extend(rank_entity(entity))
-    results.sort(key=lambda item: item[0])
-
-    ranks = np.array([rank for _, rank in results], dtype=float)
     mr, mrr, hits1, hits3, hits10 = _metrics(ranks)
     per_sample = None
     if keep_ranks:
-        per_sample = [
-            (pairs[idx][0], pairs[idx][1], rank) for idx, rank in results
-        ]
+        per_sample = [(entity, gold, float(rank)) for (entity, gold), rank in zip(pairs, ranks)]
     return MetricsReport(mr=mr, mrr=mrr, hits1=hits1, hits3=hits3, hits10=hits10, ranks=per_sample)

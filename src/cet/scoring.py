@@ -14,7 +14,7 @@ flipped sign, so inverted edges use ``target + rel``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +25,9 @@ __all__ = [
     "ParameterSet",
     "ScoreBundle",
     "AGGREGATION",
-    "neighbor_rep",
-    "n2t_scores",
-    "agg2t_scores",
+    "neighbor_reps",
     "pool",
     "pool_columns",
-    "score_entity",
     "score_all_neighbors",
     "score_neighbor_arrays",
 ]
@@ -121,45 +118,8 @@ def neighbor_reps(params: ParameterSet, rel, inv, is_type, tgt) -> np.ndarray:
     return np.where(inv[..., None], tgt_vec + rel_vec, tgt_vec - rel_vec)
 
 
-def neighbor_rep(params: ParameterSet, nb: Neighbor) -> np.ndarray:
-    """Representation of a single neighbor edge (k-vector)."""
-    return neighbor_reps(
-        params,
-        np.array([nb.relation]),
-        np.array([nb.inverted]),
-        np.array([nb.target_is_type]),
-        np.array([nb.target]),
-    )[0]
-
-
 def _activate(x: np.ndarray, use_activation: bool) -> np.ndarray:
     return np.maximum(x, 0) if use_activation else x
-
-
-def n2t_scores(
-    params: ParameterSet, nb: Neighbor, use_activation: bool = True
-) -> np.ndarray:
-    """Type scores contributed by one neighbor on its own."""
-    z = _activate(neighbor_rep(params, nb), use_activation)
-    return params.W @ z + params.b
-
-
-def agg2t_scores(
-    params: ParameterSet,
-    reps: Sequence[np.ndarray] | np.ndarray,
-    use_activation: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-aggregate neighbor representations and score the result.
-
-    Returns (aggregated representation, type scores). Raises on an empty
-    representation set; callers decide how to treat isolated entities.
-    """
-    reps = np.asarray(reps)
-    if reps.size == 0:
-        raise ValueError("cannot aggregate an empty set of neighbor representations")
-    h = reps.mean(axis=0)
-    w, b = params.agg_head()
-    return h, w @ _activate(h, use_activation) + b
 
 
 def pool(values, alpha: float) -> tuple[float, np.ndarray]:
@@ -219,7 +179,6 @@ class ScoreBundle:
     marks entries excluded from pooling (weight exactly 0).
     """
 
-    entity: int
     relation: np.ndarray  # (m,)
     inverted: np.ndarray  # (m,)
     target_is_type: np.ndarray  # (m,)
@@ -259,7 +218,6 @@ class ScoreBundle:
 
 def score_neighbor_arrays(
     params: ParameterSet,
-    entity: int,
     rel: np.ndarray,
     inv: np.ndarray,
     is_type: np.ndarray,
@@ -270,7 +228,7 @@ def score_neighbor_arrays(
     use_agg2t: bool = True,
     use_activation: bool = True,
 ) -> ScoreBundle:
-    """Score one entity from pre-resolved neighbor arrays.
+    """Score one entity from its neighbor edges, given as parallel arrays.
 
     ``mask_labels`` enables the self-evidence mask: every forward has_type
     row is blanked at its own type column, and the aggregated row is blanked
@@ -304,7 +262,6 @@ def score_neighbor_arrays(
 
     pooled, weights = pool_columns(candidates, masked, alpha)
     return ScoreBundle(
-        entity=entity,
         relation=rel,
         inverted=inv,
         target_is_type=is_type,
@@ -324,46 +281,6 @@ def score_neighbor_arrays(
     )
 
 
-def _neighbor_list_arrays(sampled: Sequence[Neighbor]):
-    rel = np.fromiter((nb.relation for nb in sampled), dtype=np.int32, count=len(sampled))
-    inv = np.fromiter((nb.inverted for nb in sampled), dtype=bool, count=len(sampled))
-    is_type = np.fromiter(
-        (nb.target_is_type for nb in sampled), dtype=bool, count=len(sampled)
-    )
-    tgt = np.fromiter((nb.target for nb in sampled), dtype=np.int32, count=len(sampled))
-    return rel, inv, is_type, tgt
-
-
-def score_entity(
-    params: ParameterSet,
-    graph: AugmentedGraph,
-    entity: int,
-    sampled: Sequence[Neighbor],
-    alpha: float,
-    mask_labels: Iterable[int] | None = None,
-    *,
-    use_agg2t: bool = True,
-    use_activation: bool = True,
-) -> ScoreBundle:
-    """Score one entity against all types from a sampled neighbor list."""
-    graph._check_entity(entity)
-    if not sampled:
-        raise ValueError(f"entity {entity} has no sampled neighbors to score")
-    rel, inv, is_type, tgt = _neighbor_list_arrays(sampled)
-    return score_neighbor_arrays(
-        params,
-        entity,
-        rel,
-        inv,
-        is_type,
-        tgt,
-        alpha,
-        mask_labels,
-        use_agg2t=use_agg2t,
-        use_activation=use_activation,
-    )
-
-
 def score_all_neighbors(
     params: ParameterSet,
     graph: AugmentedGraph,
@@ -375,18 +292,9 @@ def score_all_neighbors(
     use_activation: bool = True,
 ) -> ScoreBundle:
     """Score one entity using its full neighbor list (the inference path)."""
-    rel, inv, is_type, tgt = graph.neighbor_arrays(entity)
-    if len(rel) == 0:
+    neighbors = graph.neighbor_arrays(entity)
+    if len(neighbors[0]) == 0:
         raise ValueError(f"entity {entity} is isolated; no neighbors to score")
     return score_neighbor_arrays(
-        params,
-        entity,
-        rel,
-        inv,
-        is_type,
-        tgt,
-        alpha,
-        mask_labels,
-        use_agg2t=use_agg2t,
-        use_activation=use_activation,
+        params, *neighbors, alpha, mask_labels, use_agg2t=use_agg2t, use_activation=use_activation
     )

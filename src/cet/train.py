@@ -6,15 +6,17 @@ number of neighbors drawn uniformly with replacement; the alternative mask
 mode scores from all neighbors and blanks self-revealing candidates instead.
 One Adam step is taken per batch on the batch-summed gradients.
 
-Both modes run one kernel, ``_batch_forward_backward``, over (batch, rows)
-neighbor arrays. A sampled batch fills every row and needs neither padding
-nor masks. A mask-mode batch is sorted by degree and cut into buckets of at
-most ``_BUCKET_ROWS`` padded rows, one kernel call each; short neighbor
-lists are padded with copies of their first edge, which a validity mask
-gives pooling weight 0 and keeps out of the Agg2T mean. The self-evidence
-mask blanks each has_type row at its own type and the Agg2T row at the
-entity's labels; a column with every row blanked pools to -inf and drops
-out of the loss.
+Neighbors are (relation, inverted, target_is_type, target) arrays
+throughout. Both modes run one kernel, ``_batch_forward_backward``, over
+(batch, rows) neighbor arrays. A sampled batch stacks one
+``sample_neighbors`` draw per entity, fills every row and needs neither
+padding nor masks. A mask-mode batch is sorted by degree and cut into
+buckets of at most ``_BUCKET_ROWS`` padded rows, one kernel call each;
+short neighbor lists are padded with copies of their first edge, which a
+validity mask gives pooling weight 0 and keeps out of the Agg2T mean. The
+self-evidence mask blanks each has_type row at its own type and the Agg2T
+row at the entity's labels; a column with every row blanked pools to -inf
+and drops out of the loss.
 
 Pooling is a softmax over each type column and both losses are sums over
 type columns, so the kernel walks the types in blocks: each block is scored,
@@ -24,9 +26,10 @@ gradient accumulates across blocks; it is scattered into the sparse
 embedding rows once per batch. Memory per call is therefore bounded by the
 block, not by the number of types, and all arithmetic stays in the
 parameters' dtype (float32 in training, float64 under gradient checking).
-The block holds about ``_CELLS`` candidate cells. The per-entity path in
-``scoring`` and ``loss`` serves evaluation, explanation and gradient
-checking, and is the kernel's reference in the tests.
+The block holds about ``_CELLS`` candidate cells. The per-entity
+``score_neighbor_arrays`` and ``backward`` in ``scoring`` and ``loss`` serve
+evaluation, explanation and gradient checking, and are the kernel's
+reference in the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .data import TypingDataset
 from .ranking import evaluate
-from .graph import AugmentedGraph, Neighbor, Vocab
+from .graph import AugmentedGraph, Vocab
 # backward and score_all_neighbors are unused here; the benchmark hooks them on this module.
 from .loss import GradientSet, _loss_terms, backward  # noqa: F401
 from .optim import AdamState, NumericError, adam_step, init_params
@@ -88,16 +91,17 @@ class TrainConfig:
 
 def sample_neighbors(
     graph: AugmentedGraph, entity: int, sample_size: int, rng: np.random.Generator
-) -> list[Neighbor]:
-    """Draw ``sample_size`` neighbors i.i.d. uniformly with replacement."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``sample_size`` neighbors i.i.d. uniformly with replacement.
+
+    Returns the drawn edges as (relation, inverted, target_is_type, target)
+    arrays, like ``AugmentedGraph.neighbor_arrays``.
+    """
     degree = graph.degree(entity)
     if degree == 0:
         raise ValueError(f"entity {entity} is isolated; cannot sample neighbors")
     idx = rng.integers(0, degree, size=sample_size)
-    rel, inv, is_type, tgt = graph.neighbor_arrays(entity)
-    return [
-        Neighbor(int(rel[i]), bool(inv[i]), int(tgt[i]), bool(is_type[i])) for i in idx
-    ]
+    return tuple(a[idx] for a in graph.neighbor_arrays(entity))
 
 
 def _positive_pairs(
@@ -350,25 +354,13 @@ def train_epoch(
 
 
 def _sampled_batch(params, graph, dataset, batch, config, rng):
-    m = config.sample_size
-    rel = np.empty((len(batch), m), dtype=np.int32)
-    inv = np.empty((len(batch), m), dtype=bool)
-    is_type = np.empty((len(batch), m), dtype=bool)
-    tgt = np.empty((len(batch), m), dtype=np.int32)
-    for row, entity in enumerate(batch):
-        degree = graph.degree(entity)
-        idx = rng.integers(0, degree, size=m)
-        e_rel, e_inv, e_is_type, e_tgt = graph.neighbor_arrays(entity)
-        rel[row] = e_rel[idx]
-        inv[row] = e_inv[idx]
-        is_type[row] = e_is_type[idx]
-        tgt[row] = e_tgt[idx]
+    draws = (sample_neighbors(graph, entity, config.sample_size, rng) for entity in batch)
+    arrays = [np.stack(column) for column in zip(*draws)]
     grads = GradientSet.zeros_like(params)
-    arrays = (rel, inv, is_type, tgt)
     losses, dreps = _batch_forward_backward(
         params, grads, *arrays, _positive_pairs(batch, dataset), config
     )
-    _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(rel.size, -1))
+    _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(arrays[0].size, -1))
     return losses, grads
 
 
@@ -423,8 +415,6 @@ def fit(
     graph: AugmentedGraph,
     dataset: TypingDataset,
     config: TrainConfig,
-    *,
-    eval_threads: int = 1,
 ) -> FitResult:
     """Train for up to ``max_epochs`` epochs, validating every ``eval_every``.
 
@@ -458,7 +448,6 @@ def fit(
                 config.alpha,
                 use_agg2t=config.use_agg2t,
                 use_activation=config.use_activation,
-                threads=eval_threads,
                 keep_ranks=False,
             )
             mrr = report.mrr

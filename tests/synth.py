@@ -63,6 +63,16 @@ def hub_marker_corpus(
     return triples, train, valid, test
 
 
+def edges(rel, inv, is_type, tgt):
+    """Neighbor arrays, in the graph's dtypes, from four equal-length lists."""
+    return (
+        np.array(rel, dtype=np.int32),
+        np.array(inv, dtype=bool),
+        np.array(is_type, dtype=bool),
+        np.array(tgt, dtype=np.int32),
+    )
+
+
 def assembled(corpus, include_type_edges: bool = True):
     triples, train, valid, test = corpus
     vocab, dataset = assemble(triples, train, valid, test)

@@ -54,6 +54,44 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.W, params.W)
 
 
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_checkpoint(self, setup, tmp_path, monkeypatch):
+        import cet.checkpoint
+
+        vocab, params, config = setup
+        path = tmp_path / "model.cet"
+        save_checkpoint(path, params, vocab, config)
+        before = path.read_bytes()
+
+        def disk_full(payload):
+            raise OSError("no space left on device")
+
+        # The header and tensors are written before the checksum is taken,
+        # so this fails with a partial file on disk.
+        monkeypatch.setattr(cet.checkpoint, "_digest", disk_full)
+        changed = params.copy()
+        changed.W += 1.0
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, changed, vocab, config)
+        monkeypatch.undo()
+
+        assert [p.name for p in tmp_path.iterdir()] == ["model.cet"]
+        assert path.read_bytes() == before
+        loaded, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.W, params.W)
+
+    def test_overwrite_matches_a_fresh_write(self, setup, tmp_path):
+        vocab, params, config = setup
+        changed = params.copy()
+        changed.W += 1.0
+        path, fresh = tmp_path / "model.cet", tmp_path / "fresh.cet"
+        save_checkpoint(path, params, vocab, config)
+        save_checkpoint(path, changed, vocab, config)
+        save_checkpoint(fresh, changed, vocab, config)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.cet", "model.cet"]
+
+
 class TestCorruption:
     def test_flipped_payload_byte_detected(self, setup, tmp_path):
         vocab, params, config = setup

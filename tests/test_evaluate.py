@@ -197,20 +197,6 @@ class TestEvaluate:
         report = evaluate(params, graph, dataset, "test", alpha=0.5)
         assert report.ranks[0][2] == 1.0  # b[0] is the strict max
 
-    def test_thread_count_does_not_change_results(self):
-        vocab, dataset, graph, *_ = assembled(tiny_corpus())
-        params = ParameterSet(
-            entity_emb=np.ones((vocab.num_entities, 3)),
-            relation_emb=np.zeros((vocab.num_relations, 3)),
-            type_emb=np.ones((vocab.num_types, 3)),
-            W=np.ones((vocab.num_types, 3)),
-            b=np.zeros(vocab.num_types),
-        )
-        serial = evaluate(params, graph, dataset, "test", alpha=0.5, threads=1)
-        parallel = evaluate(params, graph, dataset, "test", alpha=0.5, threads=4)
-        assert serial.ranks == parallel.ranks
-        assert serial.mrr == parallel.mrr
-
     def test_hits_are_monotone_and_bounded_by_mrr(self):
         vocab, dataset, graph, *_ = assembled(tiny_corpus())
         rng = np.random.default_rng(9)

@@ -25,6 +25,12 @@ def random_params(vocab, k=4, seed=0):
     )
 
 
+def neighbors_of(params, graph, vocab, entity):
+    """An entity's neighbors as the labels explain reports them under."""
+    bundle = score_all_neighbors(params, graph, vocab.entity_ids[entity], 0.5)
+    return [bundle.neighbor(i) for i in range(bundle.num_neighbors)]
+
+
 @pytest.fixture(scope="module")
 def setup():
     vocab, dataset, graph, *_ = assembled(tiny_corpus())
@@ -100,21 +106,29 @@ class TestNeighborProfile:
         flat.b[:] = 0.0
         flat.b[vocab.type_ids["t2"]] = 5.0
         for entity in ("a", "b", "c"):
-            for nb in graph.neighbors(vocab.entity_ids[entity]):
+            for nb in neighbors_of(flat, graph, vocab, entity):
                 top = neighbor_profile(flat, vocab, nb, top_k=1)
                 assert top[0][0] == "t2"
 
     def test_zero_top_k(self, setup):
         vocab, graph, params = setup
-        nb = graph.neighbors(vocab.entity_ids["a"])[0]
+        nb = neighbors_of(params, graph, vocab, "a")[0]
         assert neighbor_profile(params, vocab, nb, top_k=0) == []
 
     def test_scores_descending(self, setup):
         vocab, graph, params = setup
-        nb = graph.neighbors(vocab.entity_ids["a"])[0]
+        nb = neighbors_of(params, graph, vocab, "a")[0]
         profile = neighbor_profile(params, vocab, nb, top_k=10)
         values = [score for _, score in profile]
         assert values == sorted(values, reverse=True)
+
+    def test_matches_the_neighbor_row_of_the_entity(self, setup):
+        vocab, graph, params = setup
+        bundle = score_all_neighbors(params, graph, vocab.entity_ids["a"], 0.5)
+        for i in range(bundle.num_neighbors):
+            profile = dict(neighbor_profile(params, vocab, bundle.neighbor(i), top_k=10**6))
+            row = bundle.candidate_scores[i + 1]  # row 0 is the Agg2T route
+            np.testing.assert_allclose([profile[name] for name in vocab.type_names], row, rtol=1e-12)
 
 
 class TestRendering:

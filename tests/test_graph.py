@@ -4,12 +4,16 @@ import pytest
 from cet import (
     HAS_TYPE,
     EmptyCorpusError,
-    Neighbor,
     UnknownNameError,
     build_graph,
     build_vocab,
 )
 from cet.graph import HAS_TYPE_ID
+
+
+def edge_list(graph, entity):
+    """An entity's edges as (relation, inverted, target_is_type, target) tuples."""
+    return list(zip(*(a.tolist() for a in graph.neighbor_arrays(entity))))
 
 
 class TestBuildVocab:
@@ -60,8 +64,8 @@ class TestBuildGraph:
         graph = build_graph(vocab, [("s", "r", "o")], [], include_type_edges=False)
         s, o = vocab.entity_ids["s"], vocab.entity_ids["o"]
         r = vocab.relation_ids["r"]
-        assert graph.neighbors(s) == [Neighbor(r, False, o)]
-        assert graph.neighbors(o) == [Neighbor(r, True, s)]
+        assert edge_list(graph, s) == [(r, False, False, o)]
+        assert edge_list(graph, o) == [(r, True, False, s)]
 
     def test_type_edges_disabled(self):
         vocab = build_vocab([("a", "r", "b")], [("a", "t1")])
@@ -69,21 +73,21 @@ class TestBuildGraph:
         assert graph.num_directed_edges == 2
         assert graph.num_type_edges == 0
         for e in range(vocab.num_entities):
-            assert not any(nb.target_is_type for nb in graph.neighbors(e))
+            assert not graph.neighbor_arrays(e)[2].any()
 
     def test_isolated_node_has_empty_list(self):
         vocab = build_vocab([("a", "r", "b")], [("z", "t")])
         graph = build_graph(vocab, [("a", "r", "b")], [], include_type_edges=False)
-        assert graph.neighbors(vocab.entity_ids["z"]) == []
+        assert edge_list(graph, vocab.entity_ids["z"]) == []
         assert graph.degree(vocab.entity_ids["z"]) == 0
 
     def test_out_of_range_index(self):
         vocab = build_vocab([("a", "r", "b")], [("a", "t")])
         graph = build_graph(vocab, [("a", "r", "b")], [("a", "t")])
         with pytest.raises(IndexError):
-            graph.neighbors(99)
+            graph.neighbor_arrays(99)
         with pytest.raises(IndexError):
-            graph.neighbors(-1)
+            graph.neighbor_arrays(-1)
 
     def test_unknown_name_reported(self):
         vocab = build_vocab([("a", "r", "b")], [("a", "t")])
@@ -101,26 +105,14 @@ class TestBuildGraph:
         assert graph.num_type_edges == 1
         assert graph.num_directed_edges == 4
 
-    def test_type_node_adjacency_stored(self):
-        vocab = build_vocab([], [("a", "t"), ("b", "t")])
-        graph = build_graph(vocab, [], [("a", "t"), ("b", "t")])
-        t = vocab.type_ids["t"]
-        inverse = graph.type_node_neighbors(t)
-        assert len(inverse) == 2
-        assert all(nb.inverted and nb.relation == HAS_TYPE_ID for nb in inverse)
-        assert [nb.target for nb in inverse] == [
-            vocab.entity_ids["a"],
-            vocab.entity_ids["b"],
-        ]
-
     def test_neighbor_kind_invariant(self):
         triples = [("a", "r", "b"), ("b", "s", "c")]
         pairs = [("a", "t1"), ("c", "t2")]
         vocab = build_vocab(triples, pairs)
         graph = build_graph(vocab, triples, pairs)
         for e in range(vocab.num_entities):
-            for nb in graph.neighbors(e):
-                assert nb.target_is_type == (nb.relation == HAS_TYPE_ID and not nb.inverted)
+            rel, inv, is_type, _ = graph.neighbor_arrays(e)
+            np.testing.assert_array_equal(is_type, (rel == HAS_TYPE_ID) & ~inv)
 
 
 class TestGraphProperties:
@@ -164,8 +156,8 @@ class TestGraphProperties:
         forward = []
         inverse = []
         for e in range(vocab.num_entities):
-            for nb in graph.neighbors(e):
-                (inverse if nb.inverted else forward).append((e, nb.relation, nb.target))
+            for rel, inverted, _, target in edge_list(graph, e):
+                (inverse if inverted else forward).append((e, rel, target))
         # Inverting twice recovers the original edge set exactly once each.
         assert sorted(forward) == sorted((o, r, s) for s, r, o in inverse)
 
@@ -176,7 +168,7 @@ class TestGraphProperties:
         g1 = build_graph(vocab, triples, pairs)
         g2 = build_graph(vocab, triples, pairs)
         for e in range(vocab.num_entities):
-            assert g1.neighbors(e) == g2.neighbors(e)
+            assert edge_list(g1, e) == edge_list(g2, e)
 
     def test_full_dataset_edge_counts(self):
         from conftest import FB15KET_DIR
@@ -202,5 +194,5 @@ class TestGraphProperties:
         b = vocab.entity_ids["b"]
         t1 = vocab.type_ids["t1"]
         assert not any(
-            nb.target_is_type and nb.target == t1 for nb in graph.neighbors(b)
+            is_type and target == t1 for _, _, is_type, target in edge_list(graph, b)
         )

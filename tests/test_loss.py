@@ -9,10 +9,10 @@ from cet import (
     finite_diff_oracle,
     fna_loss,
     max_relative_error,
-    score_entity,
     sigmoid_probs,
 )
 from cet.loss import log1m_sigmoid, log_sigmoid, softplus
+from cet.scoring import score_neighbor_arrays
 from synth import micro_instance
 
 
@@ -101,20 +101,20 @@ class TestBackward:
     def test_matches_finite_differences(self):
         for seed in range(5):
             vocab, graph, entity, positives, params, rng = micro_instance(seed)
-            sampled = graph.neighbors(entity)
+            neighbors = graph.neighbor_arrays(entity)
             for loss_kind in ("bce", "fna"):
-                bundle = score_entity(params, graph, entity, sampled, alpha=0.8)
+                bundle = score_neighbor_arrays(params, *neighbors, alpha=0.8)
                 _, analytic = backward(bundle, positives, loss_kind, beta=2.0)
                 oracle = finite_diff_oracle(
-                    params, graph, entity, sampled, positives, loss_kind, 2.0,
+                    params, neighbors, positives, loss_kind, 2.0,
                     alpha=0.8,
                 )
                 assert max_relative_error(analytic, oracle) < 1e-4
 
     def test_loss_value_matches_forward(self):
         vocab, graph, entity, positives, params, _ = micro_instance(3)
-        sampled = graph.neighbors(entity)
-        bundle = score_entity(params, graph, entity, sampled, alpha=0.5)
+        neighbors = graph.neighbor_arrays(entity)
+        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.5)
         loss, _ = backward(bundle, positives, "bce")
         assert loss == pytest.approx(bce_loss(bundle.pooled, positives), rel=1e-12)
         loss_fna, _ = backward(bundle, positives, "fna", beta=1.5)
@@ -124,31 +124,31 @@ class TestBackward:
 
     def test_duplicate_neighbor_gradients_accumulate(self):
         vocab, graph, entity, positives, params, _ = micro_instance(4)
-        nb = graph.neighbors(entity)[0]
-        sampled = [nb, nb]
-        bundle = score_entity(params, graph, entity, sampled, alpha=0.6)
+        neighbors = tuple(a[[0, 0]] for a in graph.neighbor_arrays(entity))
+        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.6)
         _, analytic = backward(bundle, positives, "fna", beta=1.0)
         oracle = finite_diff_oracle(
-            params, graph, entity, sampled, positives, "fna", 1.0, alpha=0.6
+            params, neighbors, positives, "fna", 1.0, alpha=0.6
         )
         assert max_relative_error(analytic, oracle) < 1e-4
 
     def test_untouched_rows_absent(self):
         vocab, graph, entity, positives, params, _ = micro_instance(5)
-        sampled = graph.neighbors(entity)
-        bundle = score_entity(params, graph, entity, sampled, alpha=0.5)
+        neighbors = graph.neighbor_arrays(entity)
+        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.5)
         _, grads = backward(bundle, positives, "bce")
-        touched_entities = {nb.target for nb in sampled if not nb.target_is_type}
-        touched_types = {nb.target for nb in sampled if nb.target_is_type}
-        touched_relations = {nb.relation for nb in sampled}
+        rel, _, is_type, tgt = neighbors
+        touched_entities = set(tgt[~is_type].tolist())
+        touched_types = set(tgt[is_type].tolist())
+        touched_relations = set(rel.tolist())
         assert set(grads.entity_rows) <= touched_entities
         assert set(grads.type_rows) <= touched_types
         assert set(grads.relation_rows) <= touched_relations
 
     def test_all_entries_finite(self):
         vocab, graph, entity, positives, params, _ = micro_instance(6)
-        bundle = score_entity(
-            params, graph, entity, graph.neighbors(entity), alpha=0.5,
+        bundle = score_neighbor_arrays(
+            params, *graph.neighbor_arrays(entity), alpha=0.5,
             mask_labels=positives,
         )
         _, grads = backward(bundle, positives, "fna", beta=4.0)
@@ -179,9 +179,9 @@ class TestMaskedGradientFlow:
         vocab, graph, params = self._single_label_instance()
         a = vocab.entity_ids["a"]
         t0 = vocab.type_ids["t0"]
-        sampled = graph.neighbors(a)
-        bundle = score_entity(
-            params, graph, a, sampled, alpha=0.9, mask_labels=[t0]
+        neighbors = graph.neighbor_arrays(a)
+        bundle = score_neighbor_arrays(
+            params, *neighbors, alpha=0.9, mask_labels=[t0]
         )
         live = ~bundle.masked[:, t0]
         assert live.sum() == 1  # agg row and has_type row are masked
@@ -191,7 +191,7 @@ class TestMaskedGradientFlow:
         if t0 in grads.type_rows:
             np.testing.assert_allclose(grads.type_rows[t0], 0.0, atol=1e-15)
         oracle = finite_diff_oracle(
-            params, graph, a, sampled, [t0], "bce", 0.0, alpha=0.9, mask_labels=[t0]
+            params, neighbors, [t0], "bce", 0.0, alpha=0.9, mask_labels=[t0]
         )
         np.testing.assert_allclose(oracle.type_rows[t0], 0.0, atol=1e-9)
         assert max_relative_error(grads, oracle) < 1e-4
@@ -207,14 +207,14 @@ class TestFiniteDifferenceOracle:
 
     def test_large_step_degrades_oracle_not_backward(self):
         vocab, graph, entity, positives, params, _ = micro_instance(7)
-        sampled = graph.neighbors(entity)
-        bundle = score_entity(params, graph, entity, sampled, alpha=0.8)
+        neighbors = graph.neighbor_arrays(entity)
+        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.8)
         _, analytic = backward(bundle, positives, "fna", beta=2.0)
         fine = finite_diff_oracle(
-            params, graph, entity, sampled, positives, "fna", 2.0, 1e-5, alpha=0.8
+            params, neighbors, positives, "fna", 2.0, 1e-5, alpha=0.8
         )
         coarse = finite_diff_oracle(
-            params, graph, entity, sampled, positives, "fna", 2.0, 1e-1, alpha=0.8
+            params, neighbors, positives, "fna", 2.0, 1e-1, alpha=0.8
         )
         assert max_relative_error(analytic, fine) < 1e-4
         assert max_relative_error(analytic, coarse) > max_relative_error(analytic, fine)
@@ -223,7 +223,7 @@ class TestFiniteDifferenceOracle:
         vocab, graph, entity, positives, params, _ = micro_instance(8)
         snapshot = params.copy()
         finite_diff_oracle(
-            params, graph, entity, graph.neighbors(entity), positives, "bce", 0.0,
+            params, graph.neighbor_arrays(entity), positives, "bce", 0.0,
             alpha=0.5,
         )
         np.testing.assert_array_equal(params.W, snapshot.W)
@@ -240,11 +240,11 @@ class TestGradcheckSweep:
     def test_comparator_detects_wrong_gradients(self):
         # The pass verdict is only meaningful if a broken gradient trips it.
         vocab, graph, entity, positives, params, _ = micro_instance(9)
-        sampled = graph.neighbors(entity)
-        bundle = score_entity(params, graph, entity, sampled, alpha=0.7)
+        neighbors = graph.neighbor_arrays(entity)
+        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.7)
         _, grads = backward(bundle, positives, "fna", beta=2.0)
         oracle = finite_diff_oracle(
-            params, graph, entity, sampled, positives, "fna", 2.0, alpha=0.7
+            params, neighbors, positives, "fna", 2.0, alpha=0.7
         )
         assert max_relative_error(grads, oracle) < 1e-4
         grads.W *= 1.01

@@ -2,20 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cet import (
-    Neighbor,
-    ParameterSet,
-    agg2t_scores,
-    n2t_scores,
-    neighbor_rep,
-    pool,
-    score_entity,
-)
-from cet.scoring import pool_columns, score_neighbor_arrays
-from synth import assembled, tiny_corpus
+from cet import ParameterSet, pool
+from cet.scoring import neighbor_reps, pool_columns, score_all_neighbors, score_neighbor_arrays
+from synth import assembled, edges, tiny_corpus
 
 
 def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.float64):
@@ -29,20 +22,31 @@ def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.floa
     )
 
 
+def rep(params, rel, inv, tgt, is_type=False):
+    """Representation of one neighbor edge."""
+    return neighbor_reps(params, *edges([rel], [inv], [is_type], [tgt]))[0]
+
+
+def n2t_row(params, rel, inv, tgt, use_activation=True):
+    """The N2T candidate row of one neighbor edge scored on its own."""
+    bundle = score_neighbor_arrays(
+        params, *edges([rel], [inv], [False], [tgt]), 0.5,
+        use_agg2t=False, use_activation=use_activation,
+    )
+    return bundle.candidate_scores[0]
+
+
 class TestNeighborRep:
     def test_cancellation(self):
         params = make_params()
         params.entity_emb[1] = params.relation_emb[1]
-        rep = neighbor_rep(params, Neighbor(1, False, 1))
-        np.testing.assert_array_equal(rep, np.zeros_like(rep))
+        np.testing.assert_array_equal(rep(params, 1, False, 1), [0.0, 0.0])
 
     def test_forward_subtracts(self):
         params = make_params()
         params.entity_emb[1] = (1.0, -2.0)
         params.relation_emb[1] = (0.0, -1.0)
-        np.testing.assert_allclose(
-            neighbor_rep(params, Neighbor(1, False, 1)), [1.0, -1.0]
-        )
+        np.testing.assert_allclose(rep(params, 1, False, 1), [1.0, -1.0])
 
     def test_inverted_adds(self):
         # Sign-sharing rule: the inverse relation embedding is the negated
@@ -50,23 +54,18 @@ class TestNeighborRep:
         params = make_params()
         params.entity_emb[1] = (1.0, -2.0)
         params.relation_emb[1] = (0.0, -1.0)
-        np.testing.assert_allclose(
-            neighbor_rep(params, Neighbor(1, True, 1)), [1.0, -3.0]
-        )
+        np.testing.assert_allclose(rep(params, 1, True, 1), [1.0, -3.0])
 
     def test_type_target_uses_type_table(self):
         params = make_params()
         params.type_emb[0] = (5.0, 5.0)
         params.relation_emb[0] = (1.0, 1.0)
-        np.testing.assert_allclose(
-            neighbor_rep(params, Neighbor(0, False, 0, target_is_type=True)), [4.0, 4.0]
-        )
+        np.testing.assert_allclose(rep(params, 0, False, 0, is_type=True), [4.0, 4.0])
 
     def test_forward_inverse_pair_consistency(self):
         params = make_params(seed=4)
         s, o, r = 0, 2, 1
-        fwd = neighbor_rep(params, Neighbor(r, False, o))
-        inv = neighbor_rep(params, Neighbor(r, True, s))
+        fwd, inv = neighbor_reps(params, *edges([r, r], [False, True], [False, False], [o, s]))
         np.testing.assert_allclose(fwd, params.entity_emb[o] - params.relation_emb[r])
         np.testing.assert_allclose(inv, params.entity_emb[s] + params.relation_emb[r])
 
@@ -76,13 +75,13 @@ class TestN2T:
         params = make_params()
         params.W[:] = 0
         params.b[:] = 0
-        np.testing.assert_array_equal(n2t_scores(params, Neighbor(1, False, 1)), [0, 0])
+        np.testing.assert_array_equal(n2t_row(params, 1, False, 1), [0, 0])
 
     def test_nonpositive_rep_gives_bias(self):
         params = make_params()
         params.entity_emb[1] = (-1.0, -2.0)
         params.relation_emb[1] = (0.0, 0.0)
-        np.testing.assert_array_equal(n2t_scores(params, Neighbor(1, False, 1)), params.b)
+        np.testing.assert_array_equal(n2t_row(params, 1, False, 1), params.b)
 
     def test_hand_computed_product(self):
         # rep=(1,-1) -> relu (1,0); W=[[2,3],[-1,4]], b=(.5,-.5) -> (2.5,-1.5)
@@ -91,7 +90,7 @@ class TestN2T:
         params.relation_emb[1] = (0.0, 0.0)
         params.W[:] = [[2.0, 3.0], [-1.0, 4.0]]
         params.b[:] = [0.5, -0.5]
-        np.testing.assert_allclose(n2t_scores(params, Neighbor(1, False, 1)), [2.5, -1.5])
+        np.testing.assert_allclose(n2t_row(params, 1, False, 1), [2.5, -1.5])
 
     def test_no_activation_passes_negatives(self):
         params = make_params()
@@ -100,32 +99,45 @@ class TestN2T:
         params.W[:] = [[1.0, 0.0], [0.0, 1.0]]
         params.b[:] = 0
         np.testing.assert_allclose(
-            n2t_scores(params, Neighbor(1, False, 1), use_activation=False), [-1.0, 0.0]
+            n2t_row(params, 1, False, 1, use_activation=False), [-1.0, 0.0]
         )
 
 
 class TestAgg2T:
+    """Row 0 of the candidate scores is the Agg2T route."""
+
+    @staticmethod
+    def two_edges(params, first, second):
+        # Edges to entities 1 and 2 through a zero relation: reps are the targets.
+        params.relation_emb[1] = 0.0
+        params.entity_emb[1], params.entity_emb[2] = first, second
+        return score_neighbor_arrays(
+            params, *edges([1, 1], [False, False], [False, False], [1, 2]), 0.5
+        )
+
     def test_mean_symmetry(self):
         params = make_params()
-        h, _ = agg2t_scores(params, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        np.testing.assert_allclose(h, [0.5, 0.5])
+        bundle = self.two_edges(params, (1.0, 0.0), (0.0, 1.0))
+        np.testing.assert_allclose(bundle.h, [0.5, 0.5])
+        np.testing.assert_allclose(
+            bundle.candidate_scores[0], params.W @ [0.5, 0.5] + params.b
+        )
 
     def test_single_rep_matches_n2t(self):
         params = make_params(seed=7)
-        nb = Neighbor(1, False, 2)
-        rep = neighbor_rep(params, nb)
-        _, scores = agg2t_scores(params, [rep])
-        np.testing.assert_allclose(scores, n2t_scores(params, nb))
+        bundle = score_neighbor_arrays(params, *edges([1], [False], [False], [2]), 0.5)
+        np.testing.assert_allclose(bundle.candidate_scores[0], bundle.candidate_scores[1])
+        np.testing.assert_allclose(bundle.candidate_scores[0], n2t_row(params, 1, False, 2))
 
     def test_cancelling_reps_give_bias(self):
         params = make_params()
         v = np.array([0.3, -0.8])
-        _, scores = agg2t_scores(params, [v, -v])
-        np.testing.assert_allclose(scores, params.b)
+        bundle = self.two_edges(params, v, -v)
+        np.testing.assert_allclose(bundle.candidate_scores[0], params.b)
 
     def test_empty_reps_rejected(self):
         with pytest.raises(ValueError):
-            agg2t_scores(make_params(), [])
+            score_neighbor_arrays(make_params(), *edges([], [], [], []), 0.5)
 
 
 class TestPool:
@@ -219,23 +231,32 @@ class TestScoreEntity:
             seed=2,
         )
 
+    def score(self, entity, **kwargs):
+        return score_neighbor_arrays(
+            self.params, *self.graph.neighbor_arrays(entity), 0.5, **kwargs
+        )
+
     def test_single_neighbor_pooled_equals_row(self):
         # With one neighbor the aggregated row equals the neighbor row
         # (shared classifier), so pooling returns that row unchanged.
-        nb = self.graph.neighbors(0)[0]
-        bundle = score_entity(self.params, self.graph, 0, [nb], alpha=0.5)
+        first = (a[:1] for a in self.graph.neighbor_arrays(0))
+        bundle = score_neighbor_arrays(self.params, *first, alpha=0.5)
         np.testing.assert_allclose(bundle.pooled, bundle.candidate_scores[1], rtol=1e-6)
         np.testing.assert_allclose(
             bundle.candidate_scores[0], bundle.candidate_scores[1], rtol=1e-6
         )
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            score_entity(self.params, self.graph, 0, [], alpha=0.5)
+        from cet import build_graph, build_vocab
+
+        vocab = build_vocab([("a", "r", "b")], [("z", "t")])
+        graph = build_graph(vocab, [("a", "r", "b")], [], include_type_edges=False)
+        params = make_params(k=3, L=1, num_entities=3, num_relations=2)
+        with pytest.raises(ValueError, match="isolated"):
+            score_all_neighbors(params, graph, vocab.entity_ids["z"], alpha=0.5)
 
     def test_columns_sum_to_one_and_bounds(self):
-        nbs = self.graph.neighbors(0)
-        bundle = score_entity(self.params, self.graph, 0, nbs, alpha=0.5)
+        bundle = self.score(0)
         np.testing.assert_allclose(
             bundle.weights.sum(axis=0), np.ones(self.vocab.num_types), atol=1e-6
         )
@@ -245,10 +266,7 @@ class TestScoreEntity:
     def test_masked_entry_excluded_from_column(self):
         a = self.vocab.entity_ids["a"]
         labels = self.dataset.positives(a)
-        bundle = score_entity(
-            self.params, self.graph, a, self.graph.neighbors(a), alpha=0.5,
-            mask_labels=labels,
-        )
+        bundle = self.score(a, mask_labels=labels)
         for t in labels:
             col = bundle.candidate_scores[:, t]
             live = ~bundle.masked[:, t]
@@ -259,33 +277,24 @@ class TestScoreEntity:
     def test_mask_hits_type_rows_and_agg_row(self):
         a = self.vocab.entity_ids["a"]
         labels = self.dataset.positives(a)
-        nbs = self.graph.neighbors(a)
-        bundle = score_entity(
-            self.params, self.graph, a, nbs, alpha=0.5, mask_labels=labels
-        )
-        for row, nb in enumerate(nbs, start=1):
-            if nb.target_is_type:
-                assert bundle.masked[row, nb.target]
+        _, _, is_type, tgt = self.graph.neighbor_arrays(a)
+        bundle = self.score(a, mask_labels=labels)
+        for row in np.flatnonzero(is_type):
+            assert bundle.masked[row + 1, tgt[row]]
         assert bundle.masked[0, labels].all()
-        assert not bundle.masked[1:, :][
-            ~np.array([nb.target_is_type for nb in nbs])
-        ].any()
+        assert not bundle.masked[1:, :][~is_type].any()
 
     def test_no_mask_by_default(self):
-        a = self.vocab.entity_ids["a"]
-        bundle = score_entity(
-            self.params, self.graph, a, self.graph.neighbors(a), alpha=0.5
-        )
-        assert not bundle.masked.any()
+        assert not self.score(self.vocab.entity_ids["a"]).masked.any()
 
     def test_agg2t_disabled_drops_row(self):
-        nbs = self.graph.neighbors(0)
-        bundle = score_entity(
-            self.params, self.graph, 0, nbs, alpha=0.5, use_agg2t=False
-        )
-        assert bundle.candidate_scores.shape == (len(nbs), self.vocab.num_types)
+        arrays = self.graph.neighbor_arrays(0)
+        bundle = self.score(0, use_agg2t=False)
+        assert bundle.candidate_scores.shape == (len(arrays[0]), self.vocab.num_types)
         assert not bundle.has_agg
-        assert bundle.sources == nbs
+        assert [
+            (nb.relation, nb.inverted, nb.target_is_type, nb.target) for nb in bundle.sources
+        ] == list(zip(*(a.tolist() for a in arrays)))
 
     def test_sharp_pooling_matches_max_oracle(self):
         rng = np.random.default_rng(8)
@@ -296,32 +305,38 @@ class TestScoreEntity:
             np.testing.assert_allclose(pooled, scores.max(axis=0), atol=1e-6)
 
     def test_separate_heads_change_agg_row_only(self):
-        params = self.params.copy()
-        params.agg_W = params.W + 0.5
-        params.agg_b = params.b - 1.0
-        nbs = self.graph.neighbors(0)
-        shared = score_entity(self.params, self.graph, 0, nbs, alpha=0.5)
-        split = score_entity(params, self.graph, 0, nbs, alpha=0.5)
+        shared = self.score(0)
+        self.params.agg_W = self.params.W + 0.5
+        self.params.agg_b = self.params.b - 1.0
+        split = self.score(0)
         np.testing.assert_allclose(
             split.candidate_scores[1:], shared.candidate_scores[1:]
         )
         assert not np.allclose(split.candidate_scores[0], shared.candidate_scores[0])
 
 
-class TestScoreArrays:
-    def test_matches_neighbor_list_path(self):
-        vocab, dataset, graph, *_ = assembled(tiny_corpus())
-        params = make_params(
-            k=3, L=vocab.num_types, num_entities=vocab.num_entities,
-            num_relations=vocab.num_relations, seed=9,
-        )
-        a = vocab.entity_ids["a"]
-        via_list = score_entity(params, graph, a, graph.neighbors(a), alpha=0.7)
-        rel, inv, is_type, tgt = graph.neighbor_arrays(a)
-        via_arrays = score_neighbor_arrays(
-            params, a, rel, inv, is_type, tgt, alpha=0.7
-        )
-        np.testing.assert_array_equal(via_list.pooled, via_arrays.pooled)
-        np.testing.assert_array_equal(
-            via_list.candidate_scores, via_arrays.candidate_scores
-        )
+@st.composite
+def masked_candidates(draw):
+    """A (rows, types) candidate matrix and a mask of the same shape."""
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=6))
+    scores = draw(hnp.arrays(np.float64, shape, elements=st.floats(-20, 20)))
+    masked = draw(hnp.arrays(bool, shape))
+    return scores, masked
+
+
+class TestPoolColumns:
+    """``pool_columns`` against the scalar ``pool`` on every column."""
+
+    @given(masked_candidates(), st.floats(0.05, 5.0))
+    @example((np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, False], [True, True]])), 0.5)
+    def test_matches_scalar_pool_under_masks(self, candidates, alpha):
+        scores, masked = candidates
+        pooled, weights = pool_columns(scores, masked, alpha)
+        for c in range(scores.shape[1]):
+            if masked[:, c].all():
+                assert pooled[c] == -np.inf
+                np.testing.assert_array_equal(weights[:, c], 0.0)
+                continue
+            value, col_weights = pool(np.where(masked[:, c], -np.inf, scores[:, c]), alpha)
+            assert abs(pooled[c] - value) <= 1e-12
+            np.testing.assert_allclose(weights[:, c], col_weights, rtol=0, atol=1e-12)

@@ -13,10 +13,10 @@ from cet import (
     init_params,
     sample_neighbors,
     score_all_neighbors,
-    score_entity,
     train_epoch,
 )
 from cet.loss import GradientSet, max_relative_error
+from cet.scoring import score_neighbor_arrays
 from cet.train import _masked_batch, _sampled_batch, format_log
 from synth import assembled, hub_marker_corpus
 
@@ -48,8 +48,8 @@ class TestSampleNeighbors:
         entity = next(e for e in range(vocab.num_entities) if graph.degree(e) == 1)
         rng = np.random.default_rng(0)
         sampled = sample_neighbors(graph, entity, 10, rng)
-        assert len(sampled) == 10
-        assert len(set(sampled)) == 1
+        assert all(len(a) == 10 for a in sampled)
+        assert len(set(zip(*(a.tolist() for a in sampled)))) == 1
 
     def test_isolated_entity_rejected(self):
         from cet import build_graph, build_vocab
@@ -68,7 +68,8 @@ class TestSampleNeighbors:
         rng = np.random.default_rng(123)
         draws = 100_000
         sampled = sample_neighbors(graph, vocab.entity_ids["a"], draws, rng)
-        count_b = sum(nb.target == vocab.entity_ids["b"] for nb in sampled)
+        _, _, _, tgt = sampled
+        count_b = int((tgt == vocab.entity_ids["b"]).sum())
         sigma = np.sqrt(draws * 0.25)
         assert abs(count_b - draws / 2) < 3 * sigma
 
@@ -77,7 +78,8 @@ class TestSampleNeighbors:
         entity = next(e for e in range(vocab.num_entities) if graph.degree(e) > 2)
         a = sample_neighbors(graph, entity, 10, np.random.default_rng(9))
         b = sample_neighbors(graph, entity, 10, np.random.default_rng(9))
-        assert a == b
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 def add_into(total, part):
@@ -89,23 +91,23 @@ def add_into(total, part):
             mine[row] = mine[row] + vec if row in mine else vec.copy()
 
 
-def reference(params, graph, dataset, batch, config, lists=None):
+def reference(params, graph, dataset, batch, config, draws=None):
     """Per-entity losses and their summed gradients, one entity at a time.
 
-    With ``lists`` each entity is scored from its sampled neighbors;
-    without, from all of them under the self-evidence mask.
+    With ``draws`` each entity is scored from its sampled neighbor arrays;
+    without, from all of its neighbors under the self-evidence mask.
     """
     grads = GradientSet.zeros_like(params)
     losses = []
     routes = dict(use_agg2t=config.use_agg2t, use_activation=config.use_activation)
     for row, entity in enumerate(batch):
         labels = dataset.positives(entity)
-        if lists is None:
+        if draws is None:
             bundle = score_all_neighbors(
                 params, graph, entity, config.alpha, mask_labels=labels, **routes
             )
         else:
-            bundle = score_entity(params, graph, entity, lists[row], config.alpha, **routes)
+            bundle = score_neighbor_arrays(params, *draws[row], config.alpha, **routes)
         loss, grad = backward(bundle, labels, config.loss_kind, config.beta)
         losses.append(loss)
         add_into(grads, grad)
@@ -162,7 +164,7 @@ class TestBatchedPath:
 
     @staticmethod
     def sampled(monkeypatch, width, params, hub_setup, batch, config):
-        """The sampled batch with type blocks ``width`` columns wide, plus the draws as lists."""
+        """The sampled batch with type blocks ``width`` columns wide, plus its draws replayed."""
         vocab, dataset, graph, *_ = hub_setup
         rows = config.sample_size + (1 if config.use_agg2t else 0)
         monkeypatch.setattr(cet.train, "_CELLS", width * len(batch) * rows)
@@ -170,8 +172,8 @@ class TestBatchedPath:
             params, graph, dataset, batch, config, np.random.default_rng(3)
         )
         rng = np.random.default_rng(3)
-        lists = [sample_neighbors(graph, e, config.sample_size, rng) for e in batch]
-        return losses, grads, lists
+        draws = [sample_neighbors(graph, e, config.sample_size, rng) for e in batch]
+        return losses, grads, draws
 
     def masked_layouts(self, monkeypatch, params, hub_setup, batch, config):
         """Mask-mode batch results: one bucket and one type block, one bucket
@@ -195,10 +197,10 @@ class TestBatchedPath:
             config, params, batch = self.setup_case(hub_setup, case)
             results = []
             for width in (vocab.num_types, self.RAGGED):
-                losses, grads, lists = self.sampled(
+                losses, grads, draws = self.sampled(
                     monkeypatch, width, params, hub_setup, batch, config
                 )
-                ref_losses, ref_grads = reference(params, graph, dataset, batch, config, lists)
+                ref_losses, ref_grads = reference(params, graph, dataset, batch, config, draws)
                 np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
                 assert max_relative_error(grads, ref_grads) < 1e-9
                 results.append((losses, grads))
@@ -224,10 +226,10 @@ class TestBatchedPath:
         vocab, dataset, graph, *_ = hub_setup
         for case in self.CASES:
             config, params, batch = self.setup_case(hub_setup, case)
-            losses, grads, lists = self.sampled(
+            losses, grads, draws = self.sampled(
                 monkeypatch, self.RAGGED, params.astype(np.float32), hub_setup, batch, config
             )
-            ref_losses, ref_grads = reference(params, graph, dataset, batch, config, lists)
+            ref_losses, ref_grads = reference(params, graph, dataset, batch, config, draws)
             assert_float32_close(losses, grads, ref_losses, ref_grads)
 
             ref_losses, ref_grads = reference(params, graph, dataset, batch, config)
@@ -300,7 +302,7 @@ class TestTrainEpoch:
         replay = np.random.default_rng(11)
         replay.permutation(1)
         sampled = sample_neighbors(graph, single, config.sample_size, replay)
-        bundle = score_entity(snapshot, graph, single, sampled, config.alpha)
+        bundle = score_neighbor_arrays(snapshot, *sampled, config.alpha)
         expected, _ = backward(bundle, sub.positives(single), "bce")
         assert loss == pytest.approx(expected, rel=1e-6)
 
