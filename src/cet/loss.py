@@ -90,12 +90,13 @@ def _loss_terms(
     the leading shape and both results keep the input's float dtype.
     Positive columns contribute -log p; negative columns contribute
     -log(1-p), weighted by beta*p*(1-p) for the false-negative-aware loss.
-    -inf (fully masked) entries contribute neither loss nor gradient.
+    -inf (fully masked) entries contribute neither loss nor gradient; a NaN
+    entry makes the loss NaN.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     x = _as_float(pooled)
-    live = np.isfinite(x)
+    live = ~np.isneginf(x)
     all_live = bool(live.all())
     if not all_live:
         x = np.where(live, x, 0)
@@ -196,7 +197,7 @@ def backward(
 
     candidates = bundle.candidate_scores
     weights = bundle.weights
-    live_cols = np.isfinite(pooled)
+    live_cols = ~np.isneginf(pooled)
     dcand = np.zeros_like(candidates)
     dcand[:, live_cols] = (
         dpooled[live_cols]

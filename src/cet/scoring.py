@@ -10,12 +10,21 @@ that every candidate still receives gradient.
 A neighbor's representation follows the translation rule ``target - rel``
 for forward edges; inverse relations share the forward embedding with a
 flipped sign, so inverted edges use ``target + rel``.
+
+Scoring one entity allocates a single (rows, types) candidate matrix: the
+N2T and Agg2T rows are written into it in place. Pooling streams that
+matrix in row chunks through a small scratch buffer (the column max first,
+then the exponential sums; see ``pool_columns``), so a hub entity costs one
+matrix, not several. Pooling weights are needed only by the backward pass
+and by explanations; ``ScoreBundle.weights`` derives them on first access
+from the column max and denominator that pooling returns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +37,7 @@ __all__ = [
     "neighbor_reps",
     "pool",
     "pool_columns",
+    "pool_weights",
     "score_all_neighbors",
     "score_neighbor_arrays",
 ]
@@ -145,29 +155,84 @@ def pool(values, alpha: float) -> tuple[float, np.ndarray]:
     return float(w @ xs), weights
 
 
+# Scratch cells (rows * types) of one row chunk in ``pool_columns``: small
+# enough to stay in cache, large enough that the per-chunk Python cost is
+# negligible against the arithmetic.
+_POOL_CELLS = 1 << 18
+
+
 def pool_columns(
-    scores: np.ndarray, masked: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
+    scores: np.ndarray, masked: np.ndarray | None, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise pooling of a (rows, types) candidate matrix.
 
-    Masked entries are short-circuited to weight 0 before exponentiation, so
-    no -inf arithmetic occurs. Columns with every row masked pool to -inf
-    with all-zero weights; such columns carry no information and are dropped
-    from the loss downstream.
+    Returns ``(pooled, col_max, denom)``: the weight of a live entry is
+    ``exp(alpha * x - alpha * col_max) / denom`` (``pool_weights`` derives
+    them), and ``pooled`` is the weighted column sum. Entries marked in
+    ``masked`` (None: none) get weight exactly 0. A column with every row
+    masked, or every entry -inf, is dead: it pools to -inf, with ``col_max``
+    0 and ``denom`` 1 so that its weights derive as 0, and the loss drops
+    it. A NaN or +inf live entry makes its column pool to NaN.
+
+    The matrix is streamed in row chunks of about ``_POOL_CELLS`` cells
+    through one scratch buffer, so no other full-size array is allocated:
+    one pass takes the column max, one sums the exponentials, and one sums
+    the weighted scores, recomputing the exponentials only when the matrix
+    spans more than one chunk.
     """
-    scaled = np.where(masked, -np.inf, alpha * scores)
-    col_max = scaled.max(axis=0)
-    dead = ~np.isfinite(col_max)
-    shift = np.where(dead, 0.0, col_max)
-    expw = np.exp(scaled - shift)
-    denom = expw.sum(axis=0)
-    denom = np.where(denom == 0, 1.0, denom)
-    weights = expw / denom
-    pooled = (weights * scores).sum(axis=0)
-    if dead.any():
-        pooled = pooled.astype(scores.dtype, copy=True)
-        pooled[dead] = -np.inf
-    return pooled.astype(scores.dtype, copy=False), weights.astype(scores.dtype, copy=False)
+    rows, cols = scores.shape
+    step = max(1, _POOL_CELLS // cols)
+    chunks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    buf = np.empty((chunks[0].stop, cols), dtype=scores.dtype)
+    col_max = np.full(cols, -np.inf, dtype=scores.dtype)
+    for c in chunks:
+        x = scores[c]
+        if masked is not None:
+            x = buf[: len(x)]
+            np.copyto(x, scores[c])
+            x[masked[c]] = -np.inf
+        np.maximum(col_max, x.max(axis=0), out=col_max)
+    dead = np.isneginf(col_max)
+    col_max[dead] = 0
+    scaled_max = alpha * col_max
+
+    def exps(c: slice) -> np.ndarray:
+        e = buf[: c.stop - c.start]
+        np.multiply(scores[c], alpha, out=e)
+        e -= scaled_max
+        if masked is not None:
+            e[masked[c]] = -np.inf
+        return np.exp(e, out=e)
+
+    denom = np.zeros(cols, dtype=scores.dtype)
+    for c in chunks:
+        denom += exps(c).sum(axis=0)
+    denom[dead] = 1
+    pooled = np.zeros(cols, dtype=scores.dtype)
+    for c in chunks:
+        e = buf if len(chunks) == 1 else exps(c)
+        e /= denom
+        e *= scores[c]
+        pooled += e.sum(axis=0)
+    pooled[dead] = -np.inf
+    return pooled, col_max, denom
+
+
+def pool_weights(
+    scores: np.ndarray,
+    masked: np.ndarray | None,
+    alpha: float,
+    col_max: np.ndarray,
+    denom: np.ndarray,
+) -> np.ndarray:
+    """The (rows, types) pooling weights behind ``pool_columns``' result."""
+    weights = alpha * scores
+    weights -= alpha * col_max
+    if masked is not None:
+        weights[masked] = -np.inf
+    np.exp(weights, out=weights)
+    weights /= denom
+    return weights
 
 
 @dataclass
@@ -176,7 +241,9 @@ class ScoreBundle:
 
     Row 0 of ``candidate_scores`` is the aggregated route when ``has_agg``;
     the remaining rows follow the neighbor order of the arrays. ``masked``
-    marks entries excluded from pooling (weight exactly 0).
+    marks entries excluded from pooling (weight exactly 0); it is None when
+    nothing is masked. ``col_max`` and ``denom`` come from ``pool_columns``
+    and give the pooling weights, which are derived on first access.
     """
 
     relation: np.ndarray  # (m,)
@@ -191,10 +258,18 @@ class ScoreBundle:
     h: np.ndarray | None  # (k,)
     h_activated: np.ndarray | None
     candidate_scores: np.ndarray  # (rows, L)
-    masked: np.ndarray  # (rows, L) bool
-    weights: np.ndarray  # (rows, L)
+    masked: np.ndarray | None  # (rows, L) bool
     pooled: np.ndarray  # (L,)
+    col_max: np.ndarray  # (L,)
+    denom: np.ndarray  # (L,)
     params: ParameterSet
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """(rows, L) pooling weights; each live column sums to 1."""
+        return pool_weights(
+            self.candidate_scores, self.masked, self.alpha, self.col_max, self.denom
+        )
 
     @property
     def num_neighbors(self) -> int:
@@ -239,28 +314,32 @@ def score_neighbor_arrays(
         raise ValueError("cannot score an entity with no neighbors")
     reps = neighbor_reps(params, rel, inv, is_type, tgt)
     activated = _activate(reps, use_activation)
-    n2t = activated @ params.W.T + params.b
+    offset = 1 if use_agg2t else 0
+    dtype = np.result_type(activated, params.W)
+    candidates = np.empty((m + offset, params.num_types), dtype=dtype)
+    n2t = candidates[offset:]
+    np.matmul(activated, params.W.T, out=n2t)
+    n2t += params.b
 
     if use_agg2t:
         h = reps.mean(axis=0)
         h_act = _activate(h, use_activation)
         agg_w, agg_b = params.agg_head()
-        agg_row = h_act @ agg_w.T + agg_b
-        candidates = np.concatenate([agg_row[None, :], n2t], axis=0)
+        np.matmul(h_act, agg_w.T, out=candidates[0])
+        candidates[0] += agg_b
     else:
         h = h_act = None
-        candidates = n2t
 
-    masked = np.zeros(candidates.shape, dtype=bool)
+    masked = None
     if mask_labels is not None:
-        offset = 1 if use_agg2t else 0
+        masked = np.zeros(candidates.shape, dtype=bool)
         type_rows = np.nonzero(is_type & ~inv)[0]
         masked[type_rows + offset, tgt[type_rows]] = True
         labels = list(mask_labels)
         if use_agg2t and labels:
             masked[0, labels] = True
 
-    pooled, weights = pool_columns(candidates, masked, alpha)
+    pooled, col_max, denom = pool_columns(candidates, masked, alpha)
     return ScoreBundle(
         relation=rel,
         inverted=inv,
@@ -275,8 +354,9 @@ def score_neighbor_arrays(
         h_activated=h_act,
         candidate_scores=candidates,
         masked=masked,
-        weights=weights,
         pooled=pooled,
+        col_max=col_max,
+        denom=denom,
         params=params,
     )
 

@@ -51,3 +51,19 @@ def test_untraced_tiny_run(workload):
     metrics = run_bench(workload, trace=0)
     assert {name: m["unit"] for name, m in metrics.items()} == units("end_to_end")
     assert all(m["value"] is not None and m["value"] > 0 for m in metrics.values())
+
+
+def test_in_process_smoke_checks():
+    # NaN pooled scores injected through cet.ranking.score_all_neighbors must
+    # fail an eval run, and simulated refactors must read as missing metrics.
+    code = (
+        "import sys; sys.path[:0] = ['src', 'perfbench']\n"
+        "import run  # pins BLAS to one thread before NumPy loads\n"
+        "import smoke\n"
+        "smoke.check_in_process()\n"
+        "sys.exit(1 if smoke.failures else 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

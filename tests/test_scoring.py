@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cet.scoring
 from cet import ParameterSet, pool
-from cet.scoring import neighbor_reps, pool_columns, score_all_neighbors, score_neighbor_arrays
+from cet.scoring import (
+    neighbor_reps,
+    pool_columns,
+    pool_weights,
+    score_all_neighbors,
+    score_neighbor_arrays,
+)
 from synth import assembled, edges, tiny_corpus
 
 
@@ -285,7 +293,7 @@ class TestScoreEntity:
         assert not bundle.masked[1:, :][~is_type].any()
 
     def test_no_mask_by_default(self):
-        assert not self.score(self.vocab.entity_ids["a"]).masked.any()
+        assert self.score(self.vocab.entity_ids["a"]).masked is None
 
     def test_agg2t_disabled_drops_row(self):
         arrays = self.graph.neighbor_arrays(0)
@@ -301,7 +309,7 @@ class TestScoreEntity:
         for _ in range(10):
             rows, cols = rng.integers(2, 6), rng.integers(1, 5)
             scores = rng.uniform(-2, 2, (rows, cols))
-            pooled, _ = pool_columns(scores, np.zeros_like(scores, dtype=bool), 1e3)
+            pooled, *_ = pool_columns(scores, np.zeros_like(scores, dtype=bool), 1e3)
             np.testing.assert_allclose(pooled, scores.max(axis=0), atol=1e-6)
 
     def test_separate_heads_change_agg_row_only(self):
@@ -327,11 +335,17 @@ def masked_candidates(draw):
 class TestPoolColumns:
     """``pool_columns`` against the scalar ``pool`` on every column."""
 
-    @given(masked_candidates(), st.floats(0.05, 5.0))
-    @example((np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, False], [True, True]])), 0.5)
-    def test_matches_scalar_pool_under_masks(self, candidates, alpha):
+    @given(masked_candidates(), st.floats(0.05, 5.0), st.integers(1, 40))
+    @example(
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, False], [True, True]])), 0.5, 1 << 18
+    )
+    def test_matches_scalar_pool_under_masks(self, candidates, alpha, chunk_cells):
+        # Small chunk sizes stream the matrix in several row chunks.
         scores, masked = candidates
-        pooled, weights = pool_columns(scores, masked, alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cet.scoring, "_POOL_CELLS", chunk_cells)
+            pooled, col_max, denom = pool_columns(scores, masked, alpha)
+        weights = pool_weights(scores, masked, alpha, col_max, denom)
         for c in range(scores.shape[1]):
             if masked[:, c].all():
                 assert pooled[c] == -np.inf
@@ -340,3 +354,72 @@ class TestPoolColumns:
             value, col_weights = pool(np.where(masked[:, c], -np.inf, scores[:, c]), alpha)
             assert abs(pooled[c] - value) <= 1e-12
             np.testing.assert_allclose(weights[:, c], col_weights, rtol=0, atol=1e-12)
+
+
+class TestNonFiniteColumns:
+    """Only an all-masked column is dead; NaN and +inf candidates surface."""
+
+    def test_non_finite_candidate_poisons_its_column(self):
+        scores = np.array([[1.0, np.nan, np.inf, -np.inf], [2.0, 0.5, 1.0, -np.inf]])
+        with np.errstate(invalid="ignore"):
+            pooled, col_max, denom = pool_columns(scores, None, 0.5)
+            weights = pool_weights(scores, None, 0.5, col_max, denom)
+        assert pooled[0] == pytest.approx(pool([1.0, 2.0], 0.5)[0], abs=1e-12)
+        assert np.isnan(pooled[1:3]).all()
+        # A column with no finite candidate is dead like an all-masked one.
+        assert pooled[3] == -np.inf
+        np.testing.assert_array_equal(weights[:, 3], 0.0)
+
+    def test_nan_candidate_gives_nan_pooled_score_and_loss(self):
+        from cet.loss import backward, loss_of_entity
+
+        params = make_params(L=3, seed=5)
+        params.b[1] = np.nan
+        neighbors = edges([1, 0], [False, True], [False, False], [1, 2])
+        with np.errstate(invalid="ignore"):
+            bundle = score_neighbor_arrays(params, *neighbors, 0.5)
+            assert np.isnan(bundle.pooled[1])
+            assert np.isfinite(bundle.pooled[[0, 2]]).all()
+            loss, grads = backward(bundle, [0], "bce")
+            assert np.isnan(loss) and np.isnan(grads.b[1])
+            assert np.isnan(loss_of_entity(params, neighbors, [0], "fna", 4.0, 0.5))
+
+    def test_all_masked_column_is_dead(self):
+        from cet.loss import backward
+
+        # One has_type edge to t0 masked at its own column, and the Agg2T row
+        # masked at the label t0: column 0 has no live candidate.
+        params = make_params(L=2, seed=6)
+        bundle = score_neighbor_arrays(params, *edges([0], [False], [True], [0]), 0.5, [0])
+        assert bundle.masked[:, 0].all()
+        assert bundle.pooled[0] == -np.inf and np.isfinite(bundle.pooled[1])
+        np.testing.assert_array_equal(bundle.weights[:, 0], 0.0)
+        loss, grads = backward(bundle, [0], "bce")
+        assert np.isfinite(loss)
+        np.testing.assert_array_equal(grads.W[0], 0.0)
+
+
+class TestInferenceMemory:
+    def test_peak_allocation_is_about_one_candidate_matrix(self):
+        # A float32 hub with 400 neighbors over 2,000 types: the scoring call
+        # may allocate its (rows, types) candidate matrix plus bounded
+        # scratch, not several more arrays of that size.
+        from cet import build_graph, build_vocab, init_params
+
+        m, num_types = 400, 2000
+        triples = [("hub", "r", f"e{i}") for i in range(m)]
+        pairs = [(f"e{j % m}", f"t{j}") for j in range(num_types)]
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, pairs, include_type_edges=False)
+        params = init_params(vocab, 100, seed=0)
+        hub = vocab.entity_ids["hub"]
+        score_all_neighbors(params, graph, hub, 0.5)
+        tracemalloc.start()
+        try:
+            bundle = score_all_neighbors(params, graph, hub, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = bundle.candidate_scores
+        assert matrix.shape == (m + 1, num_types) and matrix.dtype == np.float32
+        assert peak < 1.5 * matrix.nbytes + 2 * 1024 * 1024

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cet.train
 
@@ -268,6 +270,67 @@ class TestBatchedPath:
         assert dead_losses.tolist() == [0.0]
         for _, tensor in dead_grads.named_dense():
             np.testing.assert_array_equal(tensor, 0)
+
+
+@st.composite
+def ragged_batches(draw):
+    """A random typed graph, a batch of its entities and a mask-mode config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degrees = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8))
+    num_types = draw(st.integers(1, 5))
+    triples, pairs = [], []
+    for i, degree in enumerate(degrees):
+        for _ in range(degree):
+            triples.append((f"e{i}", f"r{rng.integers(3)}", f"x{rng.integers(6)}"))
+        labels = rng.choice(num_types, size=rng.integers(1, num_types + 1), replace=False)
+        pairs.extend((f"e{i}", f"t{t}") for t in sorted(labels))
+    separate_heads = draw(st.booleans())
+    config = TrainConfig(
+        mask_mode=True,
+        loss_kind=draw(st.sampled_from(["bce", "fna"])),
+        use_agg2t=draw(st.booleans()),
+        separate_heads=separate_heads,
+    )
+    return triples, pairs, config, draw(st.integers(1, 40))
+
+
+class TestRaggedKernel:
+    @given(ragged_batches())
+    def test_batch_matches_entities_run_alone(self, case):
+        # Degree buckets, padding and the batch sort must not change any
+        # entity's loss or its share of the gradients.
+        from cet import build_graph, build_vocab
+        from cet.data import TypingDataset
+
+        triples, pairs, config, bucket_rows = case
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, pairs)
+        train_types = {}
+        for e, t in pairs:
+            train_types.setdefault(vocab.entity_ids[e], []).append(vocab.type_ids[t])
+        dataset = TypingDataset(
+            train=[(e, t) for e, types in train_types.items() for t in types], valid=[],
+            test=[], known_types={e: set(t) for e, t in train_types.items()},
+            train_types=train_types,
+        )
+        params = init_params(
+            vocab, 6, seed=1, dtype=np.float64, separate_heads=config.separate_heads
+        )
+        params.b[:] = np.random.default_rng(2).normal(size=vocab.num_types)
+        if config.separate_heads:
+            params.agg_b[:] = np.random.default_rng(3).normal(size=vocab.num_types)
+        batch = list(train_types)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
+            losses, grads = _masked_batch(params, graph, dataset, batch, config)
+            alone_losses = []
+            alone_grads = GradientSet.zeros_like(params)
+            for entity in batch:
+                loss, grad = _masked_batch(params, graph, dataset, [entity], config)
+                alone_losses.append(loss[0])
+                add_into(alone_grads, grad)
+        np.testing.assert_allclose(losses, alone_losses, rtol=1e-6)
+        assert max_relative_error(grads, alone_grads) < 1e-6
 
 
 class TestTrainEpoch:
