@@ -23,7 +23,6 @@ from .graph import (
 )
 from .loss import (
     GradientSet,
-    backward,
     bce_loss,
     finite_diff_oracle,
     fna_loss,
@@ -63,7 +62,6 @@ __all__ = [
     "Vocab",
     "adam_step",
     "assemble",
-    "backward",
     "bce_loss",
     "build_graph",
     "build_vocab",

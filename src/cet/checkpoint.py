@@ -92,28 +92,25 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterSet, Vocab, dict]:
     (header_len,) = struct.unpack_from("<Q", payload, 0)
     try:
         header = json.loads(payload[8 : 8 + header_len].decode())
-        k = header["k"]
-        counts = header["counts"]
+        k, separate_heads, config = header["k"], header["separate_heads"], header["config"]
+        counts = [header["counts"][key] for key in ("entities", "relations", "types")]
         vocab = Vocab.from_names(header["entities"], header["relations"], header["types"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ChecksumError(f"{path}: malformed checkpoint header: {exc}") from None
-    if (
-        vocab.num_entities != counts["entities"]
-        or vocab.num_relations != counts["relations"]
-        or vocab.num_types != counts["types"]
-    ):
+    if [vocab.num_entities, vocab.num_relations, vocab.num_types] != counts:
         raise ChecksumError(f"{path}: header counts do not match vocabulary tables")
 
+    num_entities, num_relations, num_types = counts
     shapes = {
-        "entity_emb": (counts["entities"], k),
-        "relation_emb": (counts["relations"], k),
-        "type_emb": (counts["types"], k),
-        "W": (counts["types"], k),
-        "b": (counts["types"],),
-        "agg_W": (counts["types"], k),
-        "agg_b": (counts["types"],),
+        "entity_emb": (num_entities, k),
+        "relation_emb": (num_relations, k),
+        "type_emb": (num_types, k),
+        "W": (num_types, k),
+        "b": (num_types,),
+        "agg_W": (num_types, k),
+        "agg_b": (num_types,),
     }
-    tensor_names = _TENSOR_ORDER + (_AGG_ORDER if header["separate_heads"] else ())
+    tensor_names = _TENSOR_ORDER + (_AGG_ORDER if separate_heads else ())
     offset = 8 + header_len
     tensors = {}
     for name in tensor_names:
@@ -136,4 +133,4 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterSet, Vocab, dict]:
         agg_W=tensors.get("agg_W"),
         agg_b=tensors.get("agg_b"),
     )
-    return params, vocab, header["config"]
+    return params, vocab, config

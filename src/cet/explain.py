@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AugmentedGraph, Neighbor, Vocab
-from .scoring import AGGREGATION, ParameterSet, score_all_neighbors, score_neighbor_arrays
+from .scoring import (
+    AGGREGATION,
+    ParameterSet,
+    pool_weights,
+    score_all_neighbors,
+    score_neighbor_arrays,
+)
 
 __all__ = [
     "ExplanationRow",
@@ -85,8 +91,12 @@ def explain(
         use_agg2t=use_agg2t,
         use_activation=use_activation,
     )
+    # Weights of the queried column only, not of the whole candidate matrix.
+    col = slice(type_id, type_id + 1)
     scores = bundle.candidate_scores[:, type_id]
-    weights = bundle.weights[:, type_id]
+    weights = pool_weights(
+        bundle.candidate_scores[:, col], None, alpha, bundle.col_max[col], bundle.denom[col]
+    )[:, 0]
     labels = [
         AGGREGATION_LABEL if source == AGGREGATION else source_label(vocab, source)
         for source in bundle.sources

@@ -1,23 +1,29 @@
 """Randomized gradient verification sweep.
 
-Builds many tiny typed graphs, scores one entity per instance through every
-configuration corner (both losses, with and without the aggregated route,
-self-evidence mask on and off), and compares the analytic gradients against
-central finite differences in float64.
+Builds many tiny typed graphs and runs the training kernel on each through
+every configuration corner (both losses, with and without the aggregated
+route, sampled and mask-mode batches). The analytic gradients are those of
+the calls training makes, ``_sampled_batch`` and ``_masked_batch``; half of
+the mask-mode instances are ragged batches of entities of different degree,
+so padding and its validity mask are differentiated too. Central finite
+differences in float64 of the independent per-entity forward are the
+reference.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Vocab, build_graph, build_vocab
-from .loss import backward, finite_diff_oracle, max_relative_error
-from .scoring import ParameterSet, score_neighbor_arrays
-from .train import sample_neighbors
+from .data import TypingDataset
+from .graph import AugmentedGraph, Vocab, build_graph, build_vocab
+from .loss import finite_diff_oracle, max_relative_error
+from .scoring import ParameterSet
+from .train import TrainConfig, _masked_batch, _sampled_batch, sample_neighbors
 
 __all__ = ["GradcheckCase", "GradcheckReport", "run_gradient_check"]
 
@@ -65,6 +71,7 @@ class GradcheckCase:
     masked: bool
     use_activation: bool
     separate_heads: bool
+    batch_size: int
     max_rel_err: float
 
 
@@ -86,7 +93,7 @@ class GradcheckReport:
 
 
 def _random_instance(rng: np.random.Generator):
-    """A tiny random typed graph plus one scoreable entity with labels."""
+    """A tiny random typed graph, its training labels and one scoreable entity."""
     n_entities = int(rng.integers(3, 7))
     n_relations = int(rng.integers(1, 4))
     n_types = int(rng.integers(2, 5))
@@ -113,11 +120,26 @@ def _random_instance(rng: np.random.Generator):
     candidates = [e for e in range(vocab.num_entities) if graph.degree(e) > 0]
     entity = int(candidates[rng.integers(0, len(candidates))])
 
+    train = [(vocab.entity_ids[e], vocab.type_ids[t]) for e, t in pairs]
     train_types: dict[int, list[int]] = {}
-    for e, t in pairs:
-        train_types.setdefault(vocab.entity_ids[e], []).append(vocab.type_ids[t])
-    positives = train_types.get(entity, [])
-    return vocab, graph, entity, positives
+    for e, t in train:
+        train_types.setdefault(e, []).append(t)
+    dataset = TypingDataset(
+        train=train, valid=[], test=[], known_types={}, train_types=train_types
+    )
+    return vocab, graph, dataset, entity
+
+
+def _ragged_batch(graph: AugmentedGraph, entity: int, rng: np.random.Generator) -> list[int]:
+    """``entity`` plus up to two more entities, each of a degree new to the batch."""
+    batch = [entity]
+    degrees = {graph.degree(entity)}
+    for other in rng.permutation(graph.num_entities).tolist():
+        degree = graph.degree(other)
+        if degree > 0 and degree not in degrees and len(batch) < 3:
+            batch.append(other)
+            degrees.add(degree)
+    return batch
 
 
 def run_gradient_check(
@@ -132,9 +154,10 @@ def run_gradient_check(
     """Sweep ``instances`` random micro-instances across the config grid.
 
     Each instance cycles through the 8-way grid of (loss, aggregated route,
-    mask); activation and the separate aggregation head are varied on top.
-    Everything runs in float64 so the only error left is the oracle's own
-    O(step^2) truncation.
+    mask); activation and the separate aggregation head are varied on top,
+    and the mask-mode instances of every other pass through the grid are
+    ragged batches. Everything runs in float64 so the only error left is the
+    oracle's own O(step^2) truncation.
     """
     grid = [
         (loss_kind, use_agg2t, masked)
@@ -145,29 +168,38 @@ def run_gradient_check(
     cases = []
     for index in range(instances):
         rng = np.random.default_rng((seed, index))
-        vocab, graph, entity, positives = _random_instance(rng)
+        vocab, graph, dataset, entity = _random_instance(rng)
         loss_kind, use_agg2t, masked = grid[index % len(grid)]
         use_activation = index % 3 != 2
         separate_heads = use_agg2t and index % 5 == 4
+        ragged = masked and (index // len(grid)) % 2 == 0
+        batch = _ragged_batch(graph, entity, rng) if ragged else [entity]
         k = int(rng.integers(2, dim_max + 1))
         params = _draw_params(vocab, k, rng, separate_heads)
 
         if masked:
-            neighbors = graph.neighbor_arrays(entity)
-            mask_labels = positives
+            sample_size = 1  # unused: mask mode scores every neighbor
+            neighbors = [graph.neighbor_arrays(e) for e in batch]
         else:
-            m = int(rng.integers(1, sample_max + 1))
-            neighbors = sample_neighbors(graph, entity, m, rng)
-            mask_labels = None
+            sample_size = int(rng.integers(1, sample_max + 1))
+            kernel_rng = copy.deepcopy(rng)  # replays these draws in the kernel
+            neighbors = [sample_neighbors(graph, e, sample_size, rng) for e in batch]
 
         beta = float(rng.uniform(0.5, 4.0))
         alpha = float(rng.uniform(0.3, 1.5))
-        routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
-        bundle = score_neighbor_arrays(params, *neighbors, alpha, mask_labels, **routes)
-        _, analytic = backward(bundle, positives, loss_kind, beta)
+        config = TrainConfig(
+            alpha=alpha, beta=beta, sample_size=sample_size, loss_kind=loss_kind,
+            use_agg2t=use_agg2t, mask_mode=masked, use_activation=use_activation,
+            separate_heads=separate_heads,
+        )
+        if masked:
+            _, analytic = _masked_batch(params, graph, dataset, batch, config)
+        else:
+            _, analytic = _sampled_batch(params, graph, dataset, batch, config, kernel_rng)
         oracle = finite_diff_oracle(
-            params, neighbors, positives, loss_kind, beta, step,
-            alpha=alpha, mask_labels=mask_labels, **routes,
+            params, [(n, dataset.positives(e)) for n, e in zip(neighbors, batch)],
+            loss_kind, beta, step, alpha=alpha, self_mask=masked,
+            use_agg2t=use_agg2t, use_activation=use_activation,
         )
         cases.append(
             GradcheckCase(
@@ -177,6 +209,7 @@ def run_gradient_check(
                 masked=masked,
                 use_activation=use_activation,
                 separate_heads=separate_heads,
+                batch_size=len(batch),
                 max_rel_err=max_relative_error(analytic, oracle),
             )
         )

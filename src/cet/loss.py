@@ -1,4 +1,4 @@
-"""Multi-label losses over pooled scores and their exact analytic gradients.
+"""Multi-label losses over pooled scores, and the finite-difference oracle.
 
 Two losses are supported. Plain binary cross-entropy treats every type the
 entity is not labeled with as a negative. The false-negative-aware variant
@@ -6,11 +6,13 @@ keeps the positive term but weights each negative term by ``beta * p * (1-p)``,
 which shrinks the influence both of confident negatives (likely missing true
 facts) and of easy ones.
 
-The backward pass differentiates the full composition by hand: loss ->
-pooled scores -> softmax pooling (including the dependence of the weights on
-their inputs) -> candidate rows -> linear layer -> activation -> neighbor
-representations -> embedding rows. A central finite-difference oracle over
-every touched scalar parameter verifies it.
+``_loss_terms`` gives each loss together with its derivative in the pooled
+scores; the batch kernel ``train.backward`` carries that derivative by hand
+through the softmax pooling, the classifier, the activation and the
+neighbor representations to the embedding rows. ``finite_diff_oracle``
+verifies that kernel: it takes central differences, over every touched
+scalar parameter, of ``loss_of_entity``, a forward built on the independent
+per-entity scorer ``scoring.score_neighbor_arrays``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import ParameterSet, ScoreBundle, score_neighbor_arrays
+from .scoring import ParameterSet, score_neighbor_arrays
 
 __all__ = [
     "GradientSet",
@@ -31,7 +33,6 @@ __all__ = [
     "log1m_sigmoid",
     "bce_loss",
     "fna_loss",
-    "backward",
     "finite_diff_oracle",
     "max_relative_error",
 ]
@@ -170,78 +171,6 @@ class GradientSet:
         yield "type_emb", self.type_rows
 
 
-def _add_row(rows: dict[int, np.ndarray], idx: int, grad: np.ndarray) -> None:
-    if idx in rows:
-        rows[idx] = rows[idx] + grad
-    else:
-        rows[idx] = grad.copy()
-
-
-def backward(
-    bundle: ScoreBundle,
-    positives: Iterable[int],
-    loss_kind: str = "bce",
-    beta: float = 1.0,
-) -> tuple[float, GradientSet]:
-    """Loss and exact gradients for one scored entity.
-
-    The pooled-score derivative uses the full softmax Jacobian,
-    d pooled / d candidate = w * (1 + alpha * (candidate - pooled)),
-    so every unmasked candidate receives gradient, not only the maximum.
-    """
-    params = bundle.params
-    pooled = bundle.pooled
-    pos_mask = _positive_mask(len(pooled), positives)
-    loss, dpooled = _loss_terms(pooled, pos_mask, loss_kind, beta)
-    loss = float(loss)
-
-    candidates = bundle.candidate_scores
-    weights = bundle.weights
-    live_cols = ~np.isneginf(pooled)
-    dcand = np.zeros_like(candidates)
-    dcand[:, live_cols] = (
-        dpooled[live_cols]
-        * weights[:, live_cols]
-        * (1.0 + bundle.alpha * (candidates[:, live_cols] - pooled[live_cols]))
-    )
-
-    grads = GradientSet.zeros_like(params)
-    offset = 1 if bundle.has_agg else 0
-    dn2t = dcand[offset:]
-
-    # Per-neighbor route: rows share W and b.
-    grads.W += dn2t.T @ bundle.activated
-    grads.b += dn2t.sum(axis=0)
-    dreps = dn2t @ params.W
-    if bundle.use_activation:
-        dreps = dreps * (bundle.reps > 0)
-
-    if bundle.has_agg:
-        dagg = dcand[0]
-        h_act = bundle.h_activated
-        if params.separate_heads:
-            grads.agg_W += np.outer(dagg, h_act)
-            grads.agg_b += dagg
-        else:
-            grads.W += np.outer(dagg, h_act)
-            grads.b += dagg
-        agg_w, _ = params.agg_head()
-        dh = dagg @ agg_w
-        if bundle.use_activation:
-            dh = dh * (bundle.h > 0)
-        dreps = dreps + dh[None, :] / bundle.num_neighbors
-
-    sign = np.where(bundle.inverted, 1.0, -1.0).astype(dreps.dtype)
-    for j in range(bundle.num_neighbors):
-        g = dreps[j]
-        if bundle.target_is_type[j]:
-            _add_row(grads.type_rows, int(bundle.target[j]), g)
-        else:
-            _add_row(grads.entity_rows, int(bundle.target[j]), g)
-        _add_row(grads.relation_rows, int(bundle.relation[j]), sign[j] * g)
-    return loss, grads
-
-
 def loss_of_entity(
     params: ParameterSet,
     neighbors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -274,36 +203,33 @@ def loss_of_entity(
 
 def finite_diff_oracle(
     params: ParameterSet,
-    neighbors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    positives: Iterable[int],
+    entities: list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], Iterable[int]]],
     loss_kind: str,
     beta: float,
     step: float = 1e-5,
     *,
     alpha: float,
-    mask_labels: Iterable[int] | None = None,
+    self_mask: bool = False,
     use_agg2t: bool = True,
     use_activation: bool = True,
 ) -> GradientSet:
-    """Central-difference gradients over every parameter the forward touches.
+    """Central-difference gradients of a batch's summed loss.
 
-    Intended for float64 parameter sets; at the default step the truncation
-    error is O(step^2).
+    ``entities`` lists one (neighbors, positives) pair per entity, each
+    scored on its own by ``loss_of_entity``; with ``self_mask`` every entity
+    is masked at its own positives, as in mask-mode training. Every
+    parameter the forward touches is differentiated. Intended for float64
+    parameter sets; at the default step the truncation error is O(step^2).
     """
-    positives = list(positives)
+    entities = [(neighbors, list(positives)) for neighbors, positives in entities]
+    routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
     work = params.copy()
 
     def loss_at() -> float:
-        return loss_of_entity(
-            work,
-            neighbors,
-            positives,
-            loss_kind,
-            beta,
-            alpha,
-            mask_labels,
-            use_agg2t=use_agg2t,
-            use_activation=use_activation,
+        return sum(
+            loss_of_entity(work, neighbors, positives, loss_kind, beta, alpha,
+                           positives if self_mask else None, **routes)
+            for neighbors, positives in entities
         )
 
     def diff(arr: np.ndarray, index) -> float:
@@ -316,32 +242,19 @@ def finite_diff_oracle(
         return (up - down) / (2.0 * step)
 
     grads = GradientSet.zeros_like(params)
+    for name, out in grads.named_dense():
+        table = getattr(work, name)
+        for index in np.ndindex(table.shape):
+            out[index] = diff(table, index)
 
-    for name, arr in (("W", work.W), ("agg_W", work.agg_W)):
-        if arr is None:
-            continue
-        out = grads.W if name == "W" else grads.agg_W
-        for i in range(arr.shape[0]):
-            for j in range(arr.shape[1]):
-                out[i, j] = diff(arr, (i, j))
-    for name, arr in (("b", work.b), ("agg_b", work.agg_b)):
-        if arr is None:
-            continue
-        out = grads.b if name == "b" else grads.agg_b
-        for i in range(arr.shape[0]):
-            out[i] = diff(arr, i)
-
-    rel, _, is_type, tgt = neighbors
+    rel, _, is_type, tgt = (np.concatenate(a) for a in zip(*(n for n, _ in entities)))
     for rows, table, touched in (
         (grads.entity_rows, work.entity_emb, tgt[~is_type]),
         (grads.type_rows, work.type_emb, tgt[is_type]),
         (grads.relation_rows, work.relation_emb, rel),
     ):
         for row in np.unique(touched).tolist():
-            vec = np.zeros(params.k, dtype=table.dtype)
-            for j in range(params.k):
-                vec[j] = diff(table, (row, j))
-            rows[row] = vec
+            rows[row] = np.array([diff(table, (row, j)) for j in range(params.k)])
     return grads
 
 

@@ -15,16 +15,19 @@ Scoring one entity allocates a single (rows, types) candidate matrix: the
 N2T and Agg2T rows are written into it in place. Pooling streams that
 matrix in row chunks through a small scratch buffer (the column max first,
 then the exponential sums; see ``pool_columns``), so a hub entity costs one
-matrix, not several. Pooling weights are needed only by the backward pass
-and by explanations; ``ScoreBundle.weights`` derives them on first access
-from the column max and denominator that pooling returns.
+matrix, not several. Pooling returns the column max and denominator with
+the pooled scores, so ``pool_weights`` can derive the weights of any column
+slice later; explanations derive only the queried column.
+
+This per-entity forward serves evaluation and explanation, and is the
+function the finite-difference oracle differentiates. Training runs its own
+batched kernel, ``train.backward``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -237,13 +240,13 @@ def pool_weights(
 
 @dataclass
 class ScoreBundle:
-    """Forward state for one scored entity, kept for backprop and reporting.
+    """Forward state for one scored entity, kept for ranking and reporting.
 
     Row 0 of ``candidate_scores`` is the aggregated route when ``has_agg``;
     the remaining rows follow the neighbor order of the arrays. ``masked``
     marks entries excluded from pooling (weight exactly 0); it is None when
-    nothing is masked. ``col_max`` and ``denom`` come from ``pool_columns``
-    and give the pooling weights, which are derived on first access.
+    nothing is masked. ``col_max`` and ``denom`` come from ``pool_columns``;
+    ``pool_weights`` turns them into the pooling weights of any columns.
     """
 
     relation: np.ndarray  # (m,)
@@ -251,25 +254,13 @@ class ScoreBundle:
     target_is_type: np.ndarray  # (m,)
     target: np.ndarray  # (m,)
     has_agg: bool
-    use_activation: bool
     alpha: float
-    reps: np.ndarray  # (m, k)
-    activated: np.ndarray  # (m, k)
-    h: np.ndarray | None  # (k,)
-    h_activated: np.ndarray | None
+    h: np.ndarray | None  # (k,) mean neighbor representation, before activation
     candidate_scores: np.ndarray  # (rows, L)
     masked: np.ndarray | None  # (rows, L) bool
     pooled: np.ndarray  # (L,)
     col_max: np.ndarray  # (L,)
     denom: np.ndarray  # (L,)
-    params: ParameterSet
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """(rows, L) pooling weights; each live column sums to 1."""
-        return pool_weights(
-            self.candidate_scores, self.masked, self.alpha, self.col_max, self.denom
-        )
 
     @property
     def num_neighbors(self) -> int:
@@ -323,12 +314,11 @@ def score_neighbor_arrays(
 
     if use_agg2t:
         h = reps.mean(axis=0)
-        h_act = _activate(h, use_activation)
         agg_w, agg_b = params.agg_head()
-        np.matmul(h_act, agg_w.T, out=candidates[0])
+        np.matmul(_activate(h, use_activation), agg_w.T, out=candidates[0])
         candidates[0] += agg_b
     else:
-        h = h_act = None
+        h = None
 
     masked = None
     if mask_labels is not None:
@@ -346,18 +336,13 @@ def score_neighbor_arrays(
         target_is_type=is_type,
         target=tgt,
         has_agg=use_agg2t,
-        use_activation=use_activation,
         alpha=alpha,
-        reps=reps,
-        activated=activated,
         h=h,
-        h_activated=h_act,
         candidate_scores=candidates,
         masked=masked,
         pooled=pooled,
         col_max=col_max,
         denom=denom,
-        params=params,
     )
 
 

@@ -7,16 +7,15 @@ mode scores from all neighbors and blanks self-revealing candidates instead.
 One Adam step is taken per batch on the batch-summed gradients.
 
 Neighbors are (relation, inverted, target_is_type, target) arrays
-throughout. Both modes run one kernel, ``_batch_forward_backward``, over
-(batch, rows) neighbor arrays. A sampled batch stacks one
-``sample_neighbors`` draw per entity, fills every row and needs neither
-padding nor masks. A mask-mode batch is sorted by degree and cut into
-buckets of at most ``_BUCKET_ROWS`` padded rows, one kernel call each;
-short neighbor lists are padded with copies of their first edge, which a
-validity mask gives pooling weight 0 and keeps out of the Agg2T mean. The
-self-evidence mask blanks each has_type row at its own type and the Agg2T
-row at the entity's labels; a column with every row blanked pools to -inf
-and drops out of the loss.
+throughout. Both modes run one kernel, ``backward``, over (batch, rows)
+neighbor arrays. A sampled batch stacks one ``sample_neighbors`` draw per
+entity, fills every row and needs neither padding nor masks. A mask-mode
+batch is sorted by degree and cut into buckets of at most ``_BUCKET_ROWS``
+padded rows, one kernel call each; short neighbor lists are padded with
+copies of their first edge, which a validity mask gives pooling weight 0 and
+keeps out of the Agg2T mean. The self-evidence mask blanks each has_type row
+at its own type and the Agg2T row at the entity's labels; a column with
+every row blanked pools to -inf and drops out of the loss.
 
 Pooling is a softmax over each type column and both losses are sums over
 type columns, so the kernel walks the types in blocks: each block is scored,
@@ -26,10 +25,10 @@ gradient accumulates across blocks; it is scattered into the sparse
 embedding rows once per batch. Memory per call is therefore bounded by the
 block, not by the number of types, and all arithmetic stays in the
 parameters' dtype (float32 in training, float64 under gradient checking).
-The block holds about ``_CELLS`` candidate cells. The per-entity
-``score_neighbor_arrays`` and ``backward`` in ``scoring`` and ``loss`` serve
-evaluation, explanation and gradient checking, and are the kernel's
-reference in the tests.
+The block holds about ``_CELLS`` candidate cells. This kernel is the only
+backward pass: gradient checking differentiates the same ``_sampled_batch``
+and ``_masked_batch`` calls that training makes, against finite differences
+of the per-entity forward ``loss.loss_of_entity``.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ import numpy as np
 from .data import TypingDataset
 from .ranking import evaluate
 from .graph import AugmentedGraph, Vocab
-# backward and score_all_neighbors are unused here; the benchmark hooks them on this module.
-from .loss import GradientSet, _loss_terms, backward  # noqa: F401
+from .loss import GradientSet, _loss_terms
 from .optim import AdamState, NumericError, adam_step, init_params
+# score_all_neighbors is unused here; the benchmark hooks it on this module.
 from .scoring import ParameterSet, neighbor_reps, score_all_neighbors  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -125,7 +124,7 @@ _CELLS = 1 << 19
 _BUCKET_ROWS = 512
 
 
-def _batch_forward_backward(
+def backward(
     params: ParameterSet,
     grads: GradientSet,
     rel: np.ndarray,
@@ -144,12 +143,12 @@ def _batch_forward_backward(
     ``_positive_pairs`` builds them. ``valid`` marks the real neighbor rows
     of a padded batch. Padded rows must copy a real row of their entity, so
     that they never raise a column's maximum; they take no pooling weight,
-    stay out of the Agg2T mean, and their returned gradient is meaningless. ``self_mask`` blanks every forward
-    has_type row at its own type and the Agg2T row at the labels. The
-    classifier gradients are added into ``grads``; the embedding rows are
-    left to ``_scatter_rows``. Types are processed in blocks (see the module
-    docstring). Mirrors the per-entity backward exactly, up to float
-    summation order.
+    stay out of the Agg2T mean, and their returned gradient is meaningless.
+    ``self_mask`` blanks every forward has_type row at its own type and the
+    Agg2T row at the labels. The classifier gradients are added into
+    ``grads``; the embedding rows are left to ``_scatter_rows``. Types are
+    processed in blocks (see the module docstring). Each entity's loss equals
+    ``loss.loss_of_entity`` on its real rows, up to float summation order.
     """
     batch, m = rel.shape
     num_types = params.num_types
@@ -357,7 +356,7 @@ def _sampled_batch(params, graph, dataset, batch, config, rng):
     draws = (sample_neighbors(graph, entity, config.sample_size, rng) for entity in batch)
     arrays = [np.stack(column) for column in zip(*draws)]
     grads = GradientSet.zeros_like(params)
-    losses, dreps = _batch_forward_backward(
+    losses, dreps = backward(
         params, grads, *arrays, _positive_pairs(batch, dataset), config
     )
     _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(arrays[0].size, -1))
@@ -380,7 +379,7 @@ def _masked_batch(params, graph, dataset, batch, config):
         columns = zip(*(graph.neighbor_arrays(batch[i]) for i in members))
         arrays = [np.stack([a[p] for a, p in zip(col, pick)]) for col in columns]
         entities = [batch[i] for i in members]
-        bucket_losses, dreps = _batch_forward_backward(
+        bucket_losses, dreps = backward(
             params, grads, *arrays, _positive_pairs(entities, dataset), config,
             valid=valid, self_mask=True,
         )

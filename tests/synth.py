@@ -1,10 +1,18 @@
-"""Synthetic corpora shared across the test suite."""
+"""Synthetic corpora and helpers shared across the test suite."""
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
+import json
+import struct
 
+import numpy as np
+import pytest
+
+import cet.train
 from cet import assemble, build_graph
+from cet.checkpoint import MAGIC
+from cet.loss import GradientSet
 
 
 def tiny_corpus():
@@ -85,6 +93,38 @@ def micro_instance(seed: int = 0, k: int = 3):
     from cet.gradcheck import _draw_params, _random_instance
 
     rng = np.random.default_rng(seed)
-    vocab, graph, entity, positives = _random_instance(rng)
+    vocab, graph, dataset, entity = _random_instance(rng)
     params = _draw_params(vocab, k, rng, separate_heads=False)
-    return vocab, graph, entity, positives, params, rng
+    return vocab, graph, entity, dataset.positives(entity), params, rng
+
+
+def kernel_gradients(params, neighbors, positives, config, self_mask=False):
+    """One entity's loss and gradients from the training kernel, in one type block.
+
+    ``neighbors`` holds the entity's (relation, inverted, target_is_type,
+    target) arrays; ``config`` gives the loss and the routes.
+    """
+    grads = GradientSet.zeros_like(params)
+    labels = np.unique(np.asarray(list(positives), dtype=np.int64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cet.train, "_CELLS", 1 << 62)
+        losses, dreps = cet.train.backward(
+            params, grads, *(a[None] for a in neighbors), (np.zeros_like(labels), labels),
+            config, self_mask=self_mask,
+        )
+    cet.train._scatter_rows(grads, *neighbors, dreps[0])
+    return float(losses[0]), grads
+
+
+def drop_header_key(path, keys):
+    """Delete ``header[keys[0]][keys[1]]...`` from a checkpoint and re-sign it."""
+    payload = path.read_bytes()[len(MAGIC) : -8]
+    (header_len,) = struct.unpack_from("<Q", payload, 0)
+    header = json.loads(payload[8 : 8 + header_len])
+    node = header
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    header_bytes = json.dumps(header).encode()
+    payload = struct.pack("<Q", len(header_bytes)) + header_bytes + payload[8 + header_len :]
+    path.write_bytes(MAGIC + payload + hashlib.blake2b(payload, digest_size=8).digest())

@@ -3,7 +3,7 @@ import pytest
 
 from cet import ChecksumError, init_params, load_checkpoint, save_checkpoint
 from cet.checkpoint import MAGIC
-from synth import assembled, tiny_corpus
+from synth import assembled, drop_header_key, tiny_corpus
 
 
 @pytest.fixture
@@ -142,3 +142,19 @@ class TestCorruption:
         path.write_bytes(MAGIC + payload + digest)
         with pytest.raises(ChecksumError, match="header"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "path_in_header", [("separate_heads",), ("config",), ("counts", "entities"),
+                           ("counts", "relations"), ("counts", "types")]
+    )
+    def test_valid_checksum_but_missing_header_key(self, setup, tmp_path, path_in_header):
+        # Every header read sits behind the malformed-header check, so a
+        # re-signed header without one of its keys is a checkpoint error,
+        # not a bare KeyError.
+        vocab, params, config = setup
+        path = tmp_path / "model.cet"
+        save_checkpoint(path, params, vocab, config)
+        drop_header_key(path, path_in_header)
+        with pytest.raises(ChecksumError, match="header"):
+            load_checkpoint(path)
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cet.cli import main
-from synth import hub_marker_corpus
+from synth import drop_header_key, hub_marker_corpus
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +222,13 @@ class TestEval:
         )
         assert code == 4
 
+    def test_resigned_header_without_a_key_is_checksum_error(self, trained, tmp_path, capsys):
+        base, out = trained
+        bad = tmp_path / "bad.cet"
+        bad.write_bytes((out / "checkpoint.cet").read_bytes())
+        drop_header_key(bad, ("separate_heads",))
+        code = main(["eval", "--data-dir", str(base), "--checkpoint", str(bad)])
+        assert code == 4
 
     def test_non_finite_metric_is_numeric_error(self, trained, tmp_path, capsys):
         from cet.checkpoint import load_checkpoint, save_checkpoint

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from cet import (
     neighbor_profile,
 )
 from cet.explain import AGGREGATION_LABEL, explanation_tsv, format_explanation, source_label
-from cet.scoring import ParameterSet, score_all_neighbors
-from synth import assembled, tiny_corpus
+from cet.scoring import ParameterSet, pool_weights, score_all_neighbors
+from synth import assembled, hub_marker_corpus, tiny_corpus
 
 
 def random_params(vocab, k=4, seed=0):
@@ -65,6 +67,23 @@ class TestExplain:
         vocab, graph, params = setup
         result = explain(params, graph, vocab, "a", "t2", alpha=0.5, top_k=10**6)
         assert sum(row.weight for row in result.rows) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_weights_equal_the_full_weight_matrix_column(self, dtype):
+        # Deriving only the queried column gives the very bits of that
+        # column of the whole (rows, types) weight matrix.
+        vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=60))
+        params = random_params(vocab, k=5, seed=4).astype(dtype)
+        entity = max(range(vocab.num_entities), key=graph.degree)
+        bundle = score_all_neighbors(params, graph, entity, 0.7)
+        weights = pool_weights(bundle.candidate_scores, None, 0.7, bundle.col_max, bundle.denom)
+        for t in range(vocab.num_types):
+            result = explain(
+                params, graph, vocab, vocab.entity_names[entity], vocab.type_names[t], 0.7,
+                top_k=10**6,
+            )
+            order = np.argsort(-bundle.candidate_scores[:, t], kind="stable")
+            assert [row.weight for row in result.rows] == weights[order, t].tolist()
 
     def test_pooling_identity_and_eval_consistency(self, setup):
         # The weighted sum of the reported rows reproduces the pooled score,
@@ -147,3 +166,29 @@ class TestRendering:
         lines = tsv.strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("1\t")
+
+
+class TestExplainMemory:
+    def test_peak_allocation_is_about_one_candidate_matrix(self):
+        # A float32 hub with 400 neighbors over 5,000 types: explaining one
+        # (entity, type) query may allocate the candidate matrix that
+        # scoring needs plus bounded scratch, not a full weight matrix more.
+        from cet import init_params
+
+        m, num_types = 400, 5000
+        triples = [("hub", "r", f"e{i}") for i in range(m)]
+        pairs = [(f"e{j % m}", f"t{j}") for j in range(num_types)]
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, pairs, include_type_edges=False)
+        params = init_params(vocab, 100, seed=0)
+        explain(params, graph, vocab, "hub", "t7", 0.5)
+        tracemalloc.start()
+        try:
+            result = explain(params, graph, vocab, "hub", "t7", 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 3
+        matrix_bytes = (m + 1) * num_types * np.dtype(np.float32).itemsize
+        assert params.W.dtype == np.float32
+        assert peak < 1.5 * matrix_bytes + 2 * 1024 * 1024

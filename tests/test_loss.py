@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cet import (
-    backward,
+    TrainConfig,
     bce_loss,
     finite_diff_oracle,
     fna_loss,
@@ -13,7 +13,7 @@ from cet import (
 )
 from cet.loss import log1m_sigmoid, log_sigmoid, softplus
 from cet.scoring import score_neighbor_arrays
-from synth import micro_instance
+from synth import kernel_gradients, micro_instance
 
 
 class TestSigmoid:
@@ -98,15 +98,17 @@ class TestFnaLoss:
 
 
 class TestBackward:
+    """The training kernel, run on one entity, against the oracle."""
+
     def test_matches_finite_differences(self):
         for seed in range(5):
             vocab, graph, entity, positives, params, rng = micro_instance(seed)
             neighbors = graph.neighbor_arrays(entity)
             for loss_kind in ("bce", "fna"):
-                bundle = score_neighbor_arrays(params, *neighbors, alpha=0.8)
-                _, analytic = backward(bundle, positives, loss_kind, beta=2.0)
+                config = TrainConfig(alpha=0.8, beta=2.0, loss_kind=loss_kind)
+                _, analytic = kernel_gradients(params, neighbors, positives, config)
                 oracle = finite_diff_oracle(
-                    params, neighbors, positives, loss_kind, 2.0,
+                    params, [(neighbors, positives)], loss_kind, 2.0,
                     alpha=0.8,
                 )
                 assert max_relative_error(analytic, oracle) < 1e-4
@@ -115,9 +117,13 @@ class TestBackward:
         vocab, graph, entity, positives, params, _ = micro_instance(3)
         neighbors = graph.neighbor_arrays(entity)
         bundle = score_neighbor_arrays(params, *neighbors, alpha=0.5)
-        loss, _ = backward(bundle, positives, "bce")
+        loss, _ = kernel_gradients(
+            params, neighbors, positives, TrainConfig(alpha=0.5, loss_kind="bce")
+        )
         assert loss == pytest.approx(bce_loss(bundle.pooled, positives), rel=1e-12)
-        loss_fna, _ = backward(bundle, positives, "fna", beta=1.5)
+        loss_fna, _ = kernel_gradients(
+            params, neighbors, positives, TrainConfig(alpha=0.5, beta=1.5, loss_kind="fna")
+        )
         assert loss_fna == pytest.approx(
             fna_loss(bundle.pooled, positives, 1.5), rel=1e-12
         )
@@ -125,18 +131,19 @@ class TestBackward:
     def test_duplicate_neighbor_gradients_accumulate(self):
         vocab, graph, entity, positives, params, _ = micro_instance(4)
         neighbors = tuple(a[[0, 0]] for a in graph.neighbor_arrays(entity))
-        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.6)
-        _, analytic = backward(bundle, positives, "fna", beta=1.0)
+        config = TrainConfig(alpha=0.6, beta=1.0, loss_kind="fna")
+        _, analytic = kernel_gradients(params, neighbors, positives, config)
         oracle = finite_diff_oracle(
-            params, neighbors, positives, "fna", 1.0, alpha=0.6
+            params, [(neighbors, positives)], "fna", 1.0, alpha=0.6
         )
         assert max_relative_error(analytic, oracle) < 1e-4
 
     def test_untouched_rows_absent(self):
         vocab, graph, entity, positives, params, _ = micro_instance(5)
         neighbors = graph.neighbor_arrays(entity)
-        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.5)
-        _, grads = backward(bundle, positives, "bce")
+        _, grads = kernel_gradients(
+            params, neighbors, positives, TrainConfig(alpha=0.5, loss_kind="bce")
+        )
         rel, _, is_type, tgt = neighbors
         touched_entities = set(tgt[~is_type].tolist())
         touched_types = set(tgt[is_type].tolist())
@@ -147,11 +154,10 @@ class TestBackward:
 
     def test_all_entries_finite(self):
         vocab, graph, entity, positives, params, _ = micro_instance(6)
-        bundle = score_neighbor_arrays(
-            params, *graph.neighbor_arrays(entity), alpha=0.5,
-            mask_labels=positives,
+        _, grads = kernel_gradients(
+            params, graph.neighbor_arrays(entity), positives,
+            TrainConfig(alpha=0.5, beta=4.0, loss_kind="fna"), self_mask=True,
         )
-        _, grads = backward(bundle, positives, "fna", beta=4.0)
         for _, arr in grads.named_dense():
             assert np.isfinite(arr).all()
         for _, rows in grads.named_sparse():
@@ -185,13 +191,15 @@ class TestMaskedGradientFlow:
         )
         live = ~bundle.masked[:, t0]
         assert live.sum() == 1  # agg row and has_type row are masked
-        _, grads = backward(bundle, [t0], "bce")
+        _, grads = kernel_gradients(
+            params, neighbors, [t0], TrainConfig(alpha=0.9, loss_kind="bce"), self_mask=True
+        )
         # The masked has_type neighbor's type embedding feeds only masked
         # entries, so its gradient must vanish, and the oracle agrees.
         if t0 in grads.type_rows:
             np.testing.assert_allclose(grads.type_rows[t0], 0.0, atol=1e-15)
         oracle = finite_diff_oracle(
-            params, neighbors, [t0], "bce", 0.0, alpha=0.9, mask_labels=[t0]
+            params, [(neighbors, [t0])], "bce", 0.0, alpha=0.9, self_mask=True
         )
         np.testing.assert_allclose(oracle.type_rows[t0], 0.0, atol=1e-9)
         assert max_relative_error(grads, oracle) < 1e-4
@@ -208,13 +216,13 @@ class TestFiniteDifferenceOracle:
     def test_large_step_degrades_oracle_not_backward(self):
         vocab, graph, entity, positives, params, _ = micro_instance(7)
         neighbors = graph.neighbor_arrays(entity)
-        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.8)
-        _, analytic = backward(bundle, positives, "fna", beta=2.0)
+        config = TrainConfig(alpha=0.8, beta=2.0, loss_kind="fna")
+        _, analytic = kernel_gradients(params, neighbors, positives, config)
         fine = finite_diff_oracle(
-            params, neighbors, positives, "fna", 2.0, 1e-5, alpha=0.8
+            params, [(neighbors, positives)], "fna", 2.0, 1e-5, alpha=0.8
         )
         coarse = finite_diff_oracle(
-            params, neighbors, positives, "fna", 2.0, 1e-1, alpha=0.8
+            params, [(neighbors, positives)], "fna", 2.0, 1e-1, alpha=0.8
         )
         assert max_relative_error(analytic, fine) < 1e-4
         assert max_relative_error(analytic, coarse) > max_relative_error(analytic, fine)
@@ -223,11 +231,25 @@ class TestFiniteDifferenceOracle:
         vocab, graph, entity, positives, params, _ = micro_instance(8)
         snapshot = params.copy()
         finite_diff_oracle(
-            params, graph.neighbor_arrays(entity), positives, "bce", 0.0,
+            params, [(graph.neighbor_arrays(entity), positives)], "bce", 0.0,
             alpha=0.5,
         )
         np.testing.assert_array_equal(params.W, snapshot.W)
         np.testing.assert_array_equal(params.entity_emb, snapshot.entity_emb)
+
+    def test_oracle_of_a_batch_sums_its_entities(self):
+        vocab, graph, entity, positives, params, _ = micro_instance(10)
+        other = next(e for e in range(vocab.num_entities) if e != entity and graph.degree(e))
+        pair = [(graph.neighbor_arrays(entity), positives), (graph.neighbor_arrays(other), [0])]
+        batch = finite_diff_oracle(params, pair, "fna", 2.0, alpha=0.7, self_mask=True)
+        summed = finite_diff_oracle(params, pair[:1], "fna", 2.0, alpha=0.7, self_mask=True)
+        alone = finite_diff_oracle(params, pair[1:], "fna", 2.0, alpha=0.7, self_mask=True)
+        for (_, total), (_, part) in zip(summed.named_dense(), alone.named_dense()):
+            total += part
+        for (_, total), (_, part) in zip(summed.named_sparse(), alone.named_sparse()):
+            for row, vec in part.items():
+                total[row] = total[row] + vec if row in total else vec
+        assert max_relative_error(batch, summed) < 1e-6
 
 
 class TestGradcheckSweep:
@@ -236,15 +258,20 @@ class TestGradcheckSweep:
 
         report = run_gradient_check(instances=16, seed=123)
         assert report.passed, report.worst_case()
+        # Half of the mask-mode instances are batches of entities of
+        # different degree, so the kernel pads them.
+        ragged = [case for case in report.cases if case.batch_size > 1]
+        assert ragged and all(case.masked for case in ragged)
+        assert {case.use_agg2t for case in ragged} == {True, False}
 
     def test_comparator_detects_wrong_gradients(self):
         # The pass verdict is only meaningful if a broken gradient trips it.
         vocab, graph, entity, positives, params, _ = micro_instance(9)
         neighbors = graph.neighbor_arrays(entity)
-        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.7)
-        _, grads = backward(bundle, positives, "fna", beta=2.0)
+        config = TrainConfig(alpha=0.7, beta=2.0, loss_kind="fna")
+        _, grads = kernel_gradients(params, neighbors, positives, config)
         oracle = finite_diff_oracle(
-            params, neighbors, positives, "fna", 2.0, alpha=0.7
+            params, [(neighbors, positives)], "fna", 2.0, alpha=0.7
         )
         assert max_relative_error(grads, oracle) < 1e-4
         grads.W *= 1.01

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cet.scoring
-from cet import ParameterSet, pool
+from cet import ParameterSet, TrainConfig, pool
 from cet.scoring import (
     neighbor_reps,
     pool_columns,
@@ -16,7 +16,7 @@ from cet.scoring import (
     score_all_neighbors,
     score_neighbor_arrays,
 )
-from synth import assembled, edges, tiny_corpus
+from synth import assembled, edges, kernel_gradients, tiny_corpus
 
 
 def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.float64):
@@ -27,6 +27,13 @@ def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.floa
         type_emb=rng.uniform(-1, 1, (L, k)).astype(dtype),
         W=rng.uniform(-1, 1, (L, k)).astype(dtype),
         b=rng.uniform(-1, 1, L).astype(dtype),
+    )
+
+
+def weights_of(bundle):
+    """The (rows, types) pooling weights of a scored entity."""
+    return pool_weights(
+        bundle.candidate_scores, bundle.masked, bundle.alpha, bundle.col_max, bundle.denom
     )
 
 
@@ -266,7 +273,7 @@ class TestScoreEntity:
     def test_columns_sum_to_one_and_bounds(self):
         bundle = self.score(0)
         np.testing.assert_allclose(
-            bundle.weights.sum(axis=0), np.ones(self.vocab.num_types), atol=1e-6
+            weights_of(bundle).sum(axis=0), np.ones(self.vocab.num_types), atol=1e-6
         )
         assert (bundle.pooled <= bundle.candidate_scores.max(axis=0) + 1e-6).all()
         assert (bundle.pooled >= bundle.candidate_scores.min(axis=0) - 1e-6).all()
@@ -280,7 +287,7 @@ class TestScoreEntity:
             live = ~bundle.masked[:, t]
             expected, _ = pool(np.where(live, col, -np.inf), alpha=0.5)
             assert bundle.pooled[t] == pytest.approx(expected, rel=1e-6)
-            assert bundle.weights[~live, t].sum() == 0.0
+            assert weights_of(bundle)[~live, t].sum() == 0.0
 
     def test_mask_hits_type_rows_and_agg_row(self):
         a = self.vocab.entity_ids["a"]
@@ -371,7 +378,7 @@ class TestNonFiniteColumns:
         np.testing.assert_array_equal(weights[:, 3], 0.0)
 
     def test_nan_candidate_gives_nan_pooled_score_and_loss(self):
-        from cet.loss import backward, loss_of_entity
+        from cet.loss import loss_of_entity
 
         params = make_params(L=3, seed=5)
         params.b[1] = np.nan
@@ -380,21 +387,24 @@ class TestNonFiniteColumns:
             bundle = score_neighbor_arrays(params, *neighbors, 0.5)
             assert np.isnan(bundle.pooled[1])
             assert np.isfinite(bundle.pooled[[0, 2]]).all()
-            loss, grads = backward(bundle, [0], "bce")
+            loss, grads = kernel_gradients(
+                params, neighbors, [0], TrainConfig(alpha=0.5, loss_kind="bce")
+            )
             assert np.isnan(loss) and np.isnan(grads.b[1])
             assert np.isnan(loss_of_entity(params, neighbors, [0], "fna", 4.0, 0.5))
 
     def test_all_masked_column_is_dead(self):
-        from cet.loss import backward
-
         # One has_type edge to t0 masked at its own column, and the Agg2T row
         # masked at the label t0: column 0 has no live candidate.
         params = make_params(L=2, seed=6)
-        bundle = score_neighbor_arrays(params, *edges([0], [False], [True], [0]), 0.5, [0])
+        neighbors = edges([0], [False], [True], [0])
+        bundle = score_neighbor_arrays(params, *neighbors, 0.5, [0])
         assert bundle.masked[:, 0].all()
         assert bundle.pooled[0] == -np.inf and np.isfinite(bundle.pooled[1])
-        np.testing.assert_array_equal(bundle.weights[:, 0], 0.0)
-        loss, grads = backward(bundle, [0], "bce")
+        np.testing.assert_array_equal(weights_of(bundle)[:, 0], 0.0)
+        loss, grads = kernel_gradients(
+            params, neighbors, [0], TrainConfig(alpha=0.5, loss_kind="bce"), self_mask=True
+        )
         assert np.isfinite(loss)
         np.testing.assert_array_equal(grads.W[0], 0.0)
 

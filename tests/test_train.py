@@ -9,18 +9,15 @@ from cet import (
     AdamState,
     NumericError,
     TrainConfig,
-    backward,
     evaluate,
     fit,
     init_params,
     sample_neighbors,
-    score_all_neighbors,
     train_epoch,
 )
-from cet.loss import GradientSet, max_relative_error
-from cet.scoring import score_neighbor_arrays
+from cet.loss import GradientSet, loss_of_entity, max_relative_error
 from cet.train import _masked_batch, _sampled_batch, format_log
-from synth import assembled, hub_marker_corpus
+from synth import assembled, hub_marker_corpus, kernel_gradients
 
 
 @pytest.fixture(scope="module")
@@ -96,22 +93,24 @@ def add_into(total, part):
 def reference(params, graph, dataset, batch, config, draws=None):
     """Per-entity losses and their summed gradients, one entity at a time.
 
-    With ``draws`` each entity is scored from its sampled neighbor arrays;
-    without, from all of its neighbors under the self-evidence mask.
+    Losses come from the per-entity forward ``loss_of_entity``; gradients
+    from the kernel run on each entity alone, in one type block, which the
+    gradient check ties to finite differences. With ``draws`` each entity is
+    scored from its sampled neighbor arrays; without, from all of its
+    neighbors under the self-evidence mask.
     """
     grads = GradientSet.zeros_like(params)
     losses = []
     routes = dict(use_agg2t=config.use_agg2t, use_activation=config.use_activation)
     for row, entity in enumerate(batch):
         labels = dataset.positives(entity)
-        if draws is None:
-            bundle = score_all_neighbors(
-                params, graph, entity, config.alpha, mask_labels=labels, **routes
-            )
-        else:
-            bundle = score_neighbor_arrays(params, *draws[row], config.alpha, **routes)
-        loss, grad = backward(bundle, labels, config.loss_kind, config.beta)
-        losses.append(loss)
+        neighbors = graph.neighbor_arrays(entity) if draws is None else draws[row]
+        mask_labels = labels if draws is None else None
+        losses.append(loss_of_entity(
+            params, neighbors, labels, config.loss_kind, config.beta, config.alpha,
+            mask_labels, **routes,
+        ))
+        _, grad = kernel_gradients(params, neighbors, labels, config, self_mask=draws is None)
         add_into(grads, grad)
     return np.array(losses), grads
 
@@ -132,7 +131,7 @@ def assert_float32_close(losses, grads, ref_losses, reference_grads, tol=1e-4):
 
 
 class TestBatchedPath:
-    """The batch kernel against the per-entity path, in both training modes."""
+    """Batched kernel calls against each entity run alone, in both training modes."""
 
     # (loss_kind, use_agg2t, separate_heads, use_activation)
     CASES = [
@@ -365,9 +364,38 @@ class TestTrainEpoch:
         replay = np.random.default_rng(11)
         replay.permutation(1)
         sampled = sample_neighbors(graph, single, config.sample_size, replay)
-        bundle = score_neighbor_arrays(snapshot, *sampled, config.alpha)
-        expected, _ = backward(bundle, sub.positives(single), "bce")
+        expected = loss_of_entity(
+            snapshot, sampled, sub.positives(single), "bce", config.beta, config.alpha
+        )
         assert loss == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("mask_mode, bucket_rows", [(False, None), (True, 10**9), (True, 1)])
+    def test_kernel_runs_through_its_module_name(self, hub_setup, monkeypatch, mask_mode,
+                                                 bucket_rows):
+        # The benchmark times the kernel by patching ``cet.train.backward``, so
+        # train_epoch must reach it through that name: once per sampled batch
+        # and once per mask-mode degree bucket. A huge bucket budget makes one
+        # bucket per batch, a budget of one row one bucket per entity.
+        vocab, dataset, graph, *_ = hub_setup
+        kernel = cet.train.backward
+        calls = []
+
+        def counted(params, grads, rel, *args, **kwargs):
+            calls.append(rel.shape[0])
+            return kernel(params, grads, rel, *args, **kwargs)
+
+        monkeypatch.setattr(cet.train, "backward", counted)
+        if bucket_rows is not None:
+            monkeypatch.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
+        config = TrainConfig(seed=0, dim=8, batch_size=32, mask_mode=mask_mode)
+        params = init_params(vocab, config.dim, config.seed)
+        rng = np.random.default_rng(0)
+        train_epoch(params, AdamState(params, config.lr), graph, dataset, config, rng)
+
+        trainable = sum(1 for e in dataset.train_types if graph.degree(e) > 0)
+        batches = -(-trainable // config.batch_size)
+        assert len(calls) == (trainable if bucket_rows == 1 else batches)
+        assert sum(calls) == trainable
 
     def test_mask_mode_epoch_runs(self, hub_setup):
         vocab, dataset, graph, *_ = hub_setup
