@@ -1,15 +1,21 @@
 """Command-line interface: train, eval, explain, gradcheck, inspect.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure,
+Every cet train flag may also be given as a key=value line of a --config
+file (--batch-size as batch_size or batch-size); flags win over the file.
+
+Exit codes: 0 ok, 1 usage error (including an invalid option value, from a
+flag or from a config-file line), 2 data error, 3 numeric failure,
 4 checkpoint checksum failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -19,10 +25,9 @@ from .ranking import evaluate
 from .explain import explain, explanation_tsv, format_explanation
 from .gradcheck import run_gradient_check
 from .graph import EmptyCorpusError, UnknownNameError, build_graph
+from .loss import LOSS_KINDS
 from .optim import NumericError
 from .train import TrainConfig, fit, format_log
-
-log = logging.getLogger(__name__)
 
 __all__ = ["build_parser", "main"]
 
@@ -42,33 +47,47 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# (flag, converter, default) for everything that may also come from --config.
-_TRAIN_OPTIONS = [
-    ("dim", int, 100),
-    ("alpha", float, 0.5),
-    ("beta", float, 4.0),
-    ("lr", float, 0.001),
-    ("batch_size", int, 128),
-    ("sample_size", int, 10),
-    ("max_epochs", int, 1000),
-    ("eval_every", int, 25),
-    ("loss", str, "fna"),
-    ("seed", int, 0),
-    ("no_agg2t", bool, False),
-    ("no_tan", bool, False),
-    ("mask_mode", bool, False),
-    ("no_activation", bool, False),
-    ("separate_heads", bool, False),
-]
+# TrainConfig's fields declare the training options: each field is one flag
+# and one config-file key, with the field's type and default. These four are
+# spelled unlike their field: field -> (option, negated), where a negated
+# option is a boolean flag that clears its field.
+_RENAMED = {
+    "loss_kind": ("loss", False),
+    "use_agg2t": ("no_agg2t", True),
+    "use_tan": ("no_tan", True),
+    "use_activation": ("no_activation", True),
+}
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"cannot parse boolean value {text!r}")
+def _train_options():
+    """Yield (option, field, field type, negated) for every TrainConfig field."""
+    kinds = typing.get_type_hints(TrainConfig)
+    for field in dataclasses.fields(TrainConfig):
+        option, negated = _RENAMED.get(field.name, (field.name, False))
+        yield option, field.name, kinds[field.name], negated
+
+
+def _add_train_options(parser: argparse.ArgumentParser) -> None:
+    """One flag per training option; None marks a flag that was not given."""
+    for option, name, kind, _ in _train_options():
+        flag = "--" + option.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_const", const=True)
+        else:
+            choices = LOSS_KINDS if name == "loss_kind" else None
+            parser.add_argument(flag, type=kind, choices=choices)
+
+
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_BOOLEANS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
+
+def _from_text(option: str, kind: type, text: str):
+    """A config-file value as its field's type."""
+    try:
+        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise UsageError(f"config key {option}: cannot parse {text!r} as {kind.__name__}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -89,41 +108,32 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
+    """Flags win over config-file values, which win over TrainConfig's defaults."""
     file_values = _read_config_file(args.config) if args.config else {}
-    known = {name for name, _, _ in _TRAIN_OPTIONS}
-    unknown = set(file_values) - known
+    options = list(_train_options())
+    unknown = set(file_values) - {option for option, *_ in options}
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    resolved = {}
-    for name, conv, default in _TRAIN_OPTIONS:
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            resolved[name] = flag_value
-        elif name in file_values:
-            raw = file_values[name]
-            resolved[name] = _parse_bool(raw) if conv is bool else conv(raw)
-        else:
-            resolved[name] = default
-    if resolved["loss"] not in ("bce", "fna"):
-        raise UsageError(f"--loss must be bce or fna, got {resolved['loss']!r}")
-    return TrainConfig(
-        dim=resolved["dim"],
-        alpha=resolved["alpha"],
-        beta=resolved["beta"],
-        lr=resolved["lr"],
-        batch_size=resolved["batch_size"],
-        sample_size=resolved["sample_size"],
-        max_epochs=resolved["max_epochs"],
-        eval_every=resolved["eval_every"],
-        loss_kind=resolved["loss"],
-        use_agg2t=not resolved["no_agg2t"],
-        use_tan=not resolved["no_tan"],
-        mask_mode=resolved["mask_mode"],
-        use_activation=not resolved["no_activation"],
-        separate_heads=resolved["separate_heads"],
-        seed=resolved["seed"],
-    )
+    values = {}
+    for option, name, kind, negated in options:
+        value = getattr(args, option)
+        if value is None and option in file_values:
+            value = _from_text(option, kind, file_values[option])
+        if value is not None:
+            values[name] = not value if negated else value
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def positive_float(text: str) -> float:
+    """``--alpha`` of eval and explain: pooling needs a positive temperature."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -268,46 +278,14 @@ def build_parser() -> _Parser:
     _add_data_args(p_train)
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--config", help="key=value config file; flags win")
-    p_train.add_argument("--dim", type=int, default=None)
-    p_train.add_argument("--alpha", type=float, default=None)
-    p_train.add_argument("--beta", type=float, default=None)
-    p_train.add_argument("--lr", type=float, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p_train.add_argument("--sample-size", type=int, default=None, dest="sample_size")
-    p_train.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
-    p_train.add_argument("--eval-every", type=int, default=None, dest="eval_every")
-    p_train.add_argument("--loss", choices=("bce", "fna"), default=None)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument(
-        "--no-agg2t", action="store_const", const=True, default=None, dest="no_agg2t"
-    )
-    p_train.add_argument(
-        "--no-tan", action="store_const", const=True, default=None, dest="no_tan"
-    )
-    p_train.add_argument(
-        "--mask-mode", action="store_const", const=True, default=None, dest="mask_mode"
-    )
-    p_train.add_argument(
-        "--no-activation",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="no_activation",
-    )
-    p_train.add_argument(
-        "--separate-heads",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="separate_heads",
-    )
+    _add_train_options(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="filtered ranking metrics for a split")
     _add_data_args(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
-    p_eval.add_argument("--alpha", type=float, default=None, help="override checkpoint alpha")
+    p_eval.add_argument("--alpha", type=positive_float, help="override checkpoint alpha")
     p_eval.add_argument("--rank-dump", help="write entity<TAB>type<TAB>rank TSV")
     p_eval.add_argument("--unfiltered", action="store_true", help="debug: skip filtering")
     p_eval.set_defaults(func=cmd_eval)
@@ -318,7 +296,7 @@ def build_parser() -> _Parser:
     p_explain.add_argument("--entity", required=True)
     p_explain.add_argument("--type", required=True)
     p_explain.add_argument("--top-k", type=int, default=3, dest="top_k")
-    p_explain.add_argument("--alpha", type=float, default=None)
+    p_explain.add_argument("--alpha", type=positive_float, help="override checkpoint alpha")
     p_explain.add_argument("--tsv", help="write rank<TAB>source<TAB>score<TAB>weight TSV")
     p_explain.set_defaults(func=cmd_explain)
 

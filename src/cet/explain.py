@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AugmentedGraph, Neighbor, Vocab
-from .scoring import (
-    AGGREGATION,
-    ParameterSet,
-    pool_weights,
-    score_all_neighbors,
-    score_neighbor_arrays,
-)
+from .scoring import ParameterSet, pool_weights, score_all_neighbors, score_neighbor_arrays
 
 __all__ = [
     "ExplanationRow",
@@ -97,10 +91,9 @@ def explain(
     weights = pool_weights(
         bundle.candidate_scores[:, col], None, alpha, bundle.col_max[col], bundle.denom[col]
     )[:, 0]
-    labels = [
-        AGGREGATION_LABEL if source == AGGREGATION else source_label(vocab, source)
-        for source in bundle.sources
-    ]
+    rel, inv, is_type, tgt = (a.tolist() for a in graph.neighbor_arrays(entity_id))
+    labels = [AGGREGATION_LABEL] if use_agg2t else []
+    labels += [source_label(vocab, Neighbor(*edge)) for edge in zip(rel, inv, tgt, is_type)]
     order = np.argsort(-scores, kind="stable")
     rows = [
         ExplanationRow(labels[i], float(scores[i]), float(weights[i]))

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AugmentedGraph, Neighbor
+from .graph import AugmentedGraph
 
 __all__ = [
     "ParameterSet",
     "ScoreBundle",
-    "AGGREGATION",
     "neighbor_reps",
     "pool",
     "pool_columns",
@@ -44,9 +43,6 @@ __all__ = [
     "score_all_neighbors",
     "score_neighbor_arrays",
 ]
-
-AGGREGATION = "aggregation"
-
 
 @dataclass
 class ParameterSet:
@@ -242,44 +238,18 @@ def pool_weights(
 class ScoreBundle:
     """Forward state for one scored entity, kept for ranking and reporting.
 
-    Row 0 of ``candidate_scores`` is the aggregated route when ``has_agg``;
+    Row 0 of ``candidate_scores`` is the aggregated route when Agg2T is on;
     the remaining rows follow the neighbor order of the arrays. ``masked``
     marks entries excluded from pooling (weight exactly 0); it is None when
     nothing is masked. ``col_max`` and ``denom`` come from ``pool_columns``;
     ``pool_weights`` turns them into the pooling weights of any columns.
     """
 
-    relation: np.ndarray  # (m,)
-    inverted: np.ndarray  # (m,)
-    target_is_type: np.ndarray  # (m,)
-    target: np.ndarray  # (m,)
-    has_agg: bool
-    alpha: float
-    h: np.ndarray | None  # (k,) mean neighbor representation, before activation
     candidate_scores: np.ndarray  # (rows, L)
     masked: np.ndarray | None  # (rows, L) bool
     pooled: np.ndarray  # (L,)
     col_max: np.ndarray  # (L,)
     denom: np.ndarray  # (L,)
-
-    @property
-    def num_neighbors(self) -> int:
-        return len(self.relation)
-
-    def neighbor(self, i: int) -> Neighbor:
-        return Neighbor(
-            int(self.relation[i]),
-            bool(self.inverted[i]),
-            int(self.target[i]),
-            bool(self.target_is_type[i]),
-        )
-
-    @property
-    def sources(self) -> list:
-        """Row-aligned source descriptors: AGGREGATION marker, then neighbors."""
-        rows: list = [AGGREGATION] if self.has_agg else []
-        rows.extend(self.neighbor(i) for i in range(self.num_neighbors))
-        return rows
 
 
 def score_neighbor_arrays(
@@ -313,12 +283,9 @@ def score_neighbor_arrays(
     n2t += params.b
 
     if use_agg2t:
-        h = reps.mean(axis=0)
         agg_w, agg_b = params.agg_head()
-        np.matmul(_activate(h, use_activation), agg_w.T, out=candidates[0])
+        np.matmul(_activate(reps.mean(axis=0), use_activation), agg_w.T, out=candidates[0])
         candidates[0] += agg_b
-    else:
-        h = None
 
     masked = None
     if mask_labels is not None:
@@ -330,20 +297,7 @@ def score_neighbor_arrays(
             masked[0, labels] = True
 
     pooled, col_max, denom = pool_columns(candidates, masked, alpha)
-    return ScoreBundle(
-        relation=rel,
-        inverted=inv,
-        target_is_type=is_type,
-        target=tgt,
-        has_agg=use_agg2t,
-        alpha=alpha,
-        h=h,
-        candidate_scores=candidates,
-        masked=masked,
-        pooled=pooled,
-        col_max=col_max,
-        denom=denom,
-    )
+    return ScoreBundle(candidates, masked, pooled, col_max, denom)
 
 
 def score_all_neighbors(
@@ -351,7 +305,6 @@ def score_all_neighbors(
     graph: AugmentedGraph,
     entity: int,
     alpha: float,
-    mask_labels: Iterable[int] | None = None,
     *,
     use_agg2t: bool = True,
     use_activation: bool = True,
@@ -361,5 +314,5 @@ def score_all_neighbors(
     if len(neighbors[0]) == 0:
         raise ValueError(f"entity {entity} is isolated; no neighbors to score")
     return score_neighbor_arrays(
-        params, *neighbors, alpha, mask_labels, use_agg2t=use_agg2t, use_activation=use_activation
+        params, *neighbors, alpha, use_agg2t=use_agg2t, use_activation=use_activation
     )

@@ -42,7 +42,7 @@ import numpy as np
 from .data import TypingDataset
 from .ranking import evaluate
 from .graph import AugmentedGraph, Vocab
-from .loss import GradientSet, _loss_terms
+from .loss import LOSS_KINDS, GradientSet, _loss_terms
 from .optim import AdamState, NumericError, adam_step, init_params
 # score_all_neighbors is unused here; the benchmark hooks it on this module.
 from .scoring import ParameterSet, neighbor_reps, score_all_neighbors  # noqa: F401
@@ -81,7 +81,7 @@ class TrainConfig:
             raise ValueError("batch_size, sample_size and eval_every must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.loss_kind not in ("bce", "fna"):
+        if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
     def to_dict(self) -> dict:

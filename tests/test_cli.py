@@ -52,15 +52,62 @@ def parse_block(text):
     return out
 
 
-class TestDefaults:
-    def test_cli_defaults_mirror_train_config(self):
-        import argparse
+# Every TrainConfig field: (its flag, its config-file line, the non-default
+# value both give, a config-file line giving another value). Literal, so a
+# wrong entry in the CLI's rename and negation table fails.
+OPTION_CASES = {
+    "dim": (["--dim", "7"], "dim=7", 7, "dim=9"),
+    "alpha": (["--alpha", "0.25"], "alpha=0.25", 0.25, "alpha=2"),
+    "beta": (["--beta", "2.5"], "beta=2.5", 2.5, "beta=1"),
+    "lr": (["--lr", "0.01"], "lr=0.01", 0.01, "lr=0.5"),
+    "batch_size": (["--batch-size", "16"], "batch-size=16", 16, "batch_size=3"),
+    "sample_size": (["--sample-size", "3"], "sample_size=3", 3, "sample-size=5"),
+    "max_epochs": (["--max-epochs", "0"], "max-epochs=0", 0, "max_epochs=4"),
+    "eval_every": (["--eval-every", "2"], "eval_every=2", 2, "eval-every=6"),
+    "loss_kind": (["--loss", "bce"], "loss=bce", "bce", "loss=fna"),
+    "use_agg2t": (["--no-agg2t"], "no_agg2t=true", False, "no-agg2t=no"),
+    "use_tan": (["--no-tan"], "no-tan=yes", False, "no_tan=0"),
+    "mask_mode": (["--mask-mode"], "mask_mode=1", True, "mask-mode=off"),
+    "use_activation": (["--no-activation"], "no_activation=on", False, "no_activation=false"),
+    "separate_heads": (["--separate-heads"], "separate-heads=TRUE", True, "separate_heads=0"),
+    "seed": (["--seed", "9"], "seed=9", 9, "seed=4"),
+}
 
-        from cet.cli import _TRAIN_OPTIONS, _resolve_train_config
+
+def resolve_train(argv, tmp_path, config_lines=()):
+    """The TrainConfig that cet train would run with, without training."""
+    from cet.cli import _resolve_train_config, build_parser
+
+    if config_lines:
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{line}\n" for line in config_lines), encoding="utf-8")
+        argv = [*argv, "--config", str(config)]
+    args = build_parser().parse_args(["train", "--data-dir", "d", "--out", "o", *argv])
+    return _resolve_train_config(args)
+
+
+class TestDefaults:
+    def test_every_train_config_field_has_a_case(self):
+        from dataclasses import fields
+
         from cet.train import TrainConfig
 
-        ns = argparse.Namespace(config=None, **{name: None for name, _, _ in _TRAIN_OPTIONS})
-        assert _resolve_train_config(ns) == TrainConfig()
+        assert sorted(OPTION_CASES) == sorted(f.name for f in fields(TrainConfig))
+
+    @pytest.mark.parametrize("field", sorted(OPTION_CASES))
+    def test_train_option_resolves_from_flag_and_file(self, field, tmp_path):
+        from dataclasses import replace
+
+        from cet.train import TrainConfig
+
+        flag, line, value, other_line = OPTION_CASES[field]
+        assert getattr(TrainConfig(), field) != value
+        expected = replace(TrainConfig(), **{field: value})
+        assert resolve_train([], tmp_path) == TrainConfig()
+        assert resolve_train(flag, tmp_path) == expected
+        assert resolve_train([], tmp_path, [line]) == expected
+        assert resolve_train(flag, tmp_path, [other_line]) == expected
+        assert resolve_train([], tmp_path, [other_line]) != expected
 
 
 class TestInspect:
@@ -157,6 +204,30 @@ class TestTrain:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["train", "--out", "/tmp/x"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, config_line",
+        [
+            (["--dim", "0"], None),
+            (["--batch-size", "0"], None),
+            (["--max-epochs", "-1"], None),
+            ([], "dim=abc"),
+            ([], "loss=xyz"),
+            ([], "no_agg2t=maybe"),
+        ],
+    )
+    def test_invalid_option_value_is_usage_error(
+        self, data_dir, tmp_path, capsys, flags, config_line
+    ):
+        base, *_ = data_dir
+        argv = ["train", "--data-dir", str(base), "--out", str(tmp_path / "x"), *flags]
+        if config_line is not None:
+            config = tmp_path / "bad.conf"
+            config.write_text(config_line + "\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
 
 class TestEval:
     def test_metrics_block_and_rank_dump(self, trained, tmp_path, capsys):
@@ -247,6 +318,22 @@ class TestEval:
         assert "non-finite" in captured.err
 
 
+    @pytest.mark.parametrize("alpha", ["-0.5", "0"])
+    def test_non_positive_alpha_is_usage_error(self, trained, capsys, alpha):
+        base, out = trained
+        code = main(
+            [
+                "eval",
+                "--data-dir", str(base),
+                "--checkpoint", str(out / "checkpoint.cet"),
+                f"--alpha={alpha}",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "mrr" not in captured.out
+
+
 class TestExplainCommand:
     def test_report_shape(self, trained, tmp_path, capsys):
         base, out = trained
@@ -281,6 +368,24 @@ class TestExplainCommand:
             ]
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "0"])
+    def test_non_positive_alpha_is_usage_error(self, trained, capsys, alpha):
+        base, out = trained
+        code = main(
+            [
+                "explain",
+                "--data-dir", str(base),
+                "--checkpoint", str(out / "checkpoint.cet"),
+                "--entity", "e0",
+                "--type", "t0",
+                f"--alpha={alpha}",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
 
 class TestGradcheckCommand:

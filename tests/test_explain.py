@@ -27,10 +27,10 @@ def random_params(vocab, k=4, seed=0):
     )
 
 
-def neighbors_of(params, graph, vocab, entity):
-    """An entity's neighbors as the labels explain reports them under."""
-    bundle = score_all_neighbors(params, graph, vocab.entity_ids[entity], 0.5)
-    return [bundle.neighbor(i) for i in range(bundle.num_neighbors)]
+def neighbors_of(graph, vocab, entity):
+    """An entity's neighbors, in row order, as explain labels them."""
+    rel, inv, is_type, tgt = (a.tolist() for a in graph.neighbor_arrays(vocab.entity_ids[entity]))
+    return [Neighbor(*edge) for edge in zip(rel, inv, tgt, is_type)]
 
 
 @pytest.fixture(scope="module")
@@ -125,18 +125,18 @@ class TestNeighborProfile:
         flat.b[:] = 0.0
         flat.b[vocab.type_ids["t2"]] = 5.0
         for entity in ("a", "b", "c"):
-            for nb in neighbors_of(flat, graph, vocab, entity):
+            for nb in neighbors_of(graph, vocab, entity):
                 top = neighbor_profile(flat, vocab, nb, top_k=1)
                 assert top[0][0] == "t2"
 
     def test_zero_top_k(self, setup):
         vocab, graph, params = setup
-        nb = neighbors_of(params, graph, vocab, "a")[0]
+        nb = neighbors_of(graph, vocab, "a")[0]
         assert neighbor_profile(params, vocab, nb, top_k=0) == []
 
     def test_scores_descending(self, setup):
         vocab, graph, params = setup
-        nb = neighbors_of(params, graph, vocab, "a")[0]
+        nb = neighbors_of(graph, vocab, "a")[0]
         profile = neighbor_profile(params, vocab, nb, top_k=10)
         values = [score for _, score in profile]
         assert values == sorted(values, reverse=True)
@@ -144,8 +144,8 @@ class TestNeighborProfile:
     def test_matches_the_neighbor_row_of_the_entity(self, setup):
         vocab, graph, params = setup
         bundle = score_all_neighbors(params, graph, vocab.entity_ids["a"], 0.5)
-        for i in range(bundle.num_neighbors):
-            profile = dict(neighbor_profile(params, vocab, bundle.neighbor(i), top_k=10**6))
+        for i, nb in enumerate(neighbors_of(graph, vocab, "a")):
+            profile = dict(neighbor_profile(params, vocab, nb, top_k=10**6))
             row = bundle.candidate_scores[i + 1]  # row 0 is the Agg2T route
             np.testing.assert_allclose([profile[name] for name in vocab.type_names], row, rtol=1e-12)
 

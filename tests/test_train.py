@@ -439,7 +439,7 @@ class TestMaskLeak:
         # it to its own column (its has_type row, the aggregated row) are
         # blanked.
         vocab, dataset, graph, *_ = hub_setup
-        from cet.scoring import score_all_neighbors
+        from cet.scoring import score_all_neighbors, score_neighbor_arrays
 
         entity = next(
             e for e in sorted(dataset.train_types) if graph.degree(e) > 1
@@ -447,9 +447,10 @@ class TestMaskLeak:
         label = dataset.positives(entity)[0]
         params = init_params(vocab, 8, seed=3, dtype=np.float64)
         labels = dataset.positives(entity)
-        before = score_all_neighbors(params, graph, entity, 0.5, mask_labels=labels)
+        neighbors = graph.neighbor_arrays(entity)
+        before = score_neighbor_arrays(params, *neighbors, 0.5, labels)
         params.type_emb[label] += 10.0
-        after = score_all_neighbors(params, graph, entity, 0.5, mask_labels=labels)
+        after = score_neighbor_arrays(params, *neighbors, 0.5, labels)
         assert after.pooled[label] == pytest.approx(before.pooled[label], abs=1e-12)
         # Without the mask the same perturbation must move the column.
         params.type_emb[label] -= 10.0
