@@ -129,10 +129,10 @@ def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def positive_float(text: str) -> float:
-    """``--alpha`` of eval and explain: pooling needs a positive temperature."""
+    """``--alpha`` of eval and explain: pooling needs a positive, finite temperature."""
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import Vocab, _dedupe, build_vocab
+from .graph import Vocab, build_vocab
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +35,16 @@ TEST_PAIRS_FILE = "Entity_Type_test.txt"
 
 class ParseError(ValueError):
     """A data file line does not have the expected tab-separated shape."""
+
+
+def _dedupe(items: list) -> tuple[list, int]:
+    seen = set()
+    out = []
+    for item in items:
+        if item not in seen:
+            seen.add(item)
+            out.append(item)
+    return out, len(items) - len(out)
 
 
 def _read_rows(path: str | Path, width: int) -> list[tuple[str, ...]]:

@@ -165,6 +165,28 @@ class TestTrain:
         assert epoch == "10" and float(loss) > 0 and 0 < float(mrr) <= 1
         assert lines[0].endswith("\t")  # no validation on epoch 1
 
+    @pytest.mark.parametrize("mode", [[], ["--mask-mode"]])
+    def test_seeded_run_is_byte_identical_at_any_thread_count(
+        self, data_dir, tmp_path, monkeypatch, capsys, mode
+    ):
+        import cet.train
+
+        base, *_ = data_dir
+        # One type per block: every kernel call has as many blocks as types,
+        # so each lane holds several and the worker thread takes its share.
+        monkeypatch.setattr(cet.train, "_CELLS", 1)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(cet.train, "_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            argv = [
+                "train", "--data-dir", str(base), "--out", str(out), "--max-epochs", "4",
+                "--eval-every", "2", "--dim", "8", "--seed", "3", *mode,
+            ]
+            assert main(argv) == 0
+            runs.append([(out / name).read_bytes() for name in ("checkpoint.cet", "train.log")])
+        assert runs[0] == runs[1]
+
     def test_config_file_and_flag_precedence(self, data_dir, tmp_path, capsys):
         base, *_ = data_dir
         config = tmp_path / "run.conf"
@@ -213,6 +235,12 @@ class TestTrain:
             ([], "dim=abc"),
             ([], "loss=xyz"),
             ([], "no_agg2t=maybe"),
+            *(
+                case
+                for name in ("alpha", "beta", "lr")
+                for value in ("nan", "inf")
+                for case in ((["--" + name, value], None), ([], f"{name}={value}"))
+            ),
         ],
     )
     def test_invalid_option_value_is_usage_error(
@@ -318,7 +346,7 @@ class TestEval:
         assert "non-finite" in captured.err
 
 
-    @pytest.mark.parametrize("alpha", ["-0.5", "0"])
+    @pytest.mark.parametrize("alpha", ["-0.5", "0", "nan", "inf"])
     def test_non_positive_alpha_is_usage_error(self, trained, capsys, alpha):
         base, out = trained
         code = main(
@@ -370,7 +398,7 @@ class TestExplainCommand:
         assert code == 2
 
 
-    @pytest.mark.parametrize("alpha", ["-0.5", "0"])
+    @pytest.mark.parametrize("alpha", ["-0.5", "0", "nan", "inf"])
     def test_non_positive_alpha_is_usage_error(self, trained, capsys, alpha):
         base, out = trained
         code = main(

@@ -161,6 +161,28 @@ class TestGraphProperties:
         # Inverting twice recovers the original edge set exactly once each.
         assert sorted(forward) == sorted((o, r, s) for s, r, o in inverse)
 
+    def test_repeats_drop_like_the_first_occurrence_dedupe(self):
+        # build_graph drops repeated triples and pairs by integer key; the
+        # result must equal building from the first occurrences, in input order.
+        from cet.data import _dedupe
+
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            triples, pairs = self._random_corpus(rng)
+            noisy_triples = [triples[i] for i in rng.integers(len(triples), size=2 * len(triples))]
+            noisy_pairs = [pairs[i] for i in rng.integers(len(pairs), size=2 * len(pairs))]
+            vocab = build_vocab(triples, pairs)
+            for tan in (True, False):
+                got = build_graph(vocab, noisy_triples, noisy_pairs, include_type_edges=tan)
+                want = build_graph(
+                    vocab, _dedupe(noisy_triples)[0], _dedupe(noisy_pairs)[0],
+                    include_type_edges=tan,
+                )
+                assert got.num_edges_original == want.num_edges_original
+                assert got.num_type_edges == want.num_type_edges
+                for e in range(vocab.num_entities):
+                    assert edge_list(got, e) == edge_list(want, e)
+
     def test_construction_deterministic(self):
         rng = np.random.default_rng(2)
         triples, pairs = self._random_corpus(rng)

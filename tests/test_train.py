@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cet.loss
 import cet.train
 
 from cet import (
@@ -39,6 +46,10 @@ class TestTrainConfig:
             TrainConfig(sample_size=0)
         with pytest.raises(ValueError):
             TrainConfig(loss_kind="hinge")
+        for name in ("alpha", "beta", "lr"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    TrainConfig(**{name: value})
 
 
 class TestSampleNeighbors:
@@ -330,6 +341,105 @@ class TestRaggedKernel:
                 add_into(alone_grads, grad)
         np.testing.assert_allclose(losses, alone_losses, rtol=1e-6)
         assert max_relative_error(grads, alone_grads) < 1e-6
+
+
+def bits(result):
+    """A kernel result's losses and gradients as bytes, to compare bit for bit."""
+    losses, grads = result
+    dense = [tensor.tobytes() for _, tensor in grads.named_dense()]
+    sparse = [
+        sorted((row, vec.tobytes()) for row, vec in rows.items())
+        for _, rows in grads.named_sparse()
+    ]
+    return losses.tobytes(), dense, sparse
+
+
+class TestLanes:
+    """The type blocks of one kernel call, run in lanes on up to ``_THREADS`` threads."""
+
+    @staticmethod
+    def batches(monkeypatch, params, hub_setup, batch, config):
+        """A sampled and a padded mask-mode batch, with one-type blocks (8 per
+        call) and several degree buckets; records which threads ran blocks.
+
+        Threads take lanes as they come free, so with more than one thread
+        the caller holds its first lane until a worker has taken another:
+        otherwise a caller that ran every lane before the worker started
+        would leave the worker idle and the record empty.
+        """
+        vocab, dataset, graph, *_ = hub_setup
+        rows = max(graph.degree(e) for e in batch) + 1
+        monkeypatch.setattr(cet.train, "_CELLS", len(batch) * rows)
+        monkeypatch.setattr(cet.train, "_BUCKET_ROWS", 12)
+        threads = set()
+        worker_started = threading.Event()
+
+        def recorded(*args):
+            name = threading.current_thread().name
+            threads.add(name)
+            if name.startswith("cet-lane"):
+                worker_started.set()
+            elif cet.train._THREADS > 1:
+                worker_started.wait(timeout=60)
+            return cet.loss._loss_terms(*args)
+
+        monkeypatch.setattr(cet.train, "_loss_terms", recorded)
+        sampled = _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
+        masked = _masked_batch(params, graph, dataset, batch, config)
+        return [bits(sampled), bits(masked)], threads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_at_any_thread_count(self, hub_setup, monkeypatch, dtype):
+        for case in TestBatchedPath.CASES:
+            config, params, batch = TestBatchedPath.setup_case(hub_setup, case)
+            params = params.astype(dtype)
+            results = []
+            for threads in sorted({1, 2, cet.train._LANES}):
+                monkeypatch.setattr(cet.train, "_THREADS", threads)
+                result, names = self.batches(monkeypatch, params, hub_setup, batch, config)
+                workers = {name for name in names if name.startswith("cet-lane")}
+                assert bool(workers) == (threads > 1), (case, threads, names)
+                results.append(result)
+            assert all(result == results[0] for result in results[1:]), case
+
+    def test_more_threads_than_cores_under_fast_switching(self, hub_setup, monkeypatch):
+        # Eight lanes on eight threads, switching every microsecond: a lane
+        # that wrote into another's accumulators, or a block run twice or not
+        # at all, would change the bits against the same lanes run serially.
+        config, params, batch = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[4])
+        monkeypatch.setattr(cet.train, "_LANES", 8)
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for threads in (1, 8, 8):
+                monkeypatch.setattr(cet.train, "_THREADS", threads)
+                results.append(self.batches(monkeypatch, params, hub_setup, batch, config)[0])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize(
+        "environ, pinned",
+        [
+            ({}, False),
+            (dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"), True),
+            ({"OPENBLAS_NUM_THREADS": "1"}, False),
+        ],
+    )
+    def test_threads_read_from_the_environment_at_import(self, environ, pinned):
+        # Lanes get threads only when every BLAS thread variable says 1.
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(cet.train.__file__).parents[1])
+        env.update(environ)
+        code = "import cet.train as t; print(t._THREADS, t._usable_cores())"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout.split()
+        threads, cores = map(int, out)
+        assert threads == (min(cet.train._LANES, cores) if pinned else 1)
 
 
 class TestTrainEpoch:
