@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AugmentedGraph, Neighbor, Vocab
-from .scoring import ParameterSet, pool_weights, score_all_neighbors, score_neighbor_arrays
+from .scoring import ParameterSet, pool, score_all_neighbors, score_neighbor_arrays
 
 __all__ = [
     "ExplanationRow",
@@ -85,12 +85,8 @@ def explain(
         use_agg2t=use_agg2t,
         use_activation=use_activation,
     )
-    # Weights of the queried column only, not of the whole candidate matrix.
-    col = slice(type_id, type_id + 1)
     scores = bundle.candidate_scores[:, type_id]
-    weights = pool_weights(
-        bundle.candidate_scores[:, col], None, alpha, bundle.col_max[col], bundle.denom[col]
-    )[:, 0]
+    _, weights = pool(scores, alpha)
     rel, inv, is_type, tgt = (a.tolist() for a in graph.neighbor_arrays(entity_id))
     labels = [AGGREGATION_LABEL] if use_agg2t else []
     labels += [source_label(vocab, Neighbor(*edge)) for edge in zip(rel, inv, tgt, is_type)]

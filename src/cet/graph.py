@@ -12,6 +12,7 @@ are only counted.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,47 +205,38 @@ class AugmentedGraph:
         )
 
 
+def _ids(kind: str, lookups: Iterator[int], count: int) -> np.ndarray:
+    """The ``count`` int32 ids that ``lookups`` yields from a name table.
+
+    A name missing from the table raises UnknownNameError.
+    """
+    try:
+        return np.fromiter(lookups, dtype=np.int32, count=count)
+    except KeyError as err:
+        raise UnknownNameError(f"unknown {kind} {err.args[0]!r}") from None
+
+
 def _resolve_triples(
     vocab: Vocab, triples: list[tuple[str, str, str]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = len(triples)
-    heads = np.empty(n, dtype=np.int32)
-    rels = np.empty(n, dtype=np.int32)
-    tails = np.empty(n, dtype=np.int32)
     ent, rel = vocab.entity_ids, vocab.relation_ids
-    for i, (h, r, t) in enumerate(triples):
-        try:
-            heads[i] = ent[h]
-        except KeyError:
-            raise UnknownNameError(f"unknown entity {h!r}") from None
-        try:
-            rels[i] = rel[r]
-        except KeyError:
-            raise UnknownNameError(f"unknown relation {r!r}") from None
-        try:
-            tails[i] = ent[t]
-        except KeyError:
-            raise UnknownNameError(f"unknown entity {t!r}") from None
-    return heads, rels, tails
+    return (
+        _ids("entity", (ent[h] for h, _, _ in triples), n),
+        _ids("relation", (rel[r] for _, r, _ in triples), n),
+        _ids("entity", (ent[t] for _, _, t in triples), n),
+    )
 
 
 def _resolve_pairs(
     vocab: Vocab, pairs: list[tuple[str, str]]
 ) -> tuple[np.ndarray, np.ndarray]:
     n = len(pairs)
-    ents = np.empty(n, dtype=np.int32)
-    typs = np.empty(n, dtype=np.int32)
     ent, typ = vocab.entity_ids, vocab.type_ids
-    for i, (e, t) in enumerate(pairs):
-        try:
-            ents[i] = ent[e]
-        except KeyError:
-            raise UnknownNameError(f"unknown entity {e!r}") from None
-        try:
-            typs[i] = typ[t]
-        except KeyError:
-            raise UnknownNameError(f"unknown type {t!r}") from None
-    return ents, typs
+    return (
+        _ids("entity", (ent[e] for e, _ in pairs), n),
+        _ids("type", (typ[t] for _, t in pairs), n),
+    )
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray | slice:

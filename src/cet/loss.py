@@ -11,8 +11,10 @@ scores; the batch kernel ``train.backward`` carries that derivative by hand
 through the softmax pooling, the classifier, the activation and the
 neighbor representations to the embedding rows. ``finite_diff_oracle``
 verifies that kernel: it takes central differences, over every touched
-scalar parameter, of ``loss_of_entity``, a forward built on the independent
-per-entity scorer ``scoring.score_neighbor_arrays``.
+scalar parameter, of ``loss_of_entity``. That forward takes the unmasked
+candidate matrix of the per-entity scorer ``scoring.score_neighbor_arrays``,
+applies the mask-mode self-evidence mask itself, and pools each column with
+the scalar ``scoring.pool``, so it shares no pooling code with the kernel.
 """
 
 from __future__ import annotations
@@ -22,15 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import ParameterSet, score_neighbor_arrays
+from .scoring import ParameterSet, pool, score_neighbor_arrays
 
 __all__ = [
     "GradientSet",
     "sigmoid",
     "softplus",
     "sigmoid_probs",
-    "log_sigmoid",
-    "log1m_sigmoid",
     "bce_loss",
     "fna_loss",
     "finite_diff_oracle",
@@ -63,14 +63,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid_probs(pooled: np.ndarray) -> np.ndarray:
     """Per-type membership probabilities from pooled scores."""
     return sigmoid(pooled)
-
-
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -softplus(-_as_float(x))
-
-
-def log1m_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -softplus(_as_float(x))
 
 
 def _positive_mask(num_types: int, positives: Iterable[int]) -> np.ndarray:
@@ -178,7 +170,7 @@ def loss_of_entity(
     loss_kind: str,
     beta: float,
     alpha: float,
-    mask_labels: Iterable[int] | None = None,
+    self_mask: bool = False,
     *,
     use_agg2t: bool = True,
     use_activation: bool = True,
@@ -186,18 +178,26 @@ def loss_of_entity(
     """Forward-only loss for one entity; the function the oracle differentiates.
 
     ``neighbors`` holds the (relation, inverted, target_is_type, target)
-    arrays of the scored edges.
+    arrays of the scored edges. ``self_mask`` applies the self-evidence mask
+    of mask-mode training: every forward has_type row is blanked (set to
+    -inf) at its own type and the Agg2T row at the positives, so a known
+    type cannot predict itself. Each column is pooled by ``pool``; a column
+    with every entry blanked pools to -inf, which the loss drops.
     """
-    bundle = score_neighbor_arrays(
-        params,
-        *neighbors,
-        alpha,
-        mask_labels,
-        use_agg2t=use_agg2t,
-        use_activation=use_activation,
+    positives = list(positives)
+    scores = score_neighbor_arrays(
+        params, *neighbors, alpha, use_agg2t=use_agg2t, use_activation=use_activation
+    ).candidate_scores
+    if self_mask:
+        _, inv, is_type, tgt = neighbors
+        own = np.flatnonzero(is_type & ~inv)
+        scores[own + (1 if use_agg2t else 0), tgt[own]] = -np.inf
+        if use_agg2t:
+            scores[0, positives] = -np.inf
+    pooled = np.array(
+        [-np.inf if np.isneginf(col).all() else pool(col, alpha)[0] for col in scores.T]
     )
-    pos_mask = _positive_mask(len(bundle.pooled), positives)
-    loss, _ = _loss_terms(bundle.pooled, pos_mask, loss_kind, beta)
+    loss, _ = _loss_terms(pooled, _positive_mask(len(pooled), positives), loss_kind, beta)
     return float(loss)
 
 
@@ -227,8 +227,8 @@ def finite_diff_oracle(
 
     def loss_at() -> float:
         return sum(
-            loss_of_entity(work, neighbors, positives, loss_kind, beta, alpha,
-                           positives if self_mask else None, **routes)
+            loss_of_entity(work, neighbors, positives, loss_kind, beta, alpha, self_mask,
+                           **routes)
             for neighbors, positives in entities
         )
 

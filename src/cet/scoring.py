@@ -15,18 +15,18 @@ Scoring one entity allocates a single (rows, types) candidate matrix: the
 N2T and Agg2T rows are written into it in place. Pooling streams that
 matrix in row chunks through a small scratch buffer (the column max first,
 then the exponential sums; see ``pool_columns``), so a hub entity costs one
-matrix, not several. Pooling returns the column max and denominator with
-the pooled scores, so ``pool_weights`` can derive the weights of any column
-slice later; explanations derive only the queried column.
+matrix, not several.
 
-This per-entity forward serves evaluation and explanation, and is the
-function the finite-difference oracle differentiates. Training runs its own
-batched kernel, ``train.backward``.
+This per-entity forward is the inference path: evaluation and explanation
+run it, unmasked. Training runs its own batched kernel, ``train.backward``,
+and the finite-difference oracle that checks that kernel,
+``loss.loss_of_entity``, takes this forward's candidate matrix, applies the
+mask-mode self-evidence mask itself and pools each column with the scalar
+``pool``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "neighbor_reps",
     "pool",
     "pool_columns",
-    "pool_weights",
     "score_all_neighbors",
     "score_neighbor_arrays",
 ]
@@ -160,18 +159,13 @@ def pool(values, alpha: float) -> tuple[float, np.ndarray]:
 _POOL_CELLS = 1 << 18
 
 
-def pool_columns(
-    scores: np.ndarray, masked: np.ndarray | None, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pool_columns(scores: np.ndarray, alpha: float) -> np.ndarray:
     """Column-wise pooling of a (rows, types) candidate matrix.
 
-    Returns ``(pooled, col_max, denom)``: the weight of a live entry is
-    ``exp(alpha * x - alpha * col_max) / denom`` (``pool_weights`` derives
-    them), and ``pooled`` is the weighted column sum. Entries marked in
-    ``masked`` (None: none) get weight exactly 0. A column with every row
-    masked, or every entry -inf, is dead: it pools to -inf, with ``col_max``
-    0 and ``denom`` 1 so that its weights derive as 0, and the loss drops
-    it. A NaN or +inf live entry makes its column pool to NaN.
+    Every column is pooled as ``pool`` pools it: the weight of an entry is
+    ``exp(alpha * x - alpha * col_max)`` over the column's sum of those, and
+    the result is the weighted column sum. A column with a non-finite entry
+    pools to NaN.
 
     The matrix is streamed in row chunks of about ``_POOL_CELLS`` cells
     through one scratch buffer, so no other full-size array is allocated:
@@ -185,53 +179,25 @@ def pool_columns(
     buf = np.empty((chunks[0].stop, cols), dtype=scores.dtype)
     col_max = np.full(cols, -np.inf, dtype=scores.dtype)
     for c in chunks:
-        x = scores[c]
-        if masked is not None:
-            x = buf[: len(x)]
-            np.copyto(x, scores[c])
-            x[masked[c]] = -np.inf
-        np.maximum(col_max, x.max(axis=0), out=col_max)
-    dead = np.isneginf(col_max)
-    col_max[dead] = 0
+        np.maximum(col_max, scores[c].max(axis=0), out=col_max)
     scaled_max = alpha * col_max
 
     def exps(c: slice) -> np.ndarray:
         e = buf[: c.stop - c.start]
         np.multiply(scores[c], alpha, out=e)
         e -= scaled_max
-        if masked is not None:
-            e[masked[c]] = -np.inf
         return np.exp(e, out=e)
 
     denom = np.zeros(cols, dtype=scores.dtype)
     for c in chunks:
         denom += exps(c).sum(axis=0)
-    denom[dead] = 1
     pooled = np.zeros(cols, dtype=scores.dtype)
     for c in chunks:
         e = buf if len(chunks) == 1 else exps(c)
         e /= denom
         e *= scores[c]
         pooled += e.sum(axis=0)
-    pooled[dead] = -np.inf
-    return pooled, col_max, denom
-
-
-def pool_weights(
-    scores: np.ndarray,
-    masked: np.ndarray | None,
-    alpha: float,
-    col_max: np.ndarray,
-    denom: np.ndarray,
-) -> np.ndarray:
-    """The (rows, types) pooling weights behind ``pool_columns``' result."""
-    weights = alpha * scores
-    weights -= alpha * col_max
-    if masked is not None:
-        weights[masked] = -np.inf
-    np.exp(weights, out=weights)
-    weights /= denom
-    return weights
+    return pooled
 
 
 @dataclass
@@ -239,17 +205,11 @@ class ScoreBundle:
     """Forward state for one scored entity, kept for ranking and reporting.
 
     Row 0 of ``candidate_scores`` is the aggregated route when Agg2T is on;
-    the remaining rows follow the neighbor order of the arrays. ``masked``
-    marks entries excluded from pooling (weight exactly 0); it is None when
-    nothing is masked. ``col_max`` and ``denom`` come from ``pool_columns``;
-    ``pool_weights`` turns them into the pooling weights of any columns.
+    the remaining rows follow the neighbor order of the arrays.
     """
 
     candidate_scores: np.ndarray  # (rows, L)
-    masked: np.ndarray | None  # (rows, L) bool
     pooled: np.ndarray  # (L,)
-    col_max: np.ndarray  # (L,)
-    denom: np.ndarray  # (L,)
 
 
 def score_neighbor_arrays(
@@ -259,17 +219,11 @@ def score_neighbor_arrays(
     is_type: np.ndarray,
     tgt: np.ndarray,
     alpha: float,
-    mask_labels: Iterable[int] | None = None,
     *,
     use_agg2t: bool = True,
     use_activation: bool = True,
 ) -> ScoreBundle:
-    """Score one entity from its neighbor edges, given as parallel arrays.
-
-    ``mask_labels`` enables the self-evidence mask: every forward has_type
-    row is blanked at its own type column, and the aggregated row is blanked
-    at the given training labels, so a known type cannot predict itself.
-    """
+    """Score one entity from its neighbor edges, given as parallel arrays."""
     m = len(rel)
     if m == 0:
         raise ValueError("cannot score an entity with no neighbors")
@@ -287,17 +241,7 @@ def score_neighbor_arrays(
         np.matmul(_activate(reps.mean(axis=0), use_activation), agg_w.T, out=candidates[0])
         candidates[0] += agg_b
 
-    masked = None
-    if mask_labels is not None:
-        masked = np.zeros(candidates.shape, dtype=bool)
-        type_rows = np.nonzero(is_type & ~inv)[0]
-        masked[type_rows + offset, tgt[type_rows]] = True
-        labels = list(mask_labels)
-        if use_agg2t and labels:
-            masked[0, labels] = True
-
-    pooled, col_max, denom = pool_columns(candidates, masked, alpha)
-    return ScoreBundle(candidates, masked, pooled, col_max, denom)
+    return ScoreBundle(candidates, pool_columns(candidates, alpha))
 
 
 def score_all_neighbors(

@@ -47,8 +47,9 @@ no worker thread's malloc arena keeps a slab's memory after the call.
 
 This kernel is the only backward pass: gradient checking differentiates the
 same ``_sampled_batch`` and ``_masked_batch`` calls that training makes,
-against finite differences of the per-entity forward
-``loss.loss_of_entity``.
+against finite differences of ``loss.loss_of_entity``. That oracle scores
+one entity with the unmasked inference forward, applies the self-evidence
+mask itself and pools each column with the scalar ``scoring.pool``.
 """
 
 from __future__ import annotations
@@ -246,8 +247,8 @@ def backward(
     ``grads``; the embedding rows are left to ``_scatter_rows``. Types are
     processed in blocks, dealt to lanes (see the module docstring); the
     lanes run on the calling thread and, when given, on ``workers``. Each
-    entity's loss equals ``loss.loss_of_entity`` on its real rows, up to
-    float summation order.
+    entity's loss equals ``loss.loss_of_entity`` on its real rows with the
+    same ``self_mask``, up to float rounding.
     """
     batch, m = rel.shape
     num_types = params.num_types

@@ -98,6 +98,22 @@ def micro_instance(seed: int = 0, k: int = 3):
     return vocab, graph, entity, dataset.positives(entity), params, rng
 
 
+def one_type_instance(seed: int, k: int = 3):
+    """Entity "a" with one relational neighbor, labeled with the only type, t0.
+
+    Under the self-evidence mask the relational row is the one live
+    candidate of t0's column. Parameters are float64, as for gradient tests.
+    """
+    from cet import build_vocab
+    from cet.gradcheck import _draw_params
+
+    triples, pairs = [("a", "r", "b")], [("a", "t0")]
+    vocab = build_vocab(triples, pairs)
+    graph = build_graph(vocab, triples, pairs)
+    params = _draw_params(vocab, k, np.random.default_rng(seed), separate_heads=False)
+    return vocab, graph, params
+
+
 def kernel_gradients(params, neighbors, positives, config, self_mask=False):
     """One entity's loss and gradients from the training kernel, in one type block.
 

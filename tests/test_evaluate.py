@@ -215,7 +215,9 @@ class TestEvaluate:
         params, graph, dataset, vocab = one_hot_model()
         e0 = vocab.entity_ids["e0"]
         params.entity_emb[vocab.entity_ids["h0"], 0] = np.inf
-        report = evaluate(params, graph, dataset, "test", alpha=0.5)
+        # The injected inf makes NaN on purpose; its warnings are expected.
+        with np.errstate(invalid="ignore"):
+            report = evaluate(params, graph, dataset, "test", alpha=0.5)
         ranks = {entity: rank for entity, _, rank in report.ranks}
         assert np.isnan(ranks.pop(e0))
         assert list(ranks.values()) == [1.0, 1.0]

@@ -12,7 +12,7 @@ from cet import (
     neighbor_profile,
 )
 from cet.explain import AGGREGATION_LABEL, explanation_tsv, format_explanation, source_label
-from cet.scoring import ParameterSet, pool_weights, score_all_neighbors
+from cet.scoring import ParameterSet, pool, score_all_neighbors
 from synth import assembled, hub_marker_corpus, tiny_corpus
 
 
@@ -70,13 +70,14 @@ class TestExplain:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_weights_equal_the_full_weight_matrix_column(self, dtype):
-        # Deriving only the queried column gives the very bits of that
-        # column of the whole (rows, types) weight matrix.
+        # Each row's weight is its entry of the queried column of the whole
+        # (rows, types) weight matrix, which ``pool`` gives column by column,
+        # and a report's weights sum to 1.
         vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=60))
         params = random_params(vocab, k=5, seed=4).astype(dtype)
         entity = max(range(vocab.num_entities), key=graph.degree)
         bundle = score_all_neighbors(params, graph, entity, 0.7)
-        weights = pool_weights(bundle.candidate_scores, None, 0.7, bundle.col_max, bundle.denom)
+        weights = np.column_stack([pool(column, 0.7)[1] for column in bundle.candidate_scores.T])
         for t in range(vocab.num_types):
             result = explain(
                 params, graph, vocab, vocab.entity_names[entity], vocab.type_names[t], 0.7,
@@ -84,6 +85,7 @@ class TestExplain:
             )
             order = np.argsort(-bundle.candidate_scores[:, t], kind="stable")
             assert [row.weight for row in result.rows] == weights[order, t].tolist()
+            assert sum(row.weight for row in result.rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_pooling_identity_and_eval_consistency(self, setup):
         # The weighted sum of the reported rows reproduces the pooled score,

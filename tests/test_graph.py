@@ -91,10 +91,16 @@ class TestBuildGraph:
 
     def test_unknown_name_reported(self):
         vocab = build_vocab([("a", "r", "b")], [("a", "t")])
-        with pytest.raises(UnknownNameError, match="ghost"):
-            build_graph(vocab, [("a", "r", "ghost")], [])
-        with pytest.raises(UnknownNameError, match="t9"):
-            build_graph(vocab, [], [("a", "t9")])
+        for triples, pairs, message in (
+            ([("a", "r", "ghost")], [], "unknown entity 'ghost'"),
+            ([("ghost", "r", "b")], [], "unknown entity 'ghost'"),
+            ([("a", "q", "b")], [], "unknown relation 'q'"),
+            ([], [("ghost", "t")], "unknown entity 'ghost'"),
+            ([], [("a", "t9")], "unknown type 't9'"),
+        ):
+            with pytest.raises(UnknownNameError) as raised:
+                build_graph(vocab, triples, pairs)
+            assert str(raised.value) == message
 
     def test_duplicates_dropped(self):
         triples = [("a", "r", "b")] * 3

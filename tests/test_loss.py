@@ -11,9 +11,9 @@ from cet import (
     max_relative_error,
     sigmoid_probs,
 )
-from cet.loss import log1m_sigmoid, log_sigmoid, softplus
-from cet.scoring import score_neighbor_arrays
-from synth import kernel_gradients, micro_instance
+from cet.loss import loss_of_entity, softplus
+from cet.scoring import pool, score_neighbor_arrays
+from synth import assembled, kernel_gradients, micro_instance, one_type_instance, tiny_corpus
 
 
 class TestSigmoid:
@@ -27,10 +27,11 @@ class TestSigmoid:
         x = np.array([40.0])
         p = sigmoid_probs(x)
         assert p[0] == pytest.approx(1.0)
-        # log(1-p) would be -inf through the naive route; the logit form is finite.
-        assert np.isfinite(log1m_sigmoid(x)[0])
-        assert log1m_sigmoid(x)[0] == pytest.approx(-40.0, rel=1e-12)
-        assert log_sigmoid(-x)[0] == pytest.approx(-40.0, rel=1e-12)
+        # -log(1-p) would be inf through the naive route; the logit form is finite.
+        assert np.isfinite(softplus(x)[0])
+        assert softplus(x)[0] == pytest.approx(40.0, rel=1e-12)
+        # -log(p) would round to 0 through log(1 + e^-40); the log1p form keeps it.
+        assert softplus(-x)[0] == pytest.approx(math.exp(-40.0), rel=1e-12)
 
 
 class TestBceLoss:
@@ -166,31 +167,14 @@ class TestBackward:
 
 
 class TestMaskedGradientFlow:
-    def _single_label_instance(self):
-        # One type; entity "a" has the label and one relational neighbor, so
-        # under the mask the only live candidate in column 0 is that neighbor.
-        from cet import build_graph, build_vocab
-
-        triples = [("a", "r", "b")]
-        pairs = [("a", "t0")]
-        vocab = build_vocab(triples, pairs)
-        graph = build_graph(vocab, triples, pairs)
-        rng = np.random.default_rng(11)
-        from cet.gradcheck import _draw_params
-
-        params = _draw_params(vocab, 3, rng, separate_heads=False)
-        return vocab, graph, params
-
     def test_gradient_flows_only_through_live_candidate(self):
-        vocab, graph, params = self._single_label_instance()
+        vocab, graph, params = one_type_instance(11)
         a = vocab.entity_ids["a"]
         t0 = vocab.type_ids["t0"]
         neighbors = graph.neighbor_arrays(a)
-        bundle = score_neighbor_arrays(
-            params, *neighbors, alpha=0.9, mask_labels=[t0]
-        )
-        live = ~bundle.masked[:, t0]
-        assert live.sum() == 1  # agg row and has_type row are masked
+        _, inv, is_type, _ = neighbors
+        # The agg row and the has_type row are masked; the relational row is live.
+        assert len(inv) == 2 and (is_type & ~inv).sum() == 1
         _, grads = kernel_gradients(
             params, neighbors, [t0], TrainConfig(alpha=0.9, loss_kind="bce"), self_mask=True
         )
@@ -203,6 +187,65 @@ class TestMaskedGradientFlow:
         )
         np.testing.assert_allclose(oracle.type_rows[t0], 0.0, atol=1e-9)
         assert max_relative_error(grads, oracle) < 1e-4
+
+
+class TestSelfEvidenceMask:
+    """Mask mode's self-evidence mask, applied by the oracle and the kernel."""
+
+    def setup_method(self):
+        from cet.gradcheck import _draw_params
+
+        self.vocab, self.dataset, self.graph, *_ = assembled(tiny_corpus())
+        self.params = _draw_params(self.vocab, 3, np.random.default_rng(2), separate_heads=False)
+        self.entity = self.vocab.entity_ids["a"]
+        self.labels = self.dataset.positives(self.entity)
+        self.neighbors = self.graph.neighbor_arrays(self.entity)
+
+    def losses(self, loss_kind, self_mask):
+        """The entity's loss from the oracle and from the kernel."""
+        oracle = loss_of_entity(
+            self.params, self.neighbors, self.labels, loss_kind, 1.5, 0.5, self_mask
+        )
+        kernel, _ = kernel_gradients(
+            self.params, self.neighbors, self.labels,
+            TrainConfig(alpha=0.5, beta=1.5, loss_kind=loss_kind), self_mask=self_mask,
+        )
+        return oracle, kernel
+
+    def test_masked_entry_excluded_from_column(self):
+        # Pool each column over the rows the mask leaves live: the Agg2T row
+        # (row 0) is dropped at the labels, and each forward has_type row at
+        # its own type.
+        scores = score_neighbor_arrays(self.params, *self.neighbors, 0.5).candidate_scores
+        _, inv, is_type, tgt = self.neighbors
+        own_type = np.where(is_type & ~inv, tgt, -1)
+        pooled = []
+        for t in range(self.vocab.num_types):
+            live = np.concatenate([[t not in self.labels], own_type != t])
+            pooled.append(pool(scores[live, t], 0.5)[0])
+        for loss_kind, expected in (
+            ("bce", bce_loss(np.array(pooled), self.labels)),
+            ("fna", fna_loss(np.array(pooled), self.labels, 1.5)),
+        ):
+            oracle, kernel = self.losses(loss_kind, True)
+            assert oracle == pytest.approx(expected, rel=1e-12)
+            assert kernel == pytest.approx(expected, rel=1e-12)
+
+    def test_mask_hits_type_rows_and_agg_row(self):
+        # Every label of "a" is also one of its has_type edges, so both parts
+        # of the mask meet a label column and the masked loss differs.
+        _, inv, is_type, tgt = self.neighbors
+        assert set(self.labels) <= set(tgt[is_type & ~inv].tolist())
+        masked, unmasked = self.losses("bce", True), self.losses("bce", False)
+        assert masked[0] != pytest.approx(unmasked[0], rel=1e-6)
+        assert masked[1] != pytest.approx(unmasked[1], rel=1e-6)
+
+    def test_no_mask_by_default(self):
+        pooled = score_neighbor_arrays(self.params, *self.neighbors, 0.5).pooled
+        expected = bce_loss(pooled, self.labels)
+        default = loss_of_entity(self.params, self.neighbors, self.labels, "bce", 0.0, 0.5)
+        assert default == pytest.approx(expected, rel=1e-12)
+        assert self.losses("bce", False)[1] == pytest.approx(expected, rel=1e-12)
 
 
 class TestFiniteDifferenceOracle:

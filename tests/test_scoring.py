@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cet.scoring
-from cet import ParameterSet, TrainConfig, pool
-from cet.scoring import (
-    neighbor_reps,
-    pool_columns,
-    pool_weights,
-    score_all_neighbors,
-    score_neighbor_arrays,
-)
+from cet import ParameterSet, TrainConfig, bce_loss, pool
+from cet.scoring import neighbor_reps, pool_columns, score_all_neighbors, score_neighbor_arrays
 from synth import assembled, edges, kernel_gradients, tiny_corpus
 
 
@@ -32,9 +26,7 @@ def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.floa
 
 def weights_of(bundle, alpha=0.5):
     """The (rows, types) pooling weights of an entity scored at ``alpha``."""
-    return pool_weights(
-        bundle.candidate_scores, bundle.masked, alpha, bundle.col_max, bundle.denom
-    )
+    return np.column_stack([pool(column, alpha)[1] for column in bundle.candidate_scores.T])
 
 
 def rep(params, rel, inv, tgt, is_type=False):
@@ -277,30 +269,6 @@ class TestScoreEntity:
         assert (bundle.pooled <= bundle.candidate_scores.max(axis=0) + 1e-6).all()
         assert (bundle.pooled >= bundle.candidate_scores.min(axis=0) - 1e-6).all()
 
-    def test_masked_entry_excluded_from_column(self):
-        a = self.vocab.entity_ids["a"]
-        labels = self.dataset.positives(a)
-        bundle = self.score(a, mask_labels=labels)
-        for t in labels:
-            col = bundle.candidate_scores[:, t]
-            live = ~bundle.masked[:, t]
-            expected, _ = pool(np.where(live, col, -np.inf), alpha=0.5)
-            assert bundle.pooled[t] == pytest.approx(expected, rel=1e-6)
-            assert weights_of(bundle)[~live, t].sum() == 0.0
-
-    def test_mask_hits_type_rows_and_agg_row(self):
-        a = self.vocab.entity_ids["a"]
-        labels = self.dataset.positives(a)
-        _, _, is_type, tgt = self.graph.neighbor_arrays(a)
-        bundle = self.score(a, mask_labels=labels)
-        for row in np.flatnonzero(is_type):
-            assert bundle.masked[row + 1, tgt[row]]
-        assert bundle.masked[0, labels].all()
-        assert not bundle.masked[1:, :][~is_type].any()
-
-    def test_no_mask_by_default(self):
-        assert self.score(self.vocab.entity_ids["a"]).masked is None
-
     def test_agg2t_disabled_drops_row(self):
         arrays = self.graph.neighbor_arrays(0)
         bundle = self.score(0, use_agg2t=False)
@@ -317,7 +285,7 @@ class TestScoreEntity:
         for _ in range(10):
             rows, cols = rng.integers(2, 6), rng.integers(1, 5)
             scores = rng.uniform(-2, 2, (rows, cols))
-            pooled, *_ = pool_columns(scores, np.zeros_like(scores, dtype=bool), 1e3)
+            pooled = pool_columns(scores, 1e3)
             np.testing.assert_allclose(pooled, scores.max(axis=0), atol=1e-6)
 
     def test_separate_heads_change_agg_row_only(self):
@@ -331,52 +299,43 @@ class TestScoreEntity:
         assert not np.allclose(split.candidate_scores[0], shared.candidate_scores[0])
 
 
-@st.composite
-def masked_candidates(draw):
-    """A (rows, types) candidate matrix and a mask of the same shape."""
-    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=6))
-    scores = draw(hnp.arrays(np.float64, shape, elements=st.floats(-20, 20)))
-    masked = draw(hnp.arrays(bool, shape))
-    return scores, masked
-
-
 class TestPoolColumns:
     """``pool_columns`` against the scalar ``pool`` on every column."""
 
-    @given(masked_candidates(), st.floats(0.05, 5.0), st.integers(1, 40))
-    @example(
-        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[True, False], [True, True]])), 0.5, 1 << 18
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats(-20, 20),
+        ),
+        st.floats(0.05, 5.0),
+        st.integers(1, 40),
     )
-    def test_matches_scalar_pool_under_masks(self, candidates, alpha, chunk_cells):
+    @example(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5, 1 << 18)
+    def test_matches_scalar_pool(self, scores, alpha, chunk_cells):
         # Small chunk sizes stream the matrix in several row chunks.
-        scores, masked = candidates
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cet.scoring, "_POOL_CELLS", chunk_cells)
-            pooled, col_max, denom = pool_columns(scores, masked, alpha)
-        weights = pool_weights(scores, masked, alpha, col_max, denom)
+            pooled = pool_columns(scores, alpha)
         for c in range(scores.shape[1]):
-            if masked[:, c].all():
-                assert pooled[c] == -np.inf
-                np.testing.assert_array_equal(weights[:, c], 0.0)
-                continue
-            value, col_weights = pool(np.where(masked[:, c], -np.inf, scores[:, c]), alpha)
+            value, _ = pool(scores[:, c], alpha)
             assert abs(pooled[c] - value) <= 1e-12
-            np.testing.assert_allclose(weights[:, c], col_weights, rtol=0, atol=1e-12)
 
 
 class TestNonFiniteColumns:
-    """Only an all-masked column is dead; NaN and +inf candidates surface."""
+    """Non-finite candidates surface as NaN; only the oracle's and the
+    kernel's all-masked column is dead."""
 
     def test_non_finite_candidate_poisons_its_column(self):
-        scores = np.array([[1.0, np.nan, np.inf, -np.inf], [2.0, 0.5, 1.0, -np.inf]])
+        scores = np.array(
+            [[1.0, np.nan, np.inf, -np.inf, -np.inf], [2.0, 0.5, 1.0, 1.0, -np.inf]]
+        )
         with np.errstate(invalid="ignore"):
-            pooled, col_max, denom = pool_columns(scores, None, 0.5)
-            weights = pool_weights(scores, None, 0.5, col_max, denom)
+            pooled = pool_columns(scores, 0.5)
         assert pooled[0] == pytest.approx(pool([1.0, 2.0], 0.5)[0], abs=1e-12)
-        assert np.isnan(pooled[1:3]).all()
-        # A column with no finite candidate is dead like an all-masked one.
-        assert pooled[3] == -np.inf
-        np.testing.assert_array_equal(weights[:, 3], 0.0)
+        # Inference masks nothing: a -inf candidate, or a column with no
+        # finite candidate, is as invalid as a NaN.
+        assert np.isnan(pooled[1:]).all()
 
     def test_nan_candidate_gives_nan_pooled_score_and_loss(self):
         from cet.loss import loss_of_entity
@@ -396,17 +355,21 @@ class TestNonFiniteColumns:
 
     def test_all_masked_column_is_dead(self):
         # One has_type edge to t0 masked at its own column, and the Agg2T row
-        # masked at the label t0: column 0 has no live candidate.
+        # masked at the label t0: column 0 has no live candidate, so only
+        # column 1 enters the loss, in the oracle and in the kernel.
+        from cet.loss import loss_of_entity
+
         params = make_params(L=2, seed=6)
         neighbors = edges([0], [False], [True], [0])
-        bundle = score_neighbor_arrays(params, *neighbors, 0.5, [0])
-        assert bundle.masked[:, 0].all()
-        assert bundle.pooled[0] == -np.inf and np.isfinite(bundle.pooled[1])
-        np.testing.assert_array_equal(weights_of(bundle)[:, 0], 0.0)
+        pooled = score_neighbor_arrays(params, *neighbors, 0.5).pooled
+        only_column_1 = bce_loss(pooled[1:], [])
+        assert loss_of_entity(params, neighbors, [0], "bce", 0.0, 0.5, True) == pytest.approx(
+            only_column_1, rel=1e-12
+        )
         loss, grads = kernel_gradients(
             params, neighbors, [0], TrainConfig(alpha=0.5, loss_kind="bce"), self_mask=True
         )
-        assert np.isfinite(loss)
+        assert loss == pytest.approx(only_column_1, rel=1e-12)
         np.testing.assert_array_equal(grads.W[0], 0.0)
 
 
