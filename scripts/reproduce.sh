@@ -6,8 +6,8 @@
 # (default ./data), laid out as described in the README.
 set -euo pipefail
 
-# One BLAS thread: the training kernel runs its type blocks on the cores
-# itself, and starts its threads only when BLAS is pinned.
+# One BLAS thread: the kernel runs its type blocks on the cores itself, in
+# training and in evaluation, and starts its threads only when BLAS is pinned.
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 DATA_ROOT="${CET_DATA_ROOT:-data}"

@@ -30,12 +30,8 @@ from .loss import (
     sigmoid_probs,
 )
 from .optim import AdamState, NumericError, adam_step, init_params
-from .scoring import (
-    ParameterSet,
-    ScoreBundle,
-    pool,
-    score_all_neighbors,
-)
+from .kernel import ScoreBundle, score_all_neighbors
+from .scoring import ParameterSet, pool
 from .train import FitResult, TrainConfig, fit, format_log, sample_neighbors, train_epoch
 
 __version__ = "0.1.0"

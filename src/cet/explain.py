@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AugmentedGraph, Neighbor, Vocab
-from .scoring import ParameterSet, pool, score_all_neighbors, score_neighbor_arrays
+from .scoring import ParameterSet, candidate_matrix, pool
 
 __all__ = [
     "ExplanationRow",
@@ -71,23 +71,24 @@ def explain(
 ) -> Explanation:
     """Rank all information sources for one (entity, type) query.
 
-    Uses the unmasked all-neighbors inference path, so the pooled score
-    shown here matches evaluation. ``top_k`` larger than the number of
-    sources returns them all.
+    Scores every neighbor, unmasked, for the queried type only, and pools
+    that column with ``pool``, so the pooled score shown here is the one
+    evaluation ranks with, up to float rounding. ``top_k`` larger than the
+    number of sources returns them all.
     """
     entity_id = vocab.entity(entity)
     type_id = vocab.type(type_name)
-    bundle = score_all_neighbors(
-        params,
-        graph,
-        entity_id,
-        alpha,
-        use_agg2t=use_agg2t,
-        use_activation=use_activation,
-    )
-    scores = bundle.candidate_scores[:, type_id]
-    _, weights = pool(scores, alpha)
-    rel, inv, is_type, tgt = (a.tolist() for a in graph.neighbor_arrays(entity_id))
+    neighbors = graph.neighbor_arrays(entity_id)
+    if len(neighbors[0]) == 0:
+        raise ValueError(f"entity {entity_id} is isolated; no neighbors to score")
+    scores = candidate_matrix(
+        params, *neighbors, use_agg2t=use_agg2t, use_activation=use_activation,
+        columns=[type_id],
+    )[:, 0]
+    pooled_score, weights = pool(scores, alpha)
+    if not np.isfinite(scores).all():
+        pooled_score = np.nan  # as evaluation pools it; ``pool`` would mask a -inf
+    rel, inv, is_type, tgt = (a.tolist() for a in neighbors)
     labels = [AGGREGATION_LABEL] if use_agg2t else []
     labels += [source_label(vocab, Neighbor(*edge)) for edge in zip(rel, inv, tgt, is_type)]
     order = np.argsort(-scores, kind="stable")
@@ -98,7 +99,7 @@ def explain(
     return Explanation(
         entity=entity,
         type_name=type_name,
-        pooled_score=float(bundle.pooled[type_id]),
+        pooled_score=pooled_score,
         rows=rows,
     )
 
@@ -115,11 +116,9 @@ def neighbor_profile(
     if top_k <= 0:
         return []
     edge = (nb.relation, nb.inverted, nb.target_is_type, nb.target)
-    # One N2T row and no Agg2T row: pooling returns the row at any alpha.
-    bundle = score_neighbor_arrays(
-        params, *(np.array([v]) for v in edge), 1.0, use_agg2t=False, use_activation=use_activation
-    )
-    scores = bundle.candidate_scores[0]
+    scores = candidate_matrix(
+        params, *(np.array([v]) for v in edge), use_agg2t=False, use_activation=use_activation
+    )[0]
     order = np.argsort(-scores, kind="stable")[:top_k]
     return [(vocab.type_names[i], float(scores[i])) for i in order]
 

@@ -7,14 +7,15 @@ which shrinks the influence both of confident negatives (likely missing true
 facts) and of easy ones.
 
 ``_loss_terms`` gives each loss together with its derivative in the pooled
-scores; the batch kernel ``train.backward`` carries that derivative by hand
+scores; the batch kernel ``kernel.backward`` carries that derivative by hand
 through the softmax pooling, the classifier, the activation and the
 neighbor representations to the embedding rows. ``finite_diff_oracle``
 verifies that kernel: it takes central differences, over every touched
 scalar parameter, of ``loss_of_entity``. That forward takes the unmasked
-candidate matrix of the per-entity scorer ``scoring.score_neighbor_arrays``,
+candidate matrix of the reference forward ``scoring.candidate_matrix``,
 applies the mask-mode self-evidence mask itself, and pools each column with
-the scalar ``scoring.pool``, so it shares no pooling code with the kernel.
+the scalar ``scoring.pool``, so it shares no masking or pooling code with the
+kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import ParameterSet, pool, score_neighbor_arrays
+from .scoring import ParameterSet, candidate_matrix, pool
 
 __all__ = [
     "GradientSet",
@@ -185,9 +186,9 @@ def loss_of_entity(
     with every entry blanked pools to -inf, which the loss drops.
     """
     positives = list(positives)
-    scores = score_neighbor_arrays(
-        params, *neighbors, alpha, use_agg2t=use_agg2t, use_activation=use_activation
-    ).candidate_scores
+    scores = candidate_matrix(
+        params, *neighbors, use_agg2t=use_agg2t, use_activation=use_activation
+    )
     if self_mask:
         _, inv, is_type, tgt = neighbors
         own = np.flatnonzero(is_type & ~inv)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .data import TypingDataset
 from .graph import AugmentedGraph
-from .scoring import ParameterSet, score_all_neighbors
+from .kernel import _lane_workers, score_all_neighbors
+from .scoring import ParameterSet
 
 __all__ = ["MetricsReport", "rank_one", "evaluate"]
 
@@ -88,7 +89,8 @@ def evaluate(
 ) -> MetricsReport:
     """Rank every (entity, type) pair of a split and aggregate the metrics.
 
-    Entities are scored once and the vector reused for all their queried
+    Entities are scored once, by the forward-only kernel with its lanes on
+    every core (see ``kernel``), and the vector reused for all their queried
     types. Isolated entities (possible only without type edges) fall back to
     the bias vector. Every query of an entity whose pooled scores are not all
     finite gets rank NaN, so a numeric failure makes MR and MRR NaN rather
@@ -104,24 +106,21 @@ def evaluate(
         by_entity.setdefault(entity, []).append(idx)
 
     ranks = np.empty(len(pairs))
-    for entity, indices in by_entity.items():
-        if graph.degree(entity) == 0:
-            pooled = params.b
-        else:
-            pooled = score_all_neighbors(
-                params,
-                graph,
-                entity,
-                alpha,
-                use_agg2t=use_agg2t,
-                use_activation=use_activation,
-            ).pooled
-        if not np.isfinite(pooled).all():
-            ranks[indices] = np.nan
-            continue
-        known = dataset.known_types.get(entity) if filtered else None
-        for idx in indices:
-            ranks[idx] = rank_one(pooled, pairs[idx][1], known)
+    with _lane_workers() as workers:
+        for entity, indices in by_entity.items():
+            if graph.degree(entity) == 0:
+                pooled = params.b
+            else:
+                pooled = score_all_neighbors(
+                    params, graph, entity, alpha, use_agg2t=use_agg2t,
+                    use_activation=use_activation, workers=workers,
+                ).pooled
+            if not np.isfinite(pooled).all():
+                ranks[indices] = np.nan
+                continue
+            known = dataset.known_types.get(entity) if filtered else None
+            for idx in indices:
+                ranks[idx] = rank_one(pooled, pairs[idx][1], known)
 
     mr, mrr, hits1, hits3, hits10 = _metrics(ranks)
     per_sample = None

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+import cet.kernel
 import cet.train
 from cet import assemble, build_graph
 from cet.checkpoint import MAGIC
@@ -123,8 +124,8 @@ def kernel_gradients(params, neighbors, positives, config, self_mask=False):
     grads = GradientSet.zeros_like(params)
     labels = np.unique(np.asarray(list(positives), dtype=np.int64))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cet.train, "_CELLS", 1 << 62)
-        losses, dreps = cet.train.backward(
+        mp.setattr(cet.kernel, "_CELLS", 1 << 62)
+        losses, dreps = cet.kernel.backward(
             params, grads, *(a[None] for a in neighbors), (np.zeros_like(labels), labels),
             config, self_mask=self_mask,
         )

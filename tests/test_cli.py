@@ -169,15 +169,16 @@ class TestTrain:
     def test_seeded_run_is_byte_identical_at_any_thread_count(
         self, data_dir, tmp_path, monkeypatch, capsys, mode
     ):
-        import cet.train
+        import cet.kernel
 
         base, *_ = data_dir
-        # One type per block: every kernel call has as many blocks as types,
-        # so each lane holds several and the worker thread takes its share.
-        monkeypatch.setattr(cet.train, "_CELLS", 1)
+        # One type per block: every kernel call, training or validation, has
+        # as many blocks as types, so each lane holds several and the worker
+        # thread takes its share.
+        monkeypatch.setattr(cet.kernel, "_CELLS", 1)
         runs = []
         for threads in (1, 2):
-            monkeypatch.setattr(cet.train, "_THREADS", threads)
+            monkeypatch.setattr(cet.kernel, "_THREADS", threads)
             out = tmp_path / f"threads{threads}"
             argv = [
                 "train", "--data-dir", str(base), "--out", str(out), "--max-epochs", "4",
@@ -333,17 +334,18 @@ class TestEval:
         from cet.checkpoint import load_checkpoint, save_checkpoint
 
         base, out = trained
-        params, vocab, config = load_checkpoint(out / "checkpoint.cet")
-        params.W[:] = np.nan
-        diverged = tmp_path / "diverged.cet"
-        save_checkpoint(diverged, params, vocab, config)
-        code = main(
-            ["eval", "--data-dir", str(base), "--checkpoint", str(diverged)]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert "mrr" not in captured.out
-        assert "non-finite" in captured.err
+        for value in (np.nan, np.inf, -np.inf):
+            params, vocab, config = load_checkpoint(out / "checkpoint.cet")
+            params.W[:] = value
+            diverged = tmp_path / "diverged.cet"
+            save_checkpoint(diverged, params, vocab, config)
+            # A diverged model makes NaN on purpose; its warnings are expected.
+            with np.errstate(invalid="ignore"):
+                code = main(["eval", "--data-dir", str(base), "--checkpoint", str(diverged)])
+            assert code == 3, value
+            captured = capsys.readouterr()
+            assert "mrr" not in captured.out
+            assert "non-finite" in captured.err
 
 
     @pytest.mark.parametrize("alpha", ["-0.5", "0", "nan", "inf"])

@@ -12,7 +12,8 @@ from cet import (
     neighbor_profile,
 )
 from cet.explain import AGGREGATION_LABEL, explanation_tsv, format_explanation, source_label
-from cet.scoring import ParameterSet, pool, score_all_neighbors
+from cet.kernel import score_all_neighbors
+from cet.scoring import ParameterSet, candidate_matrix, pool
 from synth import assembled, hub_marker_corpus, tiny_corpus
 
 
@@ -70,21 +71,25 @@ class TestExplain:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_weights_equal_the_full_weight_matrix_column(self, dtype):
-        # Each row's weight is its entry of the queried column of the whole
-        # (rows, types) weight matrix, which ``pool`` gives column by column,
-        # and a report's weights sum to 1.
+        # Explain scores the queried column on its own, which equals that
+        # column of the whole (rows, types) candidate matrix up to rounding.
+        # Each row's weight is its entry of ``pool``'s weights for the
+        # column, and a report's weights sum to 1.
         vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=60))
         params = random_params(vocab, k=5, seed=4).astype(dtype)
         entity = max(range(vocab.num_entities), key=graph.degree)
-        bundle = score_all_neighbors(params, graph, entity, 0.7)
-        weights = np.column_stack([pool(column, 0.7)[1] for column in bundle.candidate_scores.T])
+        neighbors = graph.neighbor_arrays(entity)
+        full = candidate_matrix(params, *neighbors)
+        tol = 1e-12 if dtype == np.float64 else 1e-6
         for t in range(vocab.num_types):
+            column = candidate_matrix(params, *neighbors, columns=[t])[:, 0]
+            np.testing.assert_allclose(column, full[:, t], rtol=tol, atol=tol)
             result = explain(
                 params, graph, vocab, vocab.entity_names[entity], vocab.type_names[t], 0.7,
                 top_k=10**6,
             )
-            order = np.argsort(-bundle.candidate_scores[:, t], kind="stable")
-            assert [row.weight for row in result.rows] == weights[order, t].tolist()
+            order = np.argsort(-column, kind="stable")
+            assert [row.weight for row in result.rows] == pool(column, 0.7)[1][order].tolist()
             assert sum(row.weight for row in result.rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_pooling_identity_and_eval_consistency(self, setup):
@@ -98,6 +103,21 @@ class TestExplain:
         assert result.pooled_score == pytest.approx(
             float(bundle.pooled[vocab.type_ids["t1"]]), abs=1e-6
         )
+
+    def test_non_finite_candidate_gives_nan_pooled_score(self, setup):
+        # A -inf candidate beside finite ones: ``pool`` gives it weight 0, but
+        # evaluation pools the column to NaN, and so does the report.
+        vocab, graph, params = setup
+        params = params.copy()
+        params.W[:] = np.abs(params.W)
+        params.entity_emb[vocab.entity_ids["b"], 0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            result = explain(
+                params, graph, vocab, "a", "t1", 0.5, top_k=10**6, use_activation=False
+            )
+        assert np.isnan(result.pooled_score)
+        assert any(row.score == -np.inf and row.weight == 0 for row in result.rows)
+        assert sum(row.weight for row in result.rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_names_rejected(self, setup):
         vocab, graph, params = setup
@@ -171,10 +191,10 @@ class TestRendering:
 
 
 class TestExplainMemory:
-    def test_peak_allocation_is_about_one_candidate_matrix(self):
+    def test_peak_allocation_is_linear_in_rows(self):
         # A float32 hub with 400 neighbors over 5,000 types: explaining one
-        # (entity, type) query may allocate the candidate matrix that
-        # scoring needs plus bounded scratch, not a full weight matrix more.
+        # (entity, type) query scores only that type's column, so it may
+        # allocate O(rows * k) plus the report, not a (rows, types) matrix.
         from cet import init_params
 
         m, num_types = 400, 5000
@@ -191,6 +211,7 @@ class TestExplainMemory:
         finally:
             tracemalloc.stop()
         assert len(result.rows) == 3
-        matrix_bytes = (m + 1) * num_types * np.dtype(np.float32).itemsize
+        itemsize = np.dtype(np.float32).itemsize
         assert params.W.dtype == np.float32
-        assert peak < 1.5 * matrix_bytes + 2 * 1024 * 1024
+        assert peak < 16 * m * params.k * itemsize + 1024 * 1024
+        assert peak < (m + 1) * num_types * itemsize / 4

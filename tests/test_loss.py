@@ -12,7 +12,8 @@ from cet import (
     sigmoid_probs,
 )
 from cet.loss import loss_of_entity, softplus
-from cet.scoring import pool, score_neighbor_arrays
+from cet.kernel import score_neighbor_arrays
+from cet.scoring import candidate_matrix, pool
 from synth import assembled, kernel_gradients, micro_instance, one_type_instance, tiny_corpus
 
 
@@ -216,7 +217,7 @@ class TestSelfEvidenceMask:
         # Pool each column over the rows the mask leaves live: the Agg2T row
         # (row 0) is dropped at the labels, and each forward has_type row at
         # its own type.
-        scores = score_neighbor_arrays(self.params, *self.neighbors, 0.5).candidate_scores
+        scores = candidate_matrix(self.params, *self.neighbors)
         _, inv, is_type, tgt = self.neighbors
         own_type = np.where(is_type & ~inv, tgt, -1)
         pooled = []

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-import cet.scoring
+import cet.kernel
 from cet import ParameterSet, TrainConfig, bce_loss, pool
-from cet.scoring import neighbor_reps, pool_columns, score_all_neighbors, score_neighbor_arrays
+from cet.kernel import score_all_neighbors, score_neighbor_arrays
+from cet.scoring import candidate_matrix, neighbor_reps
 from synth import assembled, edges, kernel_gradients, tiny_corpus
 
 
@@ -29,6 +29,13 @@ def weights_of(bundle, alpha=0.5):
     return np.column_stack([pool(column, alpha)[1] for column in bundle.candidate_scores.T])
 
 
+def random_neighbors(rng, m, num_types=5):
+    """``m`` random edges over 5 entities, 3 relations and ``num_types`` types."""
+    is_type = rng.random(m) < 0.3
+    tgt = np.where(is_type, rng.integers(0, num_types, m), rng.integers(0, 5, m))
+    return edges(rng.integers(0, 3, m), rng.random(m) < 0.5, is_type, tgt)
+
+
 def rep(params, rel, inv, tgt, is_type=False):
     """Representation of one neighbor edge."""
     return neighbor_reps(params, *edges([rel], [inv], [is_type], [tgt]))[0]
@@ -36,11 +43,10 @@ def rep(params, rel, inv, tgt, is_type=False):
 
 def n2t_row(params, rel, inv, tgt, use_activation=True):
     """The N2T candidate row of one neighbor edge scored on its own."""
-    bundle = score_neighbor_arrays(
-        params, *edges([rel], [inv], [False], [tgt]), 0.5,
-        use_agg2t=False, use_activation=use_activation,
-    )
-    return bundle.candidate_scores[0]
+    return candidate_matrix(
+        params, *edges([rel], [inv], [False], [tgt]), use_agg2t=False,
+        use_activation=use_activation,
+    )[0]
 
 
 class TestNeighborRep:
@@ -118,28 +124,24 @@ class TestAgg2T:
         # Edges to entities 1 and 2 through a zero relation: reps are the targets.
         params.relation_emb[1] = 0.0
         params.entity_emb[1], params.entity_emb[2] = first, second
-        return score_neighbor_arrays(
-            params, *edges([1, 1], [False, False], [False, False], [1, 2]), 0.5
-        )
+        return candidate_matrix(params, *edges([1, 1], [False, False], [False, False], [1, 2]))
 
     def test_mean_symmetry(self):
         params = make_params()
-        bundle = self.two_edges(params, (1.0, 0.0), (0.0, 1.0))
-        np.testing.assert_allclose(
-            bundle.candidate_scores[0], params.W @ [0.5, 0.5] + params.b
-        )
+        scores = self.two_edges(params, (1.0, 0.0), (0.0, 1.0))
+        np.testing.assert_allclose(scores[0], params.W @ [0.5, 0.5] + params.b)
 
     def test_single_rep_matches_n2t(self):
         params = make_params(seed=7)
-        bundle = score_neighbor_arrays(params, *edges([1], [False], [False], [2]), 0.5)
-        np.testing.assert_allclose(bundle.candidate_scores[0], bundle.candidate_scores[1])
-        np.testing.assert_allclose(bundle.candidate_scores[0], n2t_row(params, 1, False, 2))
+        scores = candidate_matrix(params, *edges([1], [False], [False], [2]))
+        np.testing.assert_allclose(scores[0], scores[1])
+        np.testing.assert_allclose(scores[0], n2t_row(params, 1, False, 2))
 
     def test_cancelling_reps_give_bias(self):
         params = make_params()
         v = np.array([0.3, -0.8])
-        bundle = self.two_edges(params, v, -v)
-        np.testing.assert_allclose(bundle.candidate_scores[0], params.b)
+        scores = self.two_edges(params, v, -v)
+        np.testing.assert_allclose(scores[0], params.b)
 
     def test_empty_reps_rejected(self):
         with pytest.raises(ValueError):
@@ -281,43 +283,61 @@ class TestScoreEntity:
             np.testing.assert_allclose(bundle.candidate_scores[i], alone.candidate_scores[0])
 
     def test_sharp_pooling_matches_max_oracle(self):
+        # A column's pooled score is within (rows - 1) / (e * alpha) of its
+        # maximum, whatever the gap to the runner-up: 2e-7 here.
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            rows, cols = rng.integers(2, 6), rng.integers(1, 5)
-            scores = rng.uniform(-2, 2, (rows, cols))
-            pooled = pool_columns(scores, 1e3)
+        for seed in range(10):
+            num_types = rng.integers(1, 5)
+            neighbors = random_neighbors(rng, rng.integers(2, 6), num_types)
+            params = make_params(k=3, L=num_types, num_entities=5, num_relations=3, seed=seed)
+            pooled = score_neighbor_arrays(params, *neighbors, 1e7).pooled
+            scores = candidate_matrix(params, *neighbors)
             np.testing.assert_allclose(pooled, scores.max(axis=0), atol=1e-6)
 
     def test_separate_heads_change_agg_row_only(self):
-        shared = self.score(0)
+        neighbors = self.graph.neighbor_arrays(0)
+        shared = candidate_matrix(self.params, *neighbors)
         self.params.agg_W = self.params.W + 0.5
         self.params.agg_b = self.params.b - 1.0
-        split = self.score(0)
-        np.testing.assert_allclose(
-            split.candidate_scores[1:], shared.candidate_scores[1:]
-        )
-        assert not np.allclose(split.candidate_scores[0], shared.candidate_scores[0])
+        split = candidate_matrix(self.params, *neighbors)
+        np.testing.assert_allclose(split[1:], shared[1:])
+        assert not np.allclose(split[0], shared[0])
 
 
 class TestPoolColumns:
-    """``pool_columns`` against the scalar ``pool`` on every column."""
+    """The forward-only kernel against the scalar ``pool`` of every column of
+    ``candidate_matrix``."""
 
     @given(
-        hnp.arrays(
-            np.float64,
-            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
-            elements=st.floats(-20, 20),
-        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 6),
         st.floats(0.05, 5.0),
+        st.floats(0.1, 10.0),
         st.integers(1, 40),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
     )
-    @example(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5, 1 << 18)
-    def test_matches_scalar_pool(self, scores, alpha, chunk_cells):
-        # Small chunk sizes stream the matrix in several row chunks.
+    @example(0, 2, 2, 0.5, 1.0, 1 << 19, True, False, True)
+    def test_matches_scalar_pool(
+        self, seed, m, num_types, alpha, scale, cells, use_agg2t, separate_heads, use_activation
+    ):
+        # Small block budgets split the types into several blocks and lanes.
+        rng = np.random.default_rng(seed)
+        params = make_params(k=3, L=num_types, num_entities=5, num_relations=3, seed=seed)
+        params.W *= scale
+        params.b *= scale
+        if separate_heads:
+            params.agg_W = rng.uniform(-scale, scale, params.W.shape)
+            params.agg_b = rng.uniform(-scale, scale, num_types)
+        neighbors = random_neighbors(rng, m, num_types)
+        routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cet.scoring, "_POOL_CELLS", chunk_cells)
-            pooled = pool_columns(scores, alpha)
-        for c in range(scores.shape[1]):
+            mp.setattr(cet.kernel, "_CELLS", cells)
+            pooled = score_neighbor_arrays(params, *neighbors, alpha, **routes).pooled
+        scores = candidate_matrix(params, *neighbors, **routes)
+        for c in range(num_types):
             value, _ = pool(scores[:, c], alpha)
             assert abs(pooled[c] - value) <= 1e-12
 
@@ -327,14 +347,20 @@ class TestNonFiniteColumns:
     kernel's all-masked column is dead."""
 
     def test_non_finite_candidate_poisons_its_column(self):
-        scores = np.array(
-            [[1.0, np.nan, np.inf, -np.inf, -np.inf], [2.0, 0.5, 1.0, 1.0, -np.inf]]
-        )
+        # Every representation is positive in both coordinates, so a NaN,
+        # +inf or -inf classifier weight makes its whole column NaN, +inf or
+        # -inf. Inference masks nothing: each is as invalid as a NaN.
+        params = make_params(L=4, seed=5)
+        params.relation_emb[:] = 0.0
+        params.entity_emb[:] = [[1.0, 2.0], [0.5, 1.5], [2.0, 0.5]]
+        neighbors = edges([1, 0], [False, True], [False, False], [1, 2])
+        params.W[1:, 0] = [np.nan, np.inf, -np.inf]
         with np.errstate(invalid="ignore"):
-            pooled = pool_columns(scores, 0.5)
-        assert pooled[0] == pytest.approx(pool([1.0, 2.0], 0.5)[0], abs=1e-12)
-        # Inference masks nothing: a -inf candidate, or a column with no
-        # finite candidate, is as invalid as a NaN.
+            scores = candidate_matrix(params, *neighbors)
+            pooled = score_neighbor_arrays(params, *neighbors, 0.5).pooled
+        assert np.isnan(scores[:, 1]).all()
+        assert (scores[:, 2] == np.inf).all() and (scores[:, 3] == -np.inf).all()
+        assert pooled[0] == pytest.approx(pool(scores[:, 0], 0.5)[0], abs=1e-12)
         assert np.isnan(pooled[1:]).all()
 
     def test_nan_candidate_gives_nan_pooled_score_and_loss(self):
@@ -374,26 +400,31 @@ class TestNonFiniteColumns:
 
 
 class TestInferenceMemory:
-    def test_peak_allocation_is_about_one_candidate_matrix(self):
-        # A float32 hub with 400 neighbors over 2,000 types: the scoring call
-        # may allocate its (rows, types) candidate matrix plus bounded
-        # scratch, not several more arrays of that size.
+    def test_peak_allocation_is_bounded_by_the_slabs(self, monkeypatch):
+        # A float32 hub with 400 neighbors over 20,000 types, scored on two
+        # lane threads: the call may allocate each thread's two slabs of
+        # _CELLS cells plus O(rows * k + types), never a (rows, types) matrix.
         from cet import build_graph, build_vocab, init_params
 
-        m, num_types = 400, 2000
+        m, num_types = 400, 20000
         triples = [("hub", "r", f"e{i}") for i in range(m)]
         pairs = [(f"e{j % m}", f"t{j}") for j in range(num_types)]
         vocab = build_vocab(triples, pairs)
         graph = build_graph(vocab, triples, pairs, include_type_edges=False)
         params = init_params(vocab, 100, seed=0)
         hub = vocab.entity_ids["hub"]
-        score_all_neighbors(params, graph, hub, 0.5)
-        tracemalloc.start()
-        try:
-            bundle = score_all_neighbors(params, graph, hub, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        matrix = bundle.candidate_scores
-        assert matrix.shape == (m + 1, num_types) and matrix.dtype == np.float32
-        assert peak < 1.5 * matrix.nbytes + 2 * 1024 * 1024
+        threads = 2
+        monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+        with cet.kernel._lane_workers() as workers:
+            score_all_neighbors(params, graph, hub, 0.5, workers=workers)
+            tracemalloc.start()
+            try:
+                bundle = score_all_neighbors(params, graph, hub, 0.5, workers=workers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        itemsize = np.dtype(np.float32).itemsize
+        assert params.W.dtype == np.float32 and bundle.pooled.shape == (num_types,)
+        slabs = threads * 2 * cet.kernel._CELLS * itemsize
+        assert peak < slabs + 16 * (m * params.k + num_types) * itemsize
+        assert peak < (m + 1) * num_types * itemsize / 2

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import cet.loss
+import cet.kernel
+import cet.ranking
 import cet.train
 
 from cet import (
@@ -178,7 +180,7 @@ class TestBatchedPath:
         """The sampled batch with type blocks ``width`` columns wide, plus its draws replayed."""
         vocab, dataset, graph, *_ = hub_setup
         rows = config.sample_size + (1 if config.use_agg2t else 0)
-        monkeypatch.setattr(cet.train, "_CELLS", width * len(batch) * rows)
+        monkeypatch.setattr(cet.kernel, "_CELLS", width * len(batch) * rows)
         losses, grads = _sampled_batch(
             params, graph, dataset, batch, config, np.random.default_rng(3)
         )
@@ -197,7 +199,7 @@ class TestBatchedPath:
             (self.RAGGED * len(batch) * rows, 10**6),
             (self.RAGGED * 12, 12),
         ):
-            monkeypatch.setattr(cet.train, "_CELLS", cells)
+            monkeypatch.setattr(cet.kernel, "_CELLS", cells)
             monkeypatch.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
             yield _masked_batch(params, graph, dataset, batch, config)
 
@@ -353,70 +355,125 @@ def bits(result):
     return losses.tobytes(), dense, sparse
 
 
+@contextmanager
+def lane_threads():
+    """The names of the threads that run kernel lanes, recorded while inside.
+
+    Threads take lanes as they come free, so with more than one thread the
+    caller holds its first lane until a worker has taken another: otherwise a
+    caller that ran every lane before the worker started would leave the
+    worker idle and the record empty.
+    """
+    names = set()
+    worker_started = threading.Event()
+    run_lanes = cet.kernel._run_lanes
+
+    def recorded(run_lane, *args):
+        def run(lane, slab):
+            name = threading.current_thread().name
+            names.add(name)
+            if name.startswith("cet-lane"):
+                worker_started.set()
+            elif cet.kernel._THREADS > 1:
+                worker_started.wait(timeout=60)
+            run_lane(lane, slab)
+
+        run_lanes(run, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cet.kernel, "_run_lanes", recorded)
+        yield names
+
+
 class TestLanes:
     """The type blocks of one kernel call, run in lanes on up to ``_THREADS`` threads."""
 
     @staticmethod
     def batches(monkeypatch, params, hub_setup, batch, config):
         """A sampled and a padded mask-mode batch, with one-type blocks (8 per
-        call) and several degree buckets; records which threads ran blocks.
-
-        Threads take lanes as they come free, so with more than one thread
-        the caller holds its first lane until a worker has taken another:
-        otherwise a caller that ran every lane before the worker started
-        would leave the worker idle and the record empty.
-        """
+        call) and several degree buckets; records which threads ran lanes."""
         vocab, dataset, graph, *_ = hub_setup
         rows = max(graph.degree(e) for e in batch) + 1
-        monkeypatch.setattr(cet.train, "_CELLS", len(batch) * rows)
+        monkeypatch.setattr(cet.kernel, "_CELLS", len(batch) * rows)
         monkeypatch.setattr(cet.train, "_BUCKET_ROWS", 12)
-        threads = set()
-        worker_started = threading.Event()
-
-        def recorded(*args):
-            name = threading.current_thread().name
-            threads.add(name)
-            if name.startswith("cet-lane"):
-                worker_started.set()
-            elif cet.train._THREADS > 1:
-                worker_started.wait(timeout=60)
-            return cet.loss._loss_terms(*args)
-
-        monkeypatch.setattr(cet.train, "_loss_terms", recorded)
-        sampled = _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
-        masked = _masked_batch(params, graph, dataset, batch, config)
+        with lane_threads() as threads:
+            sampled = _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
+            masked = _masked_batch(params, graph, dataset, batch, config)
         return [bits(sampled), bits(masked)], threads
+
+    @staticmethod
+    def forward(monkeypatch, params, hub_setup, config):
+        """``evaluate`` of the validation split with one-type blocks (8 per
+        entity): every entity's pooled vector as bytes, and the ranks; records
+        which threads ran lanes."""
+        vocab, dataset, graph, *_ = hub_setup
+        monkeypatch.setattr(cet.kernel, "_CELLS", 1)
+        pooled = []
+        score = cet.ranking.score_all_neighbors
+
+        def recorded(*args, **kwargs):
+            bundle = score(*args, **kwargs)
+            pooled.append(bundle.pooled.tobytes())
+            return bundle
+
+        with lane_threads() as threads, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cet.ranking, "score_all_neighbors", recorded)
+            report = evaluate(
+                params, graph, dataset, "valid", config.alpha, use_agg2t=config.use_agg2t,
+                use_activation=config.use_activation,
+            )
+        return [pooled, report.ranks], threads
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_at_any_thread_count(self, hub_setup, monkeypatch, dtype):
         for case in TestBatchedPath.CASES:
             config, params, batch = TestBatchedPath.setup_case(hub_setup, case)
             params = params.astype(dtype)
-            results = []
-            for threads in sorted({1, 2, cet.train._LANES}):
-                monkeypatch.setattr(cet.train, "_THREADS", threads)
-                result, names = self.batches(monkeypatch, params, hub_setup, batch, config)
-                workers = {name for name in names if name.startswith("cet-lane")}
-                assert bool(workers) == (threads > 1), (case, threads, names)
-                results.append(result)
-            assert all(result == results[0] for result in results[1:]), case
+            for run in (
+                lambda: self.batches(monkeypatch, params, hub_setup, batch, config),
+                lambda: self.forward(monkeypatch, params, hub_setup, config),
+            ):
+                results = []
+                for threads in sorted({1, 2, cet.kernel._LANES}):
+                    monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+                    result, names = run()
+                    workers = {name for name in names if name.startswith("cet-lane")}
+                    assert bool(workers) == (threads > 1), (case, threads, names)
+                    results.append(result)
+                assert all(result == results[0] for result in results[1:]), case
 
     def test_more_threads_than_cores_under_fast_switching(self, hub_setup, monkeypatch):
         # Eight lanes on eight threads, switching every microsecond: a lane
-        # that wrote into another's accumulators, or a block run twice or not
-        # at all, would change the bits against the same lanes run serially.
+        # that wrote into another's accumulators or columns, or a block run
+        # twice or not at all, would change the bits against the same lanes
+        # run serially, in training and in evaluation.
         config, params, batch = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[4])
-        monkeypatch.setattr(cet.train, "_LANES", 8)
+        monkeypatch.setattr(cet.kernel, "_LANES", 8)
         results = []
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             for threads in (1, 8, 8):
-                monkeypatch.setattr(cet.train, "_THREADS", threads)
-                results.append(self.batches(monkeypatch, params, hub_setup, batch, config)[0])
+                monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+                results.append((
+                    self.batches(monkeypatch, params, hub_setup, batch, config)[0],
+                    self.forward(monkeypatch, params, hub_setup, config)[0],
+                ))
         finally:
             sys.setswitchinterval(interval)
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_workers_keep_the_callers_errstate(self, hub_setup, monkeypatch):
+        # Lanes on a worker thread run under the caller's np.errstate: the
+        # NaN that an inf classifier makes in every block stays quiet there
+        # too, instead of a RuntimeWarning, which the test settings raise.
+        config, params, _ = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[0])
+        params.W[:] = np.inf
+        monkeypatch.setattr(cet.kernel, "_THREADS", 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            (_, ranks), threads = self.forward(monkeypatch, params, hub_setup, config)
+        assert any(name.startswith("cet-lane") for name in threads)
+        assert all(np.isnan(rank) for _, _, rank in ranks)
 
     @pytest.mark.parametrize(
         "environ, pinned",
@@ -430,15 +487,15 @@ class TestLanes:
         # Lanes get threads only when every BLAS thread variable says 1.
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in names}
-        env["PYTHONPATH"] = str(Path(cet.train.__file__).parents[1])
+        env["PYTHONPATH"] = str(Path(cet.kernel.__file__).parents[1])
         env.update(environ)
-        code = "import cet.train as t; print(t._THREADS, t._usable_cores())"
+        code = "import cet.kernel as t; print(t._THREADS, t._usable_cores())"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
             check=True,
         ).stdout.split()
         threads, cores = map(int, out)
-        assert threads == (min(cet.train._LANES, cores) if pinned else 1)
+        assert threads == (min(cet.kernel._LANES, cores) if pinned else 1)
 
 
 class TestTrainEpoch:
