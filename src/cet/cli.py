@@ -234,6 +234,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
         use_agg2t=bool(config.get("use_agg2t", True)),
         use_activation=bool(config.get("use_activation", True)),
     )
+    if not math.isfinite(result.pooled_score):
+        raise NumericError(
+            f"non-finite pooled score {result.pooled_score} for ({args.entity}, {args.type})"
+        )
     print(format_explanation(result), end="")
     if args.tsv:
         Path(args.tsv).write_text(explanation_tsv(result), encoding="utf-8")

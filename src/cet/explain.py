@@ -73,8 +73,9 @@ def explain(
 
     Scores every neighbor, unmasked, for the queried type only, and pools
     that column with ``pool``, so the pooled score shown here is the one
-    evaluation ranks with, up to float rounding. ``top_k`` larger than the
-    number of sources returns them all.
+    evaluation ranks with, up to float rounding: NaN when any candidate is not
+    finite, with NaN weights when every candidate is -inf. ``top_k`` larger
+    than the number of sources returns them all.
     """
     entity_id = vocab.entity(entity)
     type_id = vocab.type(type_name)
@@ -85,7 +86,11 @@ def explain(
         params, *neighbors, use_agg2t=use_agg2t, use_activation=use_activation,
         columns=[type_id],
     )[:, 0]
-    pooled_score, weights = pool(scores, alpha)
+    if np.isneginf(scores).all():
+        # A diverged model, not a mask: nothing is left for ``pool`` to weigh.
+        pooled_score, weights = np.nan, np.full(len(scores), np.nan)
+    else:
+        pooled_score, weights = pool(scores, alpha)
     if not np.isfinite(scores).all():
         pooled_score = np.nan  # as evaluation pools it; ``pool`` would mask a -inf
     rel, inv, is_type, tgt = (a.tolist() for a in neighbors)

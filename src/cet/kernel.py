@@ -1,4 +1,4 @@
-"""The type-blocked kernel that trains and infers, and the per-entity scorer on it.
+"""The type-blocked kernel that trains and infers, and the bucket scorer on it.
 
 ``backward`` runs over (batch, rows) neighbor arrays, given as (relation,
 inverted, target_is_type, target). Pooling is a softmax over each type
@@ -12,10 +12,12 @@ parameters' dtype (float32 in training, float64 under gradient checking).
 
 Without labels and gradients the kernel runs forward only: each block is
 scored and pooled into its columns of a (batch, types) result. Inference
-runs that mode: ``score_neighbor_arrays`` scores one entity as a batch of
-one, so a hub costs the blocks' slabs, not a (rows, types) candidate
-matrix, and an entity of a few rows is still cut into ``_FORWARD_BLOCKS``
-blocks to spread over two cores.
+runs that mode: ``score_all_neighbors`` scores a degree bucket of entities
+in one call, padded as mask-mode training pads them (``_degree_buckets``,
+``_padded_neighbors``), so the N2T product has hundreds of rows even when
+each entity has few, and a hub costs the blocks' slabs, not a (rows,
+types) candidate matrix. A bucket is still cut into at least
+``_FORWARD_BLOCKS`` blocks to spread over two cores.
 
 The blocks of one call are dealt to ``_LANES`` lanes, block i to lane i %
 ``_LANES``. Blocks write disjoint rows of the classifier gradients, so only
@@ -75,6 +77,13 @@ _CELLS = 1 << 19
 # with interquartile range 8.6-11.3 ms at 2 lanes, against 41.4-43.0 and
 # 5.7-9.2 ms at 8; on an idle host both took 35.7 ms (2-vCPU Xeon VM).
 _LANES = 8
+
+# Padded neighbor rows (entities * largest degree) in one degree bucket, for
+# mask-mode training batches and evaluation passes alike. Each bucket is one
+# kernel call, so smaller buckets pad less but pay the per-call cost more
+# often. 512, 1,024 and 2,048 timed within noise of each other on FB-shape
+# evaluation passes and mask-mode batches (2-vCPU Xeon VM).
+_BUCKET_ROWS = 512
 
 # Forward-only calls cut the types into at least this many blocks, so that
 # an entity of a few rows spreads over two cores. At 8 blocks a 50-row
@@ -145,6 +154,32 @@ def _run_lanes(
         wait(futures)  # no worker may still write into the caller's arrays
     for future in futures:
         future.result()
+
+
+def _degree_buckets(degrees: np.ndarray):
+    """Slices of ascending ``degrees`` whose padded size fits ``_BUCKET_ROWS``.
+
+    An entity whose degree alone exceeds the budget gets a bucket of its own.
+    """
+    start = 0
+    for i in range(1, len(degrees) + 1):
+        if i == len(degrees) or (i - start + 1) * degrees[i] > _BUCKET_ROWS:
+            yield slice(start, i)
+            start = i
+
+
+def _padded_neighbors(
+    graph: AugmentedGraph, entities: list[int]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The entities' neighbor arrays stacked to (entities, largest degree), padded
+    with each entity's first edge as ``backward`` requires, and the ``valid`` mask."""
+    neighbors = [graph.neighbor_arrays(entity) for entity in entities]
+    degrees = np.array([len(rel) for rel, *_ in neighbors])
+    if not degrees.all():
+        raise ValueError(f"entity {entities[degrees.argmin()]} is isolated; no neighbors to score")
+    valid = np.arange(degrees.max()) < degrees[:, None]
+    pick = np.where(valid, np.arange(degrees.max()), 0)
+    return [np.stack([a[p] for a, p in zip(col, pick)]) for col in zip(*neighbors)], valid
 
 
 def backward(
@@ -334,13 +369,14 @@ def backward(
 
 
 class ScoreBundle:
-    """One scored entity: its pooled scores, and its candidate matrix on demand.
+    """Scored entities: their pooled scores, and their candidate scores on demand.
 
-    ``pooled`` (types,) is the kernel's. ``candidate_scores`` (rows, types)
-    is computed by ``scoring.candidate_matrix`` on first access, from the
-    parameters as they are then: row 0 is the aggregated route when Agg2T is
-    on, and the remaining rows follow the neighbor order of the arrays.
-    Inference never reads it.
+    ``pooled`` (entities, types) is the kernel's. ``candidate_scores``
+    (entities, rows, types) is computed by ``scoring.candidate_matrix`` on
+    first access, from the parameters as they are then, with -inf rows past
+    an entity's own; ``score_neighbor_arrays`` drops the entity axis of both.
+    Row 0 is the aggregated route when Agg2T is on, and the remaining rows
+    follow the neighbor order of the arrays. Inference never reads it.
     """
 
     def __init__(self, pooled: np.ndarray, candidates: Callable[[], np.ndarray]):
@@ -378,21 +414,33 @@ def score_neighbor_arrays(
     return ScoreBundle(pooled[0], partial(candidate_matrix, params, *neighbors, **routes))
 
 
+def _candidate_stack(params, graph, entities, **routes) -> np.ndarray:
+    """The entities' candidate matrices, stacked with -inf rows past each one's end."""
+    matrices = [candidate_matrix(params, *graph.neighbor_arrays(e), **routes) for e in entities]
+    rows = max(map(len, matrices))
+    return np.stack(
+        [np.pad(m, ((0, rows - len(m)), (0, 0)), constant_values=-np.inf) for m in matrices]
+    )
+
+
 def score_all_neighbors(
     params: ParameterSet,
     graph: AugmentedGraph,
-    entity: int,
+    entities: list[int],
     alpha: float,
     *,
     use_agg2t: bool = True,
     use_activation: bool = True,
     workers: ThreadPoolExecutor | None = None,
 ) -> ScoreBundle:
-    """Score one entity using its full neighbor list (the inference path)."""
-    neighbors = graph.neighbor_arrays(entity)
-    if len(neighbors[0]) == 0:
-        raise ValueError(f"entity {entity} is isolated; no neighbors to score")
-    return score_neighbor_arrays(
-        params, *neighbors, alpha, use_agg2t=use_agg2t, use_activation=use_activation,
-        workers=workers,
-    )
+    """Score entities from their full neighbor lists (the inference path).
+
+    One forward-only kernel call over the ``_padded_neighbors`` of the
+    entities; ``pooled`` has one row per entity, in the order given, equal to
+    the entity scored alone up to float rounding.
+    """
+    routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
+    arrays, valid = _padded_neighbors(graph, entities)
+    config = SimpleNamespace(alpha=alpha, **routes)
+    pooled = backward(params, None, *arrays, None, config, valid=valid, workers=workers)
+    return ScoreBundle(pooled, partial(_candidate_stack, params, graph, list(entities), **routes))

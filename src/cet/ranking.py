@@ -1,9 +1,11 @@
 """Filtered ranking evaluation: MR, MRR and Hits@1/3/10.
 
 Every entity of a split is scored once with its full neighbor list (no
-sampling, no masking); each of its queried types is then ranked against all
-types minus the entity's other known types. Ties receive their mean occupied
-rank, so evaluation is deterministic without a tie-break coin flip.
+sampling, no masking), in degree buckets of padded entities, one
+forward-only kernel call per bucket; each of its queried types is then
+ranked against all types minus the entity's other known types. Ties receive
+their mean occupied rank, so evaluation is deterministic without a tie-break
+coin flip.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .data import TypingDataset
 from .graph import AugmentedGraph
-from .kernel import _lane_workers, score_all_neighbors
+from .kernel import _degree_buckets, _lane_workers, score_all_neighbors
 from .scoring import ParameterSet
 
 __all__ = ["MetricsReport", "rank_one", "evaluate"]
@@ -89,13 +91,15 @@ def evaluate(
 ) -> MetricsReport:
     """Rank every (entity, type) pair of a split and aggregate the metrics.
 
-    Entities are scored once, by the forward-only kernel with its lanes on
-    every core (see ``kernel``), and the vector reused for all their queried
-    types. Isolated entities (possible only without type edges) fall back to
-    the bias vector. Every query of an entity whose pooled scores are not all
-    finite gets rank NaN, so a numeric failure makes MR and MRR NaN rather
-    than a wrong number. ``filtered=False`` is a debugging mode that skips
-    the known-type removal.
+    Entities are scored once and the vector reused for all their queried
+    types. They are sorted by degree and cut into the degree buckets of
+    mask-mode training (``kernel._degree_buckets``); each bucket is one
+    ``score_all_neighbors`` call, the forward-only kernel with its lanes on
+    every core, whose pooled rows are ranked as returned. Isolated entities
+    (possible only without type edges) fall back to the bias vector. Every
+    query of an entity whose pooled scores are not all finite gets rank NaN,
+    so a numeric failure makes MR and MRR NaN rather than a wrong number.
+    ``filtered=False`` is a debugging mode that skips the known-type removal.
     """
     pairs = dataset.split(split)
     if not pairs:
@@ -106,21 +110,31 @@ def evaluate(
         by_entity.setdefault(entity, []).append(idx)
 
     ranks = np.empty(len(pairs))
+
+    def rank_entity(entity: int, pooled: np.ndarray) -> None:
+        indices = by_entity[entity]
+        if not np.isfinite(pooled).all():
+            ranks[indices] = np.nan
+            return
+        known = dataset.known_types.get(entity) if filtered else None
+        for idx in indices:
+            ranks[idx] = rank_one(pooled, pairs[idx][1], known)
+
+    scorable = [entity for entity in by_entity if graph.degree(entity) > 0]
+    degrees = np.array([graph.degree(entity) for entity in scorable])
+    order = np.argsort(degrees, kind="stable")
     with _lane_workers() as workers:
-        for entity, indices in by_entity.items():
-            if graph.degree(entity) == 0:
-                pooled = params.b
-            else:
-                pooled = score_all_neighbors(
-                    params, graph, entity, alpha, use_agg2t=use_agg2t,
-                    use_activation=use_activation, workers=workers,
-                ).pooled
-            if not np.isfinite(pooled).all():
-                ranks[indices] = np.nan
-                continue
-            known = dataset.known_types.get(entity) if filtered else None
-            for idx in indices:
-                ranks[idx] = rank_one(pooled, pairs[idx][1], known)
+        for bucket in _degree_buckets(degrees[order]):
+            entities = [scorable[i] for i in order[bucket]]
+            pooled = score_all_neighbors(
+                params, graph, entities, alpha, use_agg2t=use_agg2t,
+                use_activation=use_activation, workers=workers,
+            ).pooled
+            for entity, row in zip(entities, pooled):
+                rank_entity(entity, row)
+    for entity in by_entity:
+        if graph.degree(entity) == 0:
+            rank_entity(entity, params.b)
 
     mr, mrr, hits1, hits3, hits10 = _metrics(ranks)
     per_sample = None

@@ -12,8 +12,9 @@ throughout. Both modes run the type-blocked kernel ``kernel.backward`` over
 the sparse embedding rows once per batch. A sampled batch stacks one
 ``sample_neighbors`` draw per entity, fills every row and needs neither
 padding nor masks. A mask-mode batch is sorted by degree and cut into
-buckets of at most ``_BUCKET_ROWS`` padded rows, one kernel call each, with
-short neighbor lists padded by copies of their first edge and the
+buckets of at most ``kernel._BUCKET_ROWS`` padded rows, one kernel call
+each, with short neighbor lists padded by copies of their first edge
+(``kernel._padded_neighbors``, which evaluation shares) and the
 self-evidence mask on. Each batch opens one set of lane threads for its
 kernel calls.
 """
@@ -33,7 +34,8 @@ from .graph import AugmentedGraph, Vocab
 # backward is called through this module's name, so that patching
 # cet.train.backward reaches every training batch; score_all_neighbors is
 # unused here, and only the benchmark's hook on this module looks it up.
-from .kernel import _lane_workers, backward, score_all_neighbors  # noqa: F401
+from .kernel import _degree_buckets, _lane_workers, _padded_neighbors, backward
+from .kernel import score_all_neighbors  # noqa: F401
 from .loss import LOSS_KINDS, GradientSet
 from .optim import AdamState, NumericError, adam_step, init_params
 from .scoring import ParameterSet
@@ -107,12 +109,6 @@ def _positive_pairs(
     return key % len(entities), key // len(entities)
 
 
-# Padded neighbor rows (entities * largest degree) in one degree bucket of a
-# mask-mode batch. Each bucket is one kernel call, so smaller buckets pad
-# less but pay the per-call cost more often.
-_BUCKET_ROWS = 512
-
-
 def _scatter_rows(
     grads: GradientSet,
     rel: np.ndarray,
@@ -138,18 +134,6 @@ def _scatter_rows(
             acc = np.zeros((len(uniq), grad.shape[-1]), dtype=grad.dtype)
             np.add.at(acc, inverse, grad)
             rows.update(zip(uniq.tolist(), acc))
-
-
-def _degree_buckets(degrees: np.ndarray):
-    """Slices of ascending ``degrees`` whose padded size fits ``_BUCKET_ROWS``.
-
-    An entity whose degree alone exceeds the budget gets a bucket of its own.
-    """
-    start = 0
-    for i in range(1, len(degrees) + 1):
-        if i == len(degrees) or (i - start + 1) * degrees[i] > _BUCKET_ROWS:
-            yield slice(start, i)
-            start = i
 
 
 def _trainable_entities(graph: AugmentedGraph, dataset: TypingDataset) -> tuple[list[int], int]:
@@ -216,13 +200,8 @@ def _masked_batch(params, graph, dataset, batch, config):
     with _lane_workers() as workers:
         for bucket in _degree_buckets(degrees[order]):
             members = order[bucket]
-            width = degrees[members[-1]]
-            valid = np.arange(width) < degrees[members][:, None]
-            # Padding repeats each entity's first edge.
-            pick = np.where(valid, np.arange(width), 0)
-            columns = zip(*(graph.neighbor_arrays(batch[i]) for i in members))
-            arrays = [np.stack([a[p] for a, p in zip(col, pick)]) for col in columns]
             entities = [batch[i] for i in members]
+            arrays, valid = _padded_neighbors(graph, entities)
             bucket_losses, dreps = backward(
                 params, grads, *arrays, _positive_pairs(entities, dataset), config,
                 valid=valid, self_mask=True, workers=workers,

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from cet.cli import main
-from synth import drop_header_key, hub_marker_corpus
+from synth import drop_header_key, hub_marker_corpus, tiny_corpus
 
 
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    """A small on-disk dataset in the expected TSV layout."""
-    base = tmp_path_factory.mktemp("corpus")
-    triples, train, valid, test = hub_marker_corpus(n_entities=60, seed=5)
+def write_corpus(base, corpus):
+    """Write (triples, train, valid, test) under ``base`` in the expected TSV layout."""
+    triples, train, valid, test = corpus
     (base / "train.txt").write_text(
         "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples), encoding="utf-8"
     )
@@ -21,7 +19,15 @@ def data_dir(tmp_path_factory):
         (base / name).write_text(
             "".join(f"{e}\t{t}\n" for e, t in pairs), encoding="utf-8"
         )
-    return base, triples, train, valid, test
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    """A small on-disk dataset in the expected TSV layout."""
+    base = tmp_path_factory.mktemp("corpus")
+    corpus = hub_marker_corpus(n_entities=60, seed=5)
+    write_corpus(base, corpus)
+    return base, *corpus
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +265,7 @@ class TestTrain:
 
 
 class TestEval:
-    def test_metrics_block_and_rank_dump(self, trained, tmp_path, capsys):
+    def test_metrics_block_and_rank_dump(self, data_dir, trained, tmp_path, capsys):
         base, out = trained
         dump = tmp_path / "ranks.tsv"
         code = main(
@@ -280,6 +286,10 @@ class TestEval:
         assert len(lines) == int(block["samples"])
         ranks = np.array([float(line.split("\t")[2]) for line in lines])
         assert (1.0 / ranks).mean() == pytest.approx(mrr, abs=1e-6)
+        # Entities are scored in degree buckets, but ranks are dumped in the
+        # split's pair order.
+        *_, test = data_dir
+        assert [tuple(line.split("\t")[:2]) for line in lines] == test
 
     def test_unfiltered_flag_accepted(self, trained, capsys):
         base, out = trained
@@ -347,6 +357,23 @@ class TestEval:
             assert "mrr" not in captured.out
             assert "non-finite" in captured.err
 
+
+    def test_one_poisoned_neighbor_is_numeric_error(self, trained, tmp_path, capsys):
+        # NaN in one hub's embedding makes NaN the rows of the entities next
+        # to it, inside buckets they share with finite entities: MRR is NaN,
+        # so exit 3.
+        from cet.checkpoint import load_checkpoint, save_checkpoint
+
+        base, out = trained
+        params, vocab, config = load_checkpoint(out / "checkpoint.cet")
+        params.entity_emb[vocab.entity_ids["h0"]] = np.nan
+        diverged = tmp_path / "diverged.cet"
+        save_checkpoint(diverged, params, vocab, config)
+        with np.errstate(invalid="ignore"):
+            code = main(["eval", "--data-dir", str(base), "--checkpoint", str(diverged)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "mrr" not in captured.out and "non-finite" in captured.err
 
     @pytest.mark.parametrize("alpha", ["-0.5", "0", "nan", "inf"])
     def test_non_positive_alpha_is_usage_error(self, trained, capsys, alpha):
@@ -416,6 +443,28 @@ class TestExplainCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+
+    def test_all_minus_inf_column_is_numeric_error(self, tmp_path, capsys):
+        # Every representation is positive in coordinate 0, so W[t, 0] = -inf
+        # makes every candidate of column t -inf: a diverged model, which
+        # exits 3 as ``cet eval`` does, not a data error.
+        from cet.checkpoint import load_checkpoint, save_checkpoint
+
+        write_corpus(tmp_path, tiny_corpus())
+        args = ["--data-dir", str(tmp_path), "--checkpoint", str(tmp_path / "checkpoint.cet")]
+        assert main(["train", "--data-dir", str(tmp_path), "--out", str(tmp_path),
+                     "--max-epochs", "0", "--dim", "4"]) == 0
+        params, vocab, config = load_checkpoint(tmp_path / "checkpoint.cet")
+        params.relation_emb[:, 0] = 0.0
+        params.entity_emb[:, 0] = params.type_emb[:, 0] = 1.0
+        params.W[vocab.type_ids["t1"], 0] = -np.inf
+        save_checkpoint(tmp_path / "checkpoint.cet", params, vocab, config)
+        capsys.readouterr()
+        assert main(["explain", *args, "--entity", "a", "--type", "t1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite pooled score" in captured.err
+        assert main(["explain", *args, "--entity", "a", "--type", "t2"]) == 0
 
 
 class TestGradcheckCommand:

@@ -156,13 +156,13 @@ class TestEvaluate:
         original = ranking_module.score_all_neighbors
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.extend(args[2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ranking_module, "score_all_neighbors", counting)
         report = evaluate(params, graph, dataset, "test", alpha=0.5)
         assert len(report.ranks) == 3
-        assert len(calls) == 2  # two distinct entities
+        assert sorted(calls) == sorted({e0, vocab.entity_ids["e1"]})  # each entity once
 
     def test_filtered_rank_never_worse(self):
         vocab, dataset, graph, *_ = assembled(tiny_corpus())
@@ -222,6 +222,52 @@ class TestEvaluate:
         assert np.isnan(ranks.pop(e0))
         assert list(ranks.values()) == [1.0, 1.0]
         assert np.isnan(report.mr) and np.isnan(report.mrr)
+
+    def test_a_poisoned_entity_fails_alone_in_its_bucket(self, monkeypatch):
+        # Six entities of equal degree share one degree bucket, each with a
+        # private neighbor; "z" has no edges, so it ranks from the bias. NaN
+        # in q2's private neighbor fails q2's queries only: its bucket-mates
+        # keep their ranks bit for bit, and ranks stay in pair order.
+        import cet.ranking
+
+        triples = [(f"q{i}", "r", f"p{i}") for i in range(6)]
+        triples += [(f"q{i}", "s", f"c{i % 2}") for i in range(6)]
+        pairs = [(f"q{i}", f"t{i % 3}") for i in range(6)] + [("z", "t1")]
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, [], include_type_edges=False)
+        ids = vocab.entity_ids
+        test = [(ids[e], vocab.type_ids[t]) for e, t in pairs[::-1]]
+        known = {ids["q0"]: {0, 1}, ids["q4"]: {1}, ids["z"]: {1, 2}}
+        dataset = TypingDataset(train=[], valid=test, test=test, known_types=known, train_types={})
+        rng = np.random.default_rng(3)
+        params = ParameterSet(
+            entity_emb=rng.normal(size=(vocab.num_entities, 4)),
+            relation_emb=rng.normal(size=(vocab.num_relations, 4)),
+            type_emb=rng.normal(size=(vocab.num_types, 4)),
+            W=rng.normal(size=(vocab.num_types, 4)),
+            b=np.array([0.5, -1.0, 2.0]),
+        )
+        buckets = []
+        score = cet.ranking.score_all_neighbors
+
+        def recorded(params, graph, entities, *args, **kwargs):
+            buckets.append(list(entities))
+            return score(params, graph, entities, *args, **kwargs)
+
+        monkeypatch.setattr(cet.ranking, "score_all_neighbors", recorded)
+        before = evaluate(params, graph, dataset, "test", alpha=0.5).ranks
+        params.entity_emb[ids["p2"]] = np.nan
+        with np.errstate(invalid="ignore"):
+            after = evaluate(params, graph, dataset, "test", alpha=0.5).ranks
+        assert buckets[-1] == [ids[f"q{i}"] for i in range(6)][::-1]
+        assert [(e, t) for e, t, _ in after] == [(e, t) for e, t, _ in before] == test
+        for (entity, gold, old), (_, _, new) in zip(before, after):
+            if entity == ids["q2"]:
+                assert np.isnan(new)
+            else:
+                assert new == old
+        # z's gold t1 is behind t0 in the bias; t2 is filtered as known.
+        assert after[0][2] == before[0][2] == 2.0
 
     def test_empty_split_rejected(self):
         params, graph, dataset, _ = one_hot_model()

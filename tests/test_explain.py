@@ -99,9 +99,9 @@ class TestExplain:
         result = explain(params, graph, vocab, "a", "t1", alpha=0.5, top_k=10**6)
         weighted = sum(row.weight * row.score for row in result.rows)
         assert weighted == pytest.approx(result.pooled_score, rel=1e-6)
-        bundle = score_all_neighbors(params, graph, vocab.entity_ids["a"], 0.5)
+        bundle = score_all_neighbors(params, graph, [vocab.entity_ids["a"]], 0.5)
         assert result.pooled_score == pytest.approx(
-            float(bundle.pooled[vocab.type_ids["t1"]]), abs=1e-6
+            float(bundle.pooled[0, vocab.type_ids["t1"]]), abs=1e-6
         )
 
     def test_non_finite_candidate_gives_nan_pooled_score(self, setup):
@@ -165,10 +165,10 @@ class TestNeighborProfile:
 
     def test_matches_the_neighbor_row_of_the_entity(self, setup):
         vocab, graph, params = setup
-        bundle = score_all_neighbors(params, graph, vocab.entity_ids["a"], 0.5)
+        bundle = score_all_neighbors(params, graph, [vocab.entity_ids["a"]], 0.5)
         for i, nb in enumerate(neighbors_of(graph, vocab, "a")):
             profile = dict(neighbor_profile(params, vocab, nb, top_k=10**6))
-            row = bundle.candidate_scores[i + 1]  # row 0 is the Agg2T route
+            row = bundle.candidate_scores[0, i + 1]  # row 0 is the Agg2T route
             np.testing.assert_allclose([profile[name] for name in vocab.type_names], row, rtol=1e-12)
 
 

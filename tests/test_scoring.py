@@ -261,7 +261,7 @@ class TestScoreEntity:
         graph = build_graph(vocab, [("a", "r", "b")], [], include_type_edges=False)
         params = make_params(k=3, L=1, num_entities=3, num_relations=2)
         with pytest.raises(ValueError, match="isolated"):
-            score_all_neighbors(params, graph, vocab.entity_ids["z"], alpha=0.5)
+            score_all_neighbors(params, graph, [vocab.entity_ids["z"]], alpha=0.5)
 
     def test_columns_sum_to_one_and_bounds(self):
         bundle = self.score(0)
@@ -342,6 +342,92 @@ class TestPoolColumns:
             assert abs(pooled[c] - value) <= 1e-12
 
 
+def ragged_graph(num_types=30, hub_degree=300):
+    """Query entities q1..q40 with d relational edges and one has_type edge
+    each, and a hub of ``hub_degree`` relational edges; returns the vocab,
+    the graph and the query entity ids."""
+    from cet import build_graph, build_vocab
+
+    triples = [
+        (f"q{d}", f"r{(d + j) % 3}", f"x{j}") for d in range(1, 41) for j in range(d)
+    ] + [("hub", f"r{j % 3}", f"x{j}") for j in range(hub_degree)]
+    pairs = [(f"x{j}", f"t{j % num_types}") for j in range(hub_degree)]
+    pairs += [(f"q{d}", f"t{7 * d % num_types}") for d in range(1, 41)]
+    vocab = build_vocab(triples, pairs)
+    graph = build_graph(vocab, triples, pairs)
+    queries = [vocab.entity_ids[f"q{d}"] for d in range(1, 41)] + [vocab.entity_ids["hub"]]
+    return vocab, graph, queries
+
+
+class TestBucketScorer:
+    """``score_all_neighbors`` over a padded degree bucket against each entity
+    scored as a bucket of one, and against the oracle ``pool`` of its
+    ``candidate_matrix`` columns."""
+
+    ROUTES = [
+        dict(use_agg2t=True, use_activation=True),
+        dict(use_agg2t=False, use_activation=True),
+        dict(use_agg2t=True, use_activation=False),
+        dict(use_agg2t=False, use_activation=False),
+    ]
+
+    @pytest.mark.parametrize("separate_heads", [False, True])
+    @pytest.mark.parametrize("routes", ROUTES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cells", [1 << 19, 97])
+    def test_rows_match_each_entity_alone(self, monkeypatch, dtype, routes, separate_heads, cells):
+        vocab, graph, queries = ragged_graph()
+        rng = np.random.default_rng(11)
+        params = make_params(
+            k=6, L=vocab.num_types, num_entities=vocab.num_entities,
+            num_relations=vocab.num_relations, seed=3,
+        )
+        if separate_heads:
+            params.agg_W = rng.uniform(-1, 1, params.W.shape)
+            params.agg_b = rng.uniform(-1, 1, vocab.num_types)
+        params = params.astype(dtype)
+        tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-6, atol=2e-6)
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 64)
+        monkeypatch.setattr(cet.kernel, "_CELLS", cells)
+        degrees = np.array([graph.degree(e) for e in queries])
+        order = np.argsort(degrees, kind="stable")
+        buckets = [order[b] for b in cet.kernel._degree_buckets(degrees[order])]
+        # Ragged multi-entity buckets, and the hub in a bucket of its own.
+        assert max(len(b) for b in buckets) > 1 and [len(queries) - 1] in [list(b) for b in buckets]
+        assert len({degrees[i] for b in buckets for i in b if len(b) > 1}) > 10
+        columns = [0, vocab.num_types // 2, vocab.num_types - 1]
+        for bucket in buckets:
+            entities = [queries[i] for i in bucket]
+            bundle = score_all_neighbors(params, graph, entities, 0.7, **routes)
+            assert bundle.pooled.shape == (len(entities), vocab.num_types)
+            assert bundle.pooled.dtype == dtype
+            for entity, row in zip(entities, bundle.pooled):
+                alone = score_all_neighbors(params, graph, [entity], 0.7, **routes).pooled[0]
+                np.testing.assert_allclose(row, alone, **tol)
+                neighbors = graph.neighbor_arrays(entity)
+                for t in columns:
+                    column = candidate_matrix(params, *neighbors, columns=[t], **routes)[:, 0]
+                    np.testing.assert_allclose(row[t], pool(column, 0.7)[0], **tol)
+
+    def test_candidate_scores_stack_padded_with_minus_inf(self):
+        # The lazy candidate_scores of a bucket is (entities, rows, types):
+        # each entity's candidate matrix, then -inf rows up to the largest.
+        vocab, graph, queries = ragged_graph(hub_degree=3)
+        params = make_params(
+            k=4, L=vocab.num_types, num_entities=vocab.num_entities,
+            num_relations=vocab.num_relations, seed=4,
+        )
+        entities = queries[2:6]
+        for routes in self.ROUTES[:2]:
+            bundle = score_all_neighbors(params, graph, entities, 0.5, **routes)
+            rows = max(graph.degree(e) for e in entities) + routes["use_agg2t"]
+            assert bundle.candidate_scores.shape == (len(entities), rows, vocab.num_types)
+            for stacked, entity in zip(bundle.candidate_scores, entities):
+                matrix = candidate_matrix(params, *graph.neighbor_arrays(entity), **routes)
+                np.testing.assert_array_equal(stacked[: len(matrix)], matrix)
+                assert np.isneginf(stacked[len(matrix):]).all()
+
+
 class TestNonFiniteColumns:
     """Non-finite candidates surface as NaN; only the oracle's and the
     kernel's all-masked column is dead."""
@@ -399,32 +485,54 @@ class TestNonFiniteColumns:
         np.testing.assert_array_equal(grads.W[0], 0.0)
 
 
+def bucket_peak(monkeypatch, num_entities, m, num_types, threads=2):
+    """``score_all_neighbors`` of ``num_entities`` float32 entities with ``m``
+    neighbors each over ``num_types`` types, on ``threads`` lane threads: the
+    tracemalloc peak of the second call, and its result."""
+    from cet import build_graph, build_vocab, init_params
+
+    triples = [(f"q{i}", "r", f"e{j}") for i in range(num_entities) for j in range(m)]
+    pairs = [(f"e{j % m}", f"t{j}") for j in range(num_types)]
+    vocab = build_vocab(triples, pairs)
+    graph = build_graph(vocab, triples, pairs, include_type_edges=False)
+    params = init_params(vocab, 100, seed=0)
+    assert params.W.dtype == np.float32
+    entities = [vocab.entity_ids[f"q{i}"] for i in range(num_entities)]
+    monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+    with cet.kernel._lane_workers() as workers:
+        score_all_neighbors(params, graph, entities, 0.5, workers=workers)
+        tracemalloc.start()
+        try:
+            bundle = score_all_neighbors(params, graph, entities, 0.5, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak, bundle, params
+
+
 class TestInferenceMemory:
+    def test_bucket_peak_allocation_is_bounded_by_the_slabs_and_its_block(self, monkeypatch):
+        # A bucket of 16 float32 entities with 30 neighbors each over 20,000
+        # types, on two lane threads: the call may allocate each thread's two
+        # slabs of _CELLS cells, the bucket's (B, types) block and
+        # O(B * rows * k + types), never a (B, rows, types) matrix.
+        B, m, num_types, threads = 16, 30, 20000, 2
+        peak, bundle, params = bucket_peak(monkeypatch, B, m, num_types, threads)
+        itemsize = np.dtype(np.float32).itemsize
+        assert bundle.pooled.shape == (B, num_types)
+        slabs = threads * 2 * cet.kernel._CELLS * itemsize
+        block = B * num_types * itemsize
+        assert peak < slabs + block + 16 * (B * (m + 1) * params.k + num_types) * itemsize
+        assert peak < B * (m + 1) * num_types * itemsize / 2
+
     def test_peak_allocation_is_bounded_by_the_slabs(self, monkeypatch):
         # A float32 hub with 400 neighbors over 20,000 types, scored on two
         # lane threads: the call may allocate each thread's two slabs of
         # _CELLS cells plus O(rows * k + types), never a (rows, types) matrix.
-        from cet import build_graph, build_vocab, init_params
-
-        m, num_types = 400, 20000
-        triples = [("hub", "r", f"e{i}") for i in range(m)]
-        pairs = [(f"e{j % m}", f"t{j}") for j in range(num_types)]
-        vocab = build_vocab(triples, pairs)
-        graph = build_graph(vocab, triples, pairs, include_type_edges=False)
-        params = init_params(vocab, 100, seed=0)
-        hub = vocab.entity_ids["hub"]
-        threads = 2
-        monkeypatch.setattr(cet.kernel, "_THREADS", threads)
-        with cet.kernel._lane_workers() as workers:
-            score_all_neighbors(params, graph, hub, 0.5, workers=workers)
-            tracemalloc.start()
-            try:
-                bundle = score_all_neighbors(params, graph, hub, 0.5, workers=workers)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        m, num_types, threads = 400, 20000, 2
+        peak, bundle, params = bucket_peak(monkeypatch, 1, m, num_types, threads)
         itemsize = np.dtype(np.float32).itemsize
-        assert params.W.dtype == np.float32 and bundle.pooled.shape == (num_types,)
+        assert bundle.pooled.shape == (1, num_types)
         slabs = threads * 2 * cet.kernel._CELLS * itemsize
         assert peak < slabs + 16 * (m * params.k + num_types) * itemsize
         assert peak < (m + 1) * num_types * itemsize / 2

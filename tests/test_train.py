@@ -200,7 +200,7 @@ class TestBatchedPath:
             (self.RAGGED * 12, 12),
         ):
             monkeypatch.setattr(cet.kernel, "_CELLS", cells)
-            monkeypatch.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
+            monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", bucket_rows)
             yield _masked_batch(params, graph, dataset, batch, config)
 
     def test_matches_per_entity_reference(self, hub_setup, monkeypatch):
@@ -332,7 +332,7 @@ class TestRaggedKernel:
             params.agg_b[:] = np.random.default_rng(3).normal(size=vocab.num_types)
         batch = list(train_types)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
+            mp.setattr(cet.kernel, "_BUCKET_ROWS", bucket_rows)
             losses, grads = _masked_batch(params, graph, dataset, batch, config)
             alone_losses = []
             alone_grads = GradientSet.zeros_like(params)
@@ -395,7 +395,7 @@ class TestLanes:
         vocab, dataset, graph, *_ = hub_setup
         rows = max(graph.degree(e) for e in batch) + 1
         monkeypatch.setattr(cet.kernel, "_CELLS", len(batch) * rows)
-        monkeypatch.setattr(cet.train, "_BUCKET_ROWS", 12)
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 12)
         with lane_threads() as threads:
             sampled = _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
             masked = _masked_batch(params, graph, dataset, batch, config)
@@ -404,16 +404,19 @@ class TestLanes:
     @staticmethod
     def forward(monkeypatch, params, hub_setup, config):
         """``evaluate`` of the validation split with one-type blocks (8 per
-        entity): every entity's pooled vector as bytes, and the ranks; records
-        which threads ran lanes."""
+        call) and a 6-row bucket budget, so several multi-entity buckets and
+        buckets of one entity above the budget: every bucket's pooled block
+        as bytes, and the ranks; records which threads ran lanes."""
         vocab, dataset, graph, *_ = hub_setup
         monkeypatch.setattr(cet.kernel, "_CELLS", 1)
-        pooled = []
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 6)
+        pooled, buckets = [], []
         score = cet.ranking.score_all_neighbors
 
-        def recorded(*args, **kwargs):
-            bundle = score(*args, **kwargs)
+        def recorded(params, graph, entities, *args, **kwargs):
+            bundle = score(params, graph, entities, *args, **kwargs)
             pooled.append(bundle.pooled.tobytes())
+            buckets.append(entities)
             return bundle
 
         with lane_threads() as threads, pytest.MonkeyPatch.context() as mp:
@@ -422,6 +425,8 @@ class TestLanes:
                 params, graph, dataset, "valid", config.alpha, use_agg2t=config.use_agg2t,
                 use_activation=config.use_activation,
             )
+        assert sum(len(b) > 1 for b in buckets) >= 3
+        assert any(len(b) == 1 and graph.degree(b[0]) > 6 for b in buckets)
         return [pooled, report.ranks], threads
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -552,7 +557,7 @@ class TestTrainEpoch:
 
         monkeypatch.setattr(cet.train, "backward", counted)
         if bucket_rows is not None:
-            monkeypatch.setattr(cet.train, "_BUCKET_ROWS", bucket_rows)
+            monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", bucket_rows)
         config = TrainConfig(seed=0, dim=8, batch_size=32, mask_mode=mask_mode)
         params = init_params(vocab, config.dim, config.seed)
         rng = np.random.default_rng(0)
