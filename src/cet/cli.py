@@ -178,11 +178,7 @@ def _load_model_and_data(args: argparse.Namespace):
     params, vocab, config = load_checkpoint(args.checkpoint)
     triples, train, valid, test = _load_corpus(args)
     data_vocab, dataset = assemble(triples, train, valid, test)
-    if (
-        data_vocab.entity_ids != vocab.entity_ids
-        or data_vocab.relation_ids != vocab.relation_ids
-        or data_vocab.type_ids != vocab.type_ids
-    ):
+    if data_vocab != vocab:
         raise ValueError(
             "checkpoint vocabulary does not match the data directory; "
             "was the model trained on these files?"

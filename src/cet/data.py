@@ -6,15 +6,23 @@ Expected layout under a data directory:
     Entity_Type_train.txt   entity<TAB>type
     Entity_Type_valid.txt   entity<TAB>type
     Entity_Type_test.txt    entity<TAB>type
+
+Each file is read straight into id columns (``NameRows``), with no Python
+object per row. ``assemble`` builds the vocabulary from the files' name
+tables, maps codes to ids through vocabulary-sized arrays and drops repeats
+in one pass per file, which ``build_graph`` reuses.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
-from .graph import Vocab, build_vocab
+import numpy as np
+
+from .graph import NameRows, ParseError, Rows, Vocab, build_vocab
 
 log = logging.getLogger(__name__)
 
@@ -33,45 +41,16 @@ VALID_PAIRS_FILE = "Entity_Type_valid.txt"
 TEST_PAIRS_FILE = "Entity_Type_test.txt"
 
 
-class ParseError(ValueError):
-    """A data file line does not have the expected tab-separated shape."""
-
-
-def _dedupe(items: list) -> tuple[list, int]:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out, len(items) - len(out)
-
-
-def _read_rows(path: str | Path, width: int) -> list[tuple[str, ...]]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = [f.strip() for f in line.split("\t")]
-            if len(fields) != width or not all(fields):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            rows.append(tuple(fields))
-    return rows
-
-
-def load_triples(path: str | Path) -> list[tuple[str, str, str]]:
+def load_triples(path: str | Path) -> NameRows:
     """Read (head, relation, tail) triples, one per non-empty line."""
-    return _read_rows(path, 3)  # type: ignore[return-value]
+    with open(path, encoding="utf-8") as handle:
+        return NameRows.of(map(str.split, handle, repeat("\t")), 3, path)
 
 
-def load_pairs(path: str | Path) -> list[tuple[str, str]]:
+def load_pairs(path: str | Path) -> NameRows:
     """Read (entity, type) pairs, one per non-empty line."""
-    return _read_rows(path, 2)  # type: ignore[return-value]
+    with open(path, encoding="utf-8") as handle:
+        return NameRows.of(map(str.split, handle, repeat("\t")), 2, path)
 
 
 @dataclass
@@ -101,11 +80,29 @@ class TypingDataset:
         return self.train_types.get(entity, [])
 
 
+def _group_types(
+    pairs: np.ndarray, num_train: int
+) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
+    """``train_types`` and ``known_types`` from the id pairs of all splits, train first.
+
+    A stable sort by entity keeps each entity's types in input order, so its
+    training types lead its group. Both dicts key entities by first appearance.
+    """
+    order = np.argsort(pairs[:, 0], kind="stable")
+    entities = pairs[order, 0]
+    starts = np.flatnonzero(np.diff(entities, prepend=-1))
+    mids = starts + np.add.reduceat((order < num_train).astype(np.int64), starts)  # train rows end
+    ends = np.append(starts[1:], len(entities))
+    by_first = np.argsort(order[starts])  # groups by first appearance
+    types = pairs[order, 1].tolist()
+    groups = list(zip(*(a[by_first].tolist() for a in (entities[starts], starts, mids, ends))))
+    train_types = {e: types[lo:mid] for e, lo, mid, _ in groups if mid > lo}
+    known_types = {e: set(types[lo:hi]) for e, lo, _, hi in groups}
+    return train_types, known_types
+
+
 def assemble(
-    triples: list[tuple[str, str, str]],
-    train_pairs: list[tuple[str, str]],
-    valid_pairs: list[tuple[str, str]],
-    test_pairs: list[tuple[str, str]],
+    triples: Rows, train_pairs: Rows, valid_pairs: Rows, test_pairs: Rows
 ) -> tuple[Vocab, TypingDataset]:
     """Build the vocabulary and the resolved, filtered dataset.
 
@@ -114,61 +111,40 @@ def assemble(
     unknown) are dropped and counted, as are duplicates within a split and
     pairs repeated across splits.
     """
-    triples, dup_triples = _dedupe(triples)
-    train_pairs, dup_train = _dedupe(train_pairs)
-    valid_pairs, dup_valid = _dedupe(valid_pairs)
-    test_pairs, dup_test = _dedupe(test_pairs)
+    triples = NameRows.of(triples, 3)
+    files = [NameRows.of(rows, 2) for rows in (train_pairs, valid_pairs, test_pairs)]
+    vocab = build_vocab(triples, files[0])
+    train, *held_out = (rows.ids(vocab, strict=False)[rows.first] for rows in files)
 
-    vocab = build_vocab(triples, train_pairs)
+    # Pairs as int64 keys. ``taken``, the sorted keys of the earlier splits,
+    # is never empty: build_vocab refuses an empty training file.
+    taken = np.sort(train[:, 0].astype(np.int64) * vocab.num_types + train[:, 1])
+    kept, drops = [], np.zeros(4, dtype=np.int64)  # drops by reason, 0 = kept
+    for pairs in held_out:
+        keys = pairs[:, 0].astype(np.int64) * vocab.num_types + pairs[:, 1]
+        at = np.minimum(np.searchsorted(taken, keys), len(taken) - 1)
+        reason = np.select([pairs[:, 0] < 0, pairs[:, 1] < 0, taken[at] == keys], [1, 2, 3])
+        drops += np.bincount(reason, minlength=4)
+        kept.append(pairs[reason == 0])
+        taken = np.sort(np.concatenate([taken, keys[reason == 0]]))
+    valid, test = kept
 
-    train = [(vocab.entity_ids[e], vocab.type_ids[t]) for e, t in train_pairs]
-    train_set = set(train)
-
-    def resolve_eval(pairs: list[tuple[str, str]], taken: set[tuple[int, int]]):
-        resolved = []
-        unseen = unknown = cross = 0
-        for e, t in pairs:
-            if e not in vocab.entity_ids:
-                unknown += 1
-                continue
-            if t not in vocab.type_ids:
-                unseen += 1
-                continue
-            pair = (vocab.entity_ids[e], vocab.type_ids[t])
-            if pair in taken:
-                cross += 1
-                continue
-            resolved.append(pair)
-        return resolved, unseen, unknown, cross
-
-    valid, unseen_v, unknown_v, cross_v = resolve_eval(valid_pairs, train_set)
-    test, unseen_t, unknown_t, cross_t = resolve_eval(
-        test_pairs, train_set | set(valid)
-    )
-
-    known_types: dict[int, set[int]] = {}
-    train_types: dict[int, list[int]] = {}
-    for e, t in train:
-        known_types.setdefault(e, set()).add(t)
-        train_types.setdefault(e, []).append(t)
-    for e, t in valid + test:
-        known_types.setdefault(e, set()).add(t)
-
+    train_types, known_types = _group_types(np.concatenate([train, valid, test]), len(train))
     drop_counts = {
-        "duplicate_triples": dup_triples,
-        "duplicate_pairs": dup_train + dup_valid + dup_test,
-        "unseen_type": unseen_v + unseen_t,
-        "unknown_entity": unknown_v + unknown_t,
-        "cross_split_duplicates": cross_v + cross_t,
+        "duplicate_triples": triples.repeats,
+        "duplicate_pairs": sum(rows.repeats for rows in files),
+        "unseen_type": int(drops[2]),
+        "unknown_entity": int(drops[1]),
+        "cross_split_duplicates": int(drops[3]),
     }
     dropped = sum(drop_counts.values())
     if dropped:
         log.info("assembly dropped %d input rows: %s", dropped, drop_counts)
 
     dataset = TypingDataset(
-        train=train,
-        valid=valid,
-        test=test,
+        train=list(zip(*train.T.tolist())),
+        valid=list(zip(*valid.T.tolist())),
+        test=list(zip(*test.T.tolist())),
         known_types=known_types,
         train_types=train_types,
         drop_counts=drop_counts,

@@ -77,8 +77,8 @@ def explain(
     finite, with NaN weights when every candidate is -inf. ``top_k`` larger
     than the number of sources returns them all.
     """
-    entity_id = vocab.entity(entity)
-    type_id = vocab.type(type_name)
+    entity_id = vocab.id_of("entity", entity)
+    type_id = vocab.id_of("type", type_name)
     neighbors = graph.neighbor_arrays(entity_id)
     if len(neighbors[0]) == 0:
         raise ValueError(f"entity {entity_id} is isolated; no neighbors to score")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TypingDataset
-from .graph import AugmentedGraph, Vocab, build_graph, build_vocab
+from .data import assemble
+from .graph import AugmentedGraph, Vocab, build_graph
 from .loss import finite_diff_oracle, max_relative_error
 from .scoring import ParameterSet
 from .train import TrainConfig, _masked_batch, _sampled_batch, sample_neighbors
@@ -29,9 +29,9 @@ __all__ = ["GradcheckCase", "GradcheckReport", "run_gradient_check"]
 
 
 @contextlib.contextmanager
-def _quiet_dedupe_warnings():
-    # Random micro-graphs routinely repeat an edge; the warning is noise here.
-    logger = logging.getLogger("cet.graph")
+def _quiet_dedupe_logs():
+    # Random micro-graphs routinely repeat an edge; the dedupe logs are noise here.
+    logger = logging.getLogger("cet")
     level = logger.level
     logger.setLevel(logging.ERROR)
     try:
@@ -114,19 +114,11 @@ def _random_instance(rng: np.random.Generator):
     if not pairs:
         pairs.append((entities[0], types[0]))
 
-    vocab = build_vocab(triples, pairs)
-    with _quiet_dedupe_warnings():
+    with _quiet_dedupe_logs():
+        vocab, dataset = assemble(triples, pairs, [], [])
         graph = build_graph(vocab, triples, pairs, include_type_edges=True)
     candidates = [e for e in range(vocab.num_entities) if graph.degree(e) > 0]
     entity = int(candidates[rng.integers(0, len(candidates))])
-
-    train = [(vocab.entity_ids[e], vocab.type_ids[t]) for e, t in pairs]
-    train_types: dict[int, list[int]] = {}
-    for e, t in train:
-        train_types.setdefault(e, []).append(t)
-    dataset = TypingDataset(
-        train=train, valid=[], test=[], known_types={}, train_types=train_types
-    )
     return vocab, graph, dataset, entity
 
 

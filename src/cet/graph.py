@@ -1,4 +1,9 @@
-"""Vocabulary and augmented-graph construction.
+"""Name tables, vocabulary and augmented-graph construction.
+
+``NameRows`` keep rows of names as id columns: an int32 code per field into
+the rows' own name tables, so each name of each row is hashed once. The rest
+of set-up is array work, or vocabulary-sized work on the tables; repeated
+rows are found once per file, on packed integer keys.
 
 The scoring graph is the input knowledge graph after two augmentations:
 every known (entity, type) pair becomes an edge through the reserved
@@ -12,9 +17,11 @@ are only counted.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -27,7 +34,9 @@ __all__ = [
     "HAS_TYPE",
     "HAS_TYPE_ID",
     "EmptyCorpusError",
+    "ParseError",
     "UnknownNameError",
+    "NameRows",
     "Neighbor",
     "Vocab",
     "AugmentedGraph",
@@ -42,6 +51,10 @@ class EmptyCorpusError(ValueError):
 
 class UnknownNameError(LookupError):
     """An input name does not resolve against the vocabulary."""
+
+
+class ParseError(ValueError):
+    """A data file line does not have the expected tab-separated shape."""
 
 
 @dataclass(frozen=True)
@@ -115,48 +128,158 @@ class Vocab:
             type_ids={n: i for i, n in enumerate(type_names)},
         )
 
-    def entity(self, name: str) -> int:
+    def id_of(self, kind: str, name: str) -> int:
+        """The id of an ``entity``, ``relation`` or ``type`` name."""
         try:
-            return self.entity_ids[name]
+            return getattr(self, f"{kind}_ids")[name]
         except KeyError:
-            raise UnknownNameError(f"unknown entity {name!r}") from None
-
-    def type(self, name: str) -> int:
-        try:
-            return self.type_ids[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown type {name!r}") from None
+            raise UnknownNameError(f"unknown {kind} {name!r}") from None
 
 
-def build_vocab(
-    triples: list[tuple[str, str, str]], pairs: list[tuple[str, str]]
-) -> Vocab:
+def _row_keys(codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """One int64 key per row of ``codes``, equal exactly when the rows are equal.
+
+    Column j is a digit of radix ``sizes[j]``. Should the radix product reach
+    2**63, the key so far is first replaced by its rank (< the row count).
+    """
+    keys, span = np.zeros(len(codes), dtype=np.int64), 1
+    for column, size in zip(codes.T, sizes):
+        if span * size >= 2**63:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            span = len(distinct)
+        keys, span = keys * size + column, span * size
+    return keys
+
+
+class _Table(dict):
+    """Codes of names in first-appearance order; a new name gets the next code."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = code = len(self)
+        return code
+
+
+# One loop per row width: unpacking into locals costs about what keeping a
+# tuple of names per row did; a loop generic over the fields runs 1.5-2x slower.
+def _code_triples(rows: Iterable[Sequence[str]], where: object) -> "NameRows":
+    entities, relations, codes = _Table(), _Table(), array("i")
+    push = codes.append
+    for line, fields in enumerate(rows, start=1):
+        head, rel, tail = fields if len(fields) == 3 else ("", "", "")
+        head, rel, tail = head.strip(), rel.strip(), tail.strip()
+        if head and rel and tail:
+            push(entities[head])
+            push(relations[rel])
+            push(entities[tail])
+        elif "".join(fields).strip():  # not a blank line
+            raise ParseError(f"{where}:{line}: expected 3 tab-separated fields, got {len(fields)}")
+    tables = {"entity": list(entities), "relation": list(relations)}
+    return NameRows(codes, ("entity", "relation", "entity"), tables)
+
+
+def _code_pairs(rows: Iterable[Sequence[str]], where: object) -> "NameRows":
+    entities, types, codes = _Table(), _Table(), array("i")
+    push = codes.append
+    for line, fields in enumerate(rows, start=1):
+        entity, type_name = fields if len(fields) == 2 else ("", "")
+        entity, type_name = entity.strip(), type_name.strip()
+        if entity and type_name:
+            push(entities[entity])
+            push(types[type_name])
+        elif "".join(fields).strip():
+            raise ParseError(f"{where}:{line}: expected 2 tab-separated fields, got {len(fields)}")
+    return NameRows(codes, ("entity", "type"), {"entity": list(entities), "type": list(types)})
+
+
+class NameRows:
+    """Rows of names as an int32 code array into per-kind name tables.
+
+    ``codes[i, j]`` indexes ``tables[kinds[j]]``, the names of that kind in
+    order of first appearance; columns of one kind share a table. ``len()``
+    counts the rows read, repeats included; iterating yields name tuples.
+    """
+
+    def __init__(self, codes: array, kinds: tuple[str, ...], tables: dict[str, list[str]]):
+        self.codes = np.frombuffer(codes, dtype=np.int32).reshape(-1, len(kinds))
+        self.kinds = kinds
+        self.tables = tables
+
+    @classmethod
+    def of(cls, rows: "Rows", width: int, where: object = "<rows>") -> "NameRows":
+        """``rows`` (a file's lines split at tabs, or name tuples) as NameRows.
+
+        Fields are stripped, blank rows skipped, malformed ones a ParseError.
+        """
+        if isinstance(rows, NameRows):
+            return rows
+        return (_code_triples if width == 3 else _code_pairs)(rows, where)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        columns = [self.tables[kind] for kind in self.kinds]
+        for row in self.codes.tolist():
+            yield tuple(names[code] for names, code in zip(columns, row))
+
+    @cached_property
+    def first(self) -> np.ndarray | slice:
+        """The rows that repeat no earlier row, in input order.
+
+        With no repeats, the usual case, that is every row: a plain sort finds
+        out at a fraction of the cost of the first-occurrence pass.
+        """
+        keys = _row_keys(self.codes, [len(self.tables[kind]) for kind in self.kinds])
+        ordered = np.sort(keys)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return slice(None)
+        return np.sort(np.unique(keys, return_index=True)[1])
+
+    @property
+    def repeats(self) -> int:
+        return 0 if isinstance(self.first, slice) else len(self) - len(self.first)
+
+    def ids(self, vocab: Vocab, strict: bool = True) -> np.ndarray:
+        """The vocabulary id of every code, -1 for a name the vocabulary lacks.
+
+        If ``strict``, the first such name of the first column with one raises.
+        """
+        to_id = {
+            kind: np.fromiter(map(getattr(vocab, f"{kind}_ids").get, names, repeat(-1)),
+                              dtype=np.int32, count=len(names))
+            for kind, names in self.tables.items()
+        }
+        ids = np.empty_like(self.codes)
+        for j, kind in enumerate(self.kinds):
+            ids[:, j] = to_id[kind][self.codes[:, j]]
+            unknown = ids[:, j] < 0
+            if strict and unknown.any():
+                name = self.tables[kind][self.codes[unknown.argmax(), j]]
+                raise UnknownNameError(f"unknown {kind} {name!r}")
+        return ids
+
+
+Rows = NameRows | Sequence[tuple[str, ...]]  # as loaded, or name tuples
+
+
+def build_vocab(triples: Rows, pairs: Rows) -> Vocab:
     """Assign dense ids to all names occurring in ``triples`` and ``pairs``.
 
     Entities are numbered in order of first appearance (triples first, then
     pair entities); relations likewise, after the reserved ``has_type`` slot;
-    types in order of first appearance in ``pairs``.
+    types in order of first appearance in ``pairs``. Only the name tables
+    are read, so the work is vocabulary-sized.
     """
-    if not pairs:
+    triples, pairs = NameRows.of(triples, 3), NameRows.of(pairs, 2)
+    if not len(pairs):
         raise EmptyCorpusError("no typed (entity, type) pairs in the input corpus")
-    entities: dict[str, int] = {}
-    relations: dict[str, int] = {HAS_TYPE: HAS_TYPE_ID}
-    types: dict[str, int] = {}
-    for head, rel, tail in triples:
-        if rel == HAS_TYPE:
-            raise ValueError(f"relation name {HAS_TYPE!r} is reserved")
-        if head not in entities:
-            entities[head] = len(entities)
-        if rel not in relations:
-            relations[rel] = len(relations)
-        if tail not in entities:
-            entities[tail] = len(entities)
-    for entity, type_name in pairs:
-        if entity not in entities:
-            entities[entity] = len(entities)
-        if type_name not in types:
-            types[type_name] = len(types)
-    return Vocab(entity_ids=entities, relation_ids=relations, type_ids=types)
+    if HAS_TYPE in triples.tables["relation"]:
+        raise ValueError(f"relation name {HAS_TYPE!r} is reserved")
+    return Vocab.from_names(
+        list(dict.fromkeys(triples.tables["entity"] + pairs.tables["entity"])),
+        [HAS_TYPE, *triples.tables["relation"]],
+        pairs.tables["type"],
+    )
 
 
 class AugmentedGraph:
@@ -197,82 +320,11 @@ class AugmentedGraph:
         """Array views (relation, inverted, target_is_type, target) of one node's edges."""
         self._check_entity(entity)
         lo, hi = self._offsets[entity], self._offsets[entity + 1]
-        return (
-            self._rel[lo:hi],
-            self._inv[lo:hi],
-            self._is_type[lo:hi],
-            self._tgt[lo:hi],
-        )
-
-
-def _ids(kind: str, lookups: Iterator[int], count: int) -> np.ndarray:
-    """The ``count`` int32 ids that ``lookups`` yields from a name table.
-
-    A name missing from the table raises UnknownNameError.
-    """
-    try:
-        return np.fromiter(lookups, dtype=np.int32, count=count)
-    except KeyError as err:
-        raise UnknownNameError(f"unknown {kind} {err.args[0]!r}") from None
-
-
-def _resolve_triples(
-    vocab: Vocab, triples: list[tuple[str, str, str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(triples)
-    ent, rel = vocab.entity_ids, vocab.relation_ids
-    return (
-        _ids("entity", (ent[h] for h, _, _ in triples), n),
-        _ids("relation", (rel[r] for _, r, _ in triples), n),
-        _ids("entity", (ent[t] for _, _, t in triples), n),
-    )
-
-
-def _resolve_pairs(
-    vocab: Vocab, pairs: list[tuple[str, str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(pairs)
-    ent, typ = vocab.entity_ids, vocab.type_ids
-    return (
-        _ids("entity", (ent[e] for e, _ in pairs), n),
-        _ids("type", (typ[t] for _, t in pairs), n),
-    )
-
-
-def _first_occurrences(keys: np.ndarray) -> np.ndarray | slice:
-    """Index of the first occurrence of each distinct key, in input order.
-
-    With no repeats, the usual case, that is every row: a plain sort finds
-    out at a fraction of the cost of the first-occurrence pass.
-    """
-    ordered = np.sort(keys)
-    if not (ordered[1:] == ordered[:-1]).any():
-        return slice(None)
-    _, first = np.unique(keys, return_index=True)
-    return np.sort(first)
-
-
-def _pack_csr(
-    num_nodes: int,
-    node: np.ndarray,
-    rel: np.ndarray,
-    inv: np.ndarray,
-    is_type: np.ndarray,
-    tgt: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # Stable sort by node keeps per-node edges in input order.
-    order = np.argsort(node, kind="stable")
-    counts = np.bincount(node, minlength=num_nodes)
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, rel[order], inv[order], is_type[order], tgt[order]
+        return self._rel[lo:hi], self._inv[lo:hi], self._is_type[lo:hi], self._tgt[lo:hi]
 
 
 def build_graph(
-    vocab: Vocab,
-    triples: list[tuple[str, str, str]],
-    train_pairs: list[tuple[str, str]],
-    include_type_edges: bool = True,
+    vocab: Vocab, triples: Rows, train_pairs: Rows, include_type_edges: bool = True
 ) -> AugmentedGraph:
     """Build the augmented adjacency from triples and training-split pairs.
 
@@ -283,49 +335,29 @@ def build_graph(
     when type edges are built, are dropped with a warning; the first
     occurrence keeps its place.
     """
-    heads, rels, tails = _resolve_triples(vocab, triples)
-    keep = _first_occurrences(
-        (heads.astype(np.int64) * vocab.num_relations + rels) * vocab.num_entities + tails
-    )
-    heads, rels, tails = heads[keep], rels[keep], tails[keep]
-    if include_type_edges:
-        pair_ents, pair_types = _resolve_pairs(vocab, train_pairs)
-        keep_pairs = _first_occurrences(pair_ents.astype(np.int64) * vocab.num_types + pair_types)
-        pair_ents, pair_types = pair_ents[keep_pairs], pair_types[keep_pairs]
-    else:
-        pair_ents = pair_types = np.empty(0, dtype=np.int32)
-    n, p = len(heads), len(pair_ents)
-    dup_triples = len(triples) - n
-    dup_pairs = len(train_pairs) - p if include_type_edges else 0
-    if dup_triples or dup_pairs:
+    triples = NameRows.of(triples, 3)
+    pairs = NameRows.of(train_pairs if include_type_edges else [], 2)
+    edges, typed = (rows.ids(vocab)[rows.first] for rows in (triples, pairs))
+    if triples.repeats or pairs.repeats:
         log.warning(
-            "dropped %d duplicate triples and %d duplicate pairs", dup_triples, dup_pairs
+            "dropped %d duplicate triples and %d duplicate pairs", triples.repeats, pairs.repeats
         )
 
-    # Interleave forward/inverted edge events so per-node order mirrors the
-    # order edges appear in the input.
-    node = np.empty(2 * n + p, dtype=np.int64)
-    rel = np.empty(2 * n + p, dtype=np.int32)
-    inv = np.empty(2 * n + p, dtype=bool)
-    is_type = np.zeros(2 * n + p, dtype=bool)
-    tgt = np.empty(2 * n + p, dtype=np.int32)
-    node[0 : 2 * n : 2] = heads
-    node[1 : 2 * n : 2] = tails
-    rel[0 : 2 * n : 2] = rels
-    rel[1 : 2 * n : 2] = rels
-    inv[0 : 2 * n : 2] = False
-    inv[1 : 2 * n : 2] = True
-    tgt[0 : 2 * n : 2] = tails
-    tgt[1 : 2 * n : 2] = heads
-    node[2 * n :] = pair_ents
-    rel[2 * n :] = HAS_TYPE_ID
-    inv[2 * n :] = False
-    is_type[2 * n :] = True
-    tgt[2 * n :] = pair_types
-
+    # Interleave each triple's forward (head, tail) and inverted (tail, head)
+    # edge, so per-node order mirrors the input order; type edges follow.
+    n, p = len(edges), len(typed)
+    node = np.concatenate([edges[:, ::2].ravel(), typed[:, 0]])
+    rel = np.concatenate([np.repeat(edges[:, 1], 2), np.full(p, HAS_TYPE_ID, dtype=np.int32)])
+    inv = np.concatenate([np.tile([False, True], n), np.zeros(p, dtype=bool)])
+    is_type = np.arange(2 * n + p) >= 2 * n
+    tgt = np.concatenate([edges[:, ::-2].ravel(), typed[:, 1]])
+    # CSR by node; the stable sort keeps each node's edges in that order.
+    order = np.argsort(node, kind="stable")
+    offsets = np.zeros(vocab.num_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node, minlength=vocab.num_entities), out=offsets[1:])
     return AugmentedGraph(
         num_entities=vocab.num_entities,
-        entity_csr=_pack_csr(vocab.num_entities, node, rel, inv, is_type, tgt),
+        entity_csr=(offsets, rel[order], inv[order], is_type[order], tgt[order]),
         num_edges_original=n,
         num_type_edges=p,
     )

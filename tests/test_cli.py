@@ -145,6 +145,25 @@ class TestInspect:
     def test_missing_directory_is_data_error(self, tmp_path, capsys):
         assert main(["inspect", "--data-dir", str(tmp_path / "none")]) == 2
 
+    def test_repeated_rows(self, tmp_path, capsys):
+        # train_triples counts the rows read, repeats included; train_tuples,
+        # valid and test count the pairs kept after dropping repeats.
+        triples = [("a", "r", "b"), ("a", "r", "b"), ("b", "s", "c"), ("a", "r", "b"), ("c", "s", "a")]
+        train = [("a", "t1"), ("a", "t1"), ("b", "t2"), ("c", "t1"), ("b", "t2")]
+        valid = [("c", "t2"), ("c", "t2"), ("ghost", "t1"), ("a", "t1"), ("b", "t9")]
+        test = [("a", "t2"), ("a", "t2"), ("c", "t2")]
+        write_corpus(tmp_path, (triples, train, valid, test))
+        assert main(["inspect", "--data-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "entities\t3",
+            "relations\t2",
+            "types\t2",
+            "train_triples\t5",
+            "train_tuples\t3",
+            "valid\t1",
+            "test\t1",
+        ]
+
 
 class TestTrain:
     def test_zero_epochs_writes_initialized_checkpoint(self, data_dir, tmp_path, capsys):

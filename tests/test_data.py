@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from cet import ParseError, assemble, load_pairs, load_triples
@@ -16,18 +19,45 @@ def write(tmp_path):
 
 class TestLoadTriples:
     def test_single_line(self, write):
-        assert load_triples(write("t.txt", "a\tr\tb\n")) == [("a", "r", "b")]
+        assert list(load_triples(write("t.txt", "a\tr\tb\n"))) == [("a", "r", "b")]
 
     def test_order_preserved_and_blank_lines_skipped(self, write):
         path = write("t.txt", "a\tr\tb\n\nb\tr\tc\n")
-        assert load_triples(path) == [("a", "r", "b"), ("b", "r", "c")]
+        assert list(load_triples(path)) == [("a", "r", "b"), ("b", "r", "c")]
 
     def test_fields_trimmed(self, write):
-        assert load_triples(write("t.txt", " a \tr\t b \n")) == [("a", "r", "b")]
+        assert list(load_triples(write("t.txt", " a \tr\t b \n"))) == [("a", "r", "b")]
 
     def test_crlf_and_whitespace_only_lines(self, write):
         path = write("t.txt", "a\tr\tb\r\n   \nb\tr\tc\r\n")
-        assert load_triples(path) == [("a", "r", "b"), ("b", "r", "c")]
+        assert list(load_triples(path)) == [("a", "r", "b"), ("b", "r", "c")]
+
+    def test_whitespace_only_lines_with_tabs_skipped(self, write):
+        path = write("t.txt", "a\tr\tb\n\t\n \t \n\t\t\nb\tr\tc\n\t \t\nbad\n")
+        with pytest.raises(ParseError, match=":7: expected 3 tab-separated fields, got 1$"):
+            load_triples(path)
+        assert list(load_triples(write("u.txt", "a\tr\tb\n\t\t\n"))) == [("a", "r", "b")]
+
+    def test_lone_cr_ends_a_line(self, write):
+        assert list(load_triples(write("t.txt", "a\tr\tb\rb\tr\tc\n"))) == [
+            ("a", "r", "b"),
+            ("b", "r", "c"),
+        ]
+        # A lone CR counts as a line end, CRLF as one: the bad line is line 3.
+        with pytest.raises(ParseError, match=r"t\.txt:3:"):
+            load_triples(write("t.txt", "a\tr\tb\r\r\nb\tr\n"))
+
+    def test_unicode_spaces_stripped(self, write):
+        path = write("t.txt", "\xa0a\u3000\tr\t\u3000b\xa0\n")
+        assert list(load_triples(path)) == [("a", "r", "b")]
+        assert list(load_pairs(write("p.txt", "a\xa0\t\u3000t\n"))) == [("a", "t")]
+
+    def test_last_line_without_newline(self, write):
+        path = write("t.txt", "a\tr\tb\nb\tr\tc")
+        assert list(load_triples(path)) == [("a", "r", "b"), ("b", "r", "c")]
+
+    def test_length_counts_repeats(self, write):
+        assert len(load_triples(write("t.txt", "a\tr\tb\n\na\tr\tb\n"))) == 2
 
     def test_malformed_line_reports_number(self, write):
         path = write("t.txt", "a\tr\tb\na\tb\n")
@@ -43,12 +73,37 @@ class TestLoadTriples:
             load_triples(tmp_path / "nope.txt")
 
 
+class TestLoaderMemory:
+    def test_no_python_object_per_row(self, tmp_path):
+        # 100k rows over about 1k names. The codes take 12 bytes a row (three
+        # int32); a tuple of three names per row, as rows were once kept,
+        # takes over 100.
+        rows, names = 100_000, 1_000
+        rng = np.random.default_rng(0)
+        heads, tails = rng.integers(names, size=(2, rows))
+        rels = rng.integers(20, size=rows)
+        path = tmp_path / "t.txt"
+        path.write_text(
+            "".join(f"e{h:04d}\tr{r}\te{t:04d}\n" for h, r, t in zip(heads, rels, tails)),
+            encoding="utf-8",
+        )
+        tracemalloc.start()
+        try:
+            loaded = load_triples(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = sum(len(table) for table in loaded.tables.values())
+        # A name costs its string, a dict slot while interning and a list slot.
+        assert peak < 16 * rows + 256 * distinct
+
+
 class TestLoadPairs:
     def test_pairs(self, write):
-        assert load_pairs(write("p.txt", "a\tt1\nb\tt2\n")) == [("a", "t1"), ("b", "t2")]
+        assert list(load_pairs(write("p.txt", "a\tt1\nb\tt2\n"))) == [("a", "t1"), ("b", "t2")]
 
     def test_empty_file(self, write):
-        assert load_pairs(write("p.txt", "")) == []
+        assert list(load_pairs(write("p.txt", ""))) == []
 
     def test_three_fields_rejected(self, write):
         with pytest.raises(ParseError, match=":1:"):

@@ -102,6 +102,21 @@ class TestBuildGraph:
                 build_graph(vocab, triples, pairs)
             assert str(raised.value) == message
 
+    def test_first_unknown_name_by_column_then_row(self):
+        # Heads are checked before relations, relations before tails, each
+        # in row order; for pairs, entities before types.
+        vocab = build_vocab([("a", "r", "b")], [("a", "t")])
+        for triples, pairs, message in (
+            ([("a", "q", "tail?"), ("head?", "r", "b")], [], "unknown entity 'head?'"),
+            ([("a", "r", "tail?"), ("a", "q", "b")], [], "unknown relation 'q'"),
+            ([("a", "r", "x"), ("a", "r", "y")], [], "unknown entity 'x'"),
+            ([("a", "r", "b")], [("a", "t9"), ("ghost", "t")], "unknown entity 'ghost'"),
+            ([("a", "r", "b")], [("a", "t9"), ("a", "t8")], "unknown type 't9'"),
+        ):
+            with pytest.raises(UnknownNameError) as raised:
+                build_graph(vocab, triples, pairs)
+            assert str(raised.value) == message
+
     def test_duplicates_dropped(self):
         triples = [("a", "r", "b")] * 3
         pairs = [("a", "t")] * 2
@@ -170,7 +185,8 @@ class TestGraphProperties:
     def test_repeats_drop_like_the_first_occurrence_dedupe(self):
         # build_graph drops repeated triples and pairs by integer key; the
         # result must equal building from the first occurrences, in input order.
-        from cet.data import _dedupe
+        def first_occurrences(rows):
+            return list(dict.fromkeys(rows))
 
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -181,7 +197,7 @@ class TestGraphProperties:
             for tan in (True, False):
                 got = build_graph(vocab, noisy_triples, noisy_pairs, include_type_edges=tan)
                 want = build_graph(
-                    vocab, _dedupe(noisy_triples)[0], _dedupe(noisy_pairs)[0],
+                    vocab, first_occurrences(noisy_triples), first_occurrences(noisy_pairs),
                     include_type_edges=tan,
                 )
                 assert got.num_edges_original == want.num_edges_original
