@@ -129,10 +129,18 @@ def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def positive_float(text: str) -> float:
-    """``--alpha`` of eval and explain: pooling needs a positive, finite temperature."""
+    """A positive, finite float: the ``--alpha`` pooling temperature of eval and
+    explain, and gradcheck's ``--step`` and ``--tol``."""
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
 
 
@@ -301,9 +309,9 @@ def build_parser() -> _Parser:
     p_explain.set_defaults(func=cmd_explain)
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p_grad.add_argument("--instances", type=int, default=104)
-    p_grad.add_argument("--step", type=float, default=1e-5)
-    p_grad.add_argument("--tol", type=float, default=1e-4)
+    p_grad.add_argument("--instances", type=positive_int, default=104)
+    p_grad.add_argument("--step", type=positive_float, default=1e-5)
+    p_grad.add_argument("--tol", type=positive_float, default=1e-4)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=cmd_gradcheck)
 

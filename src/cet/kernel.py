@@ -25,18 +25,19 @@ the losses and the representation gradients are shared; each lane sums those
 into accumulators of its own, and the lanes are added in lane order at the
 end. The result is therefore bit-identical whatever the number of threads
 that ran the lanes: up to ``_THREADS``, the calling thread included, with
-the others started once per batch or evaluation pass. Each thread takes the
-next lane not yet taken until none is left, so a thread whose core is busy
-with another process takes fewer lanes instead of holding up the call; there
-are more lanes than threads so that there is work left to take. ``_THREADS``
-is one per usable core, at most ``_LANES``, when BLAS is pinned to one
-thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` all 1), else 1, because BLAS threads and lane threads on
-the same cores only slow each other down. ``_LANES`` stays fixed whatever
-the core count, since it fixes the summation order and so the bits of a
-seeded run. The calling thread allocates every lane's accumulators and every
-thread's slab, so that no worker thread's malloc arena keeps a slab's memory
-after the call.
+the others taken from ``_WORKERS``, one pool for the whole process, whose
+threads start on first use and then wait, idle, for the next call (with
+``_THREADS`` = 1 none ever starts). Each thread takes the next lane not yet
+taken until none is left, so a thread whose core is busy with another
+process takes fewer lanes instead of holding up the call; there are more
+lanes than threads so that there is work left to take. ``_THREADS`` is one
+per usable core, at most ``_LANES``, when BLAS is pinned to one thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all
+1), else 1, because BLAS threads and lane threads on the same cores only
+slow each other down. ``_LANES`` stays fixed whatever the core count, since
+it fixes the summation order and so the bits of a seeded run. The calling
+thread allocates every lane's accumulators and every thread's slab, so that
+no worker thread's malloc arena keeps a slab's memory after the call.
 
 This kernel is the only backward pass and the only pooled forward:
 gradient checking differentiates the training batches that call it against
@@ -61,7 +62,7 @@ from .graph import AugmentedGraph
 from .loss import GradientSet, _loss_terms
 from .scoring import ParameterSet, candidate_matrix, neighbor_reps
 
-__all__ = ["ScoreBundle", "backward", "score_all_neighbors", "score_neighbor_arrays"]
+__all__ = ["ScoreBundle", "backward", "score_all_neighbors"]
 
 # Candidate cells (batch * candidate rows * types) in one type block of the
 # kernel, which sets the block width; the kernel's working slabs scale with it.
@@ -111,33 +112,37 @@ _BLAS_PINNED = all(
 _THREADS = min(_LANES, _usable_cores()) if _BLAS_PINNED else 1
 
 
-def _lane_workers() -> ThreadPoolExecutor:
-    """Threads that run lanes beside the caller, for the kernel calls of one
-    training batch or one evaluation pass.
+# Threads that run lanes beside the caller, for every kernel call of the
+# process. An executor starts a thread only when no idle one can take the
+# work, so each call reuses the threads of the last: starting the threads
+# per call instead was measured 8% slower in mask mode, about 20 kernel calls
+# per batch (2-vCPU Xeon VM). Idle threads are joined at interpreter exit.
+def _new_workers() -> None:
+    global _WORKERS
+    _WORKERS = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="cet-lane")
 
-    The executor starts them on the first call that needs them, so with
-    ``_THREADS`` = 1 it starts none; leaving its ``with`` block joins them.
-    Mask mode makes about 20 kernel calls per batch, and starting the worker
-    per call instead was measured 8% slower there (2-vCPU Xeon VM).
-    """
-    return ThreadPoolExecutor(max(1, _THREADS - 1), thread_name_prefix="cet-lane")
+
+_new_workers()
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of the parent's threads, but its copy of the
+    # pool counts them as idle and would leave the child's lanes queued forever.
+    os.register_at_fork(after_in_child=_new_workers)
 
 
 def _run_lanes(
     run_lane: Callable[[int, np.ndarray], None],
     lanes: int,
-    workers: ThreadPoolExecutor | None,
     new_slab: Callable[[], np.ndarray],
 ) -> None:
     """Call ``run_lane(lane, slab)`` once for every lane: on the caller and, up
-    to ``_THREADS`` threads in all, on ``workers``.
+    to ``_THREADS`` threads in all, on ``_WORKERS``.
 
     Each thread takes the next lane not yet taken until none is left, so a
     thread that is slowed (another process on its core) takes fewer lanes
     instead of holding the others up. Each thread has its own slab, made by
     ``new_slab`` on the calling thread.
     """
-    threads = min(lanes, _THREADS) if workers is not None else 1
+    threads = min(lanes, _THREADS)
     slabs = [new_slab() for _ in range(threads)]
     queue = iter(range(lanes))  # shared: next() runs under the GIL, so each lane is taken once
 
@@ -147,7 +152,7 @@ def _run_lanes(
 
     # Each worker runs in a copy of the caller's context, so that the caller's
     # np.errstate holds on every lane.
-    futures = [workers.submit(copy_context().run, share, slab) for slab in slabs[1:]]
+    futures = [_WORKERS.submit(copy_context().run, share, slab) for slab in slabs[1:]]
     try:
         share(slabs[0])
     finally:
@@ -193,7 +198,6 @@ def backward(
     config,
     valid: np.ndarray | None = None,
     self_mask: bool = False,
-    workers: ThreadPoolExecutor | None = None,
 ):
     """Per-entity losses and d(loss)/d(neighbor representation) for one batch,
     or with ``grads`` None the pooled (batch, types) scores alone.
@@ -210,8 +214,7 @@ def backward(
     every forward has_type row at its own type and the Agg2T row at the
     labels. The classifier gradients are added into ``grads``; the embedding
     rows are left to the caller. Types are processed in blocks, dealt to
-    lanes (see the module docstring); the lanes run on the calling thread
-    and, when given, on ``workers``. Each entity's loss equals
+    lanes (see the module docstring). Each entity's loss equals
     ``loss.loss_of_entity`` on its real rows with the same ``self_mask``, and
     its pooled scores equal ``scoring.pool`` of each column of
     ``scoring.candidate_matrix``, up to float rounding.
@@ -347,10 +350,10 @@ def backward(
                     db -= agg_db
             grads.b[s:e] += db
 
-    _run_lanes(run_lane, num_lanes, workers, new_slab)
+    _run_lanes(run_lane, num_lanes, new_slab)
     if not training:
         return out
-    # Lane order, whatever ran them: the sums do not depend on the workers.
+    # Lane order, whatever ran them: the sums do not depend on the threads.
     losses, dreps, dh = lanes[0]
     for lane_losses, lane_dreps, lane_dh in lanes[1:]:
         losses += lane_losses
@@ -374,9 +377,9 @@ class ScoreBundle:
     ``pooled`` (entities, types) is the kernel's. ``candidate_scores``
     (entities, rows, types) is computed by ``scoring.candidate_matrix`` on
     first access, from the parameters as they are then, with -inf rows past
-    an entity's own; ``score_neighbor_arrays`` drops the entity axis of both.
-    Row 0 is the aggregated route when Agg2T is on, and the remaining rows
-    follow the neighbor order of the arrays. Inference never reads it.
+    an entity's own. Row 0 is the aggregated route when Agg2T is on, and the
+    remaining rows follow the neighbor order of the arrays. Inference never
+    reads it.
     """
 
     def __init__(self, pooled: np.ndarray, candidates: Callable[[], np.ndarray]):
@@ -386,32 +389,6 @@ class ScoreBundle:
     @cached_property
     def candidate_scores(self) -> np.ndarray:
         return self._candidates()
-
-
-def score_neighbor_arrays(
-    params: ParameterSet,
-    rel: np.ndarray,
-    inv: np.ndarray,
-    is_type: np.ndarray,
-    tgt: np.ndarray,
-    alpha: float,
-    *,
-    use_agg2t: bool = True,
-    use_activation: bool = True,
-    workers: ThreadPoolExecutor | None = None,
-) -> ScoreBundle:
-    """Score one entity from its neighbor edges, given as parallel arrays.
-
-    One forward-only kernel call over a batch of one; its lanes run on the
-    calling thread and, when given, on ``workers`` (``_lane_workers``).
-    """
-    if len(rel) == 0:
-        raise ValueError("cannot score an entity with no neighbors")
-    neighbors = (rel, inv, is_type, tgt)
-    routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
-    config = SimpleNamespace(alpha=alpha, **routes)
-    pooled = backward(params, None, *(a[None] for a in neighbors), None, config, workers=workers)
-    return ScoreBundle(pooled[0], partial(candidate_matrix, params, *neighbors, **routes))
 
 
 def _candidate_stack(params, graph, entities, **routes) -> np.ndarray:
@@ -431,7 +408,6 @@ def score_all_neighbors(
     *,
     use_agg2t: bool = True,
     use_activation: bool = True,
-    workers: ThreadPoolExecutor | None = None,
 ) -> ScoreBundle:
     """Score entities from their full neighbor lists (the inference path).
 
@@ -442,5 +418,5 @@ def score_all_neighbors(
     routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
     arrays, valid = _padded_neighbors(graph, entities)
     config = SimpleNamespace(alpha=alpha, **routes)
-    pooled = backward(params, None, *arrays, None, config, valid=valid, workers=workers)
+    pooled = backward(params, None, *arrays, None, config, valid=valid)
     return ScoreBundle(pooled, partial(_candidate_stack, params, graph, list(entities), **routes))

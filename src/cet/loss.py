@@ -262,10 +262,13 @@ def finite_diff_oracle(
 def max_relative_error(
     analytic: GradientSet, reference: GradientSet, floor: float = 1e-8
 ) -> float:
-    """Largest elementwise |analytic - reference| / max(|reference|, floor)."""
+    """Largest elementwise |analytic - reference| / max(|reference|, floor), or
+    inf when any compared entry of either is not finite."""
     worst = 0.0
 
     def compare(a: np.ndarray, r: np.ndarray) -> float:
+        if not (np.isfinite(a).all() and np.isfinite(r).all()):
+            return np.inf  # max() would pass over a NaN
         denom = np.maximum(np.abs(r), floor)
         return float((np.abs(a - r) / denom).max()) if a.size else 0.0
 

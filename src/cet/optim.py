@@ -71,19 +71,8 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in self._tensors(params)}
-        self.v = {name: np.zeros_like(arr) for name, arr in self._tensors(params)}
-
-    @staticmethod
-    def _tensors(params: ParameterSet):
-        yield "entity_emb", params.entity_emb
-        yield "relation_emb", params.relation_emb
-        yield "type_emb", params.type_emb
-        yield "W", params.W
-        yield "b", params.b
-        if params.agg_W is not None:
-            yield "agg_W", params.agg_W
-            yield "agg_b", params.agg_b
+        self.m = {name: np.zeros_like(arr) for name, arr in params.named()}
+        self.v = {name: np.zeros_like(arr) for name, arr in params.named()}
 
 
 def _check_finite(name: str, grad: np.ndarray) -> None:
@@ -128,19 +117,13 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
         step *= lr
         target -= np.divide(step, tmp, out=step)
 
-    update_dense("W", params.W, grads.W)
-    update_dense("b", params.b, grads.b)
-    if params.agg_W is not None and grads.agg_W is not None:
-        update_dense("agg_W", params.agg_W, grads.agg_W)
-        update_dense("agg_b", params.agg_b, grads.agg_b)
+    for name, grad in grads.named_dense():
+        update_dense(name, getattr(params, name), grad)
 
-    for name, table, rows in (
-        ("entity_emb", params.entity_emb, grads.entity_rows),
-        ("relation_emb", params.relation_emb, grads.relation_rows),
-        ("type_emb", params.type_emb, grads.type_rows),
-    ):
+    for name, rows in grads.named_sparse():
         if not rows:
             continue
+        table = getattr(params, name)
         idx = np.fromiter(rows.keys(), dtype=np.int64, count=len(rows))
         order = np.argsort(idx)
         idx = idx[order]

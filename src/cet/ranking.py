@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import TypingDataset
 from .graph import AugmentedGraph
-from .kernel import _degree_buckets, _lane_workers, score_all_neighbors
+from .kernel import _degree_buckets, score_all_neighbors
 from .scoring import ParameterSet
 
 __all__ = ["MetricsReport", "rank_one", "evaluate"]
@@ -123,15 +123,13 @@ def evaluate(
     scorable = [entity for entity in by_entity if graph.degree(entity) > 0]
     degrees = np.array([graph.degree(entity) for entity in scorable])
     order = np.argsort(degrees, kind="stable")
-    with _lane_workers() as workers:
-        for bucket in _degree_buckets(degrees[order]):
-            entities = [scorable[i] for i in order[bucket]]
-            pooled = score_all_neighbors(
-                params, graph, entities, alpha, use_agg2t=use_agg2t,
-                use_activation=use_activation, workers=workers,
-            ).pooled
-            for entity, row in zip(entities, pooled):
-                rank_entity(entity, row)
+    for bucket in _degree_buckets(degrees[order]):
+        entities = [scorable[i] for i in order[bucket]]
+        pooled = score_all_neighbors(
+            params, graph, entities, alpha, use_agg2t=use_agg2t, use_activation=use_activation
+        ).pooled
+        for entity, row in zip(entities, pooled):
+            rank_entity(entity, row)
     for entity in by_entity:
         if graph.degree(entity) == 0:
             rank_entity(entity, params.b)

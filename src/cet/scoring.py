@@ -66,10 +66,14 @@ class ParameterSet:
             return self.agg_W, self.agg_b
         return self.W, self.b
 
+    def named(self):
+        """(name, tensor) of every tensor present, in field order."""
+        for f in fields(self):
+            if (tensor := getattr(self, f.name)) is not None:
+                yield f.name, tensor
+
     def _map(self, fn) -> "ParameterSet":
-        return ParameterSet(
-            **{f.name: None if (a := getattr(self, f.name)) is None else fn(a) for f in fields(self)}
-        )
+        return ParameterSet(**{name: fn(tensor) for name, tensor in self.named()})
 
     def copy(self) -> "ParameterSet":
         return self._map(np.copy)

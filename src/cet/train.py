@@ -15,8 +15,8 @@ padding nor masks. A mask-mode batch is sorted by degree and cut into
 buckets of at most ``kernel._BUCKET_ROWS`` padded rows, one kernel call
 each, with short neighbor lists padded by copies of their first edge
 (``kernel._padded_neighbors``, which evaluation shares) and the
-self-evidence mask on. Each batch opens one set of lane threads for its
-kernel calls.
+self-evidence mask on. The kernel runs its lanes on its own threads, the
+same ones for every batch.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .graph import AugmentedGraph, Vocab
 # backward is called through this module's name, so that patching
 # cet.train.backward reaches every training batch; score_all_neighbors is
 # unused here, and only the benchmark's hook on this module looks it up.
-from .kernel import _degree_buckets, _lane_workers, _padded_neighbors, backward
+from .kernel import _degree_buckets, _padded_neighbors, backward
 from .kernel import score_all_neighbors  # noqa: F401
 from .loss import LOSS_KINDS, GradientSet
 from .optim import AdamState, NumericError, adam_step, init_params
@@ -182,10 +182,7 @@ def _sampled_batch(params, graph, dataset, batch, config, rng):
     draws = (sample_neighbors(graph, entity, config.sample_size, rng) for entity in batch)
     arrays = [np.stack(column) for column in zip(*draws)]
     grads = GradientSet.zeros_like(params)
-    with _lane_workers() as workers:
-        losses, dreps = backward(
-            params, grads, *arrays, _positive_pairs(batch, dataset), config, workers=workers
-        )
+    losses, dreps = backward(params, grads, *arrays, _positive_pairs(batch, dataset), config)
     _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(arrays[0].size, -1))
     return losses, grads
 
@@ -197,17 +194,16 @@ def _masked_batch(params, graph, dataset, batch, config):
     losses = np.empty(len(batch))
     grads = GradientSet.zeros_like(params)
     edges = []
-    with _lane_workers() as workers:
-        for bucket in _degree_buckets(degrees[order]):
-            members = order[bucket]
-            entities = [batch[i] for i in members]
-            arrays, valid = _padded_neighbors(graph, entities)
-            bucket_losses, dreps = backward(
-                params, grads, *arrays, _positive_pairs(entities, dataset), config,
-                valid=valid, self_mask=True, workers=workers,
-            )
-            losses[members] = bucket_losses
-            edges.append([a[valid] for a in arrays] + [dreps[valid]])
+    for bucket in _degree_buckets(degrees[order]):
+        members = order[bucket]
+        entities = [batch[i] for i in members]
+        arrays, valid = _padded_neighbors(graph, entities)
+        bucket_losses, dreps = backward(
+            params, grads, *arrays, _positive_pairs(entities, dataset), config,
+            valid=valid, self_mask=True,
+        )
+        losses[members] = bucket_losses
+        edges.append([a[valid] for a in arrays] + [dreps[valid]])
     _scatter_rows(grads, *(np.concatenate(parts) for parts in zip(*edges)))
     return losses, grads
 

@@ -14,6 +14,7 @@ import cet.train
 from cet import assemble, build_graph
 from cet.checkpoint import MAGIC
 from cet.loss import GradientSet
+from cet.train import TrainConfig
 
 
 def tiny_corpus():
@@ -131,6 +132,16 @@ def kernel_gradients(params, neighbors, positives, config, self_mask=False):
         )
     cet.train._scatter_rows(grads, *neighbors, dreps[0])
     return float(losses[0]), grads
+
+
+def kernel_pooled(params, neighbors, alpha, *, use_agg2t=True, use_activation=True):
+    """One entity's pooled (types,) scores from the forward-only kernel.
+
+    ``neighbors`` holds the entity's (relation, inverted, target_is_type,
+    target) arrays, scored as a batch of one with no padding.
+    """
+    config = TrainConfig(alpha=alpha, use_agg2t=use_agg2t, use_activation=use_activation)
+    return cet.kernel.backward(params, None, *(a[None] for a in neighbors), None, config)[0]
 
 
 def drop_header_key(path, keys):

@@ -495,3 +495,16 @@ class TestGradcheckCommand:
 
     def test_impossible_tolerance_fails_numerically(self, capsys):
         assert main(["gradcheck", "--instances", "4", "--tol", "1e-18"]) == 3
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--instances", "0"), ("--instances", "-3"), ("--instances", "2.5"),
+            ("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
+            ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+        ],
+    )
+    def test_invalid_option_value_is_usage_error(self, capsys, option, value):
+        assert main(["gradcheck", "--instances", "4", f"{option}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and option in captured.err

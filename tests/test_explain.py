@@ -165,10 +165,10 @@ class TestNeighborProfile:
 
     def test_matches_the_neighbor_row_of_the_entity(self, setup):
         vocab, graph, params = setup
-        bundle = score_all_neighbors(params, graph, [vocab.entity_ids["a"]], 0.5)
+        scores = candidate_matrix(params, *graph.neighbor_arrays(vocab.entity_ids["a"]))
         for i, nb in enumerate(neighbors_of(graph, vocab, "a")):
             profile = dict(neighbor_profile(params, vocab, nb, top_k=10**6))
-            row = bundle.candidate_scores[0, i + 1]  # row 0 is the Agg2T route
+            row = scores[i + 1]  # row 0 is the Agg2T route
             np.testing.assert_allclose([profile[name] for name in vocab.type_names], row, rtol=1e-12)
 
 

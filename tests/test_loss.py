@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import cet.train
+
 from cet import (
     TrainConfig,
     bce_loss,
@@ -12,9 +14,10 @@ from cet import (
     sigmoid_probs,
 )
 from cet.loss import loss_of_entity, softplus
-from cet.kernel import score_neighbor_arrays
 from cet.scoring import candidate_matrix, pool
-from synth import assembled, kernel_gradients, micro_instance, one_type_instance, tiny_corpus
+from synth import (
+    assembled, kernel_gradients, kernel_pooled, micro_instance, one_type_instance, tiny_corpus,
+)
 
 
 class TestSigmoid:
@@ -118,16 +121,16 @@ class TestBackward:
     def test_loss_value_matches_forward(self):
         vocab, graph, entity, positives, params, _ = micro_instance(3)
         neighbors = graph.neighbor_arrays(entity)
-        bundle = score_neighbor_arrays(params, *neighbors, alpha=0.5)
+        pooled = kernel_pooled(params, neighbors, 0.5)
         loss, _ = kernel_gradients(
             params, neighbors, positives, TrainConfig(alpha=0.5, loss_kind="bce")
         )
-        assert loss == pytest.approx(bce_loss(bundle.pooled, positives), rel=1e-12)
+        assert loss == pytest.approx(bce_loss(pooled, positives), rel=1e-12)
         loss_fna, _ = kernel_gradients(
             params, neighbors, positives, TrainConfig(alpha=0.5, beta=1.5, loss_kind="fna")
         )
         assert loss_fna == pytest.approx(
-            fna_loss(bundle.pooled, positives, 1.5), rel=1e-12
+            fna_loss(pooled, positives, 1.5), rel=1e-12
         )
 
     def test_duplicate_neighbor_gradients_accumulate(self):
@@ -242,7 +245,7 @@ class TestSelfEvidenceMask:
         assert masked[1] != pytest.approx(unmasked[1], rel=1e-6)
 
     def test_no_mask_by_default(self):
-        pooled = score_neighbor_arrays(self.params, *self.neighbors, 0.5).pooled
+        pooled = kernel_pooled(self.params, self.neighbors, 0.5)
         expected = bce_loss(pooled, self.labels)
         default = loss_of_entity(self.params, self.neighbors, self.labels, "bce", 0.0, 0.5)
         assert default == pytest.approx(expected, rel=1e-12)
@@ -324,3 +327,38 @@ class TestGradcheckSweep:
         row = next(iter(grads.relation_rows))
         grads.relation_rows[row] = grads.relation_rows[row] + 0.05
         assert max_relative_error(grads, oracle) > 1e-3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_infinite_error(self, bad):
+        # max() passes over a NaN, so a NaN gradient must not read as error 0.
+        vocab, graph, entity, positives, params, _ = micro_instance(9)
+        neighbors = graph.neighbor_arrays(entity)
+        config = TrainConfig(alpha=0.7, beta=2.0, loss_kind="fna")
+        _, grads = kernel_gradients(params, neighbors, positives, config)
+        oracle = finite_diff_oracle(params, [(neighbors, positives)], "fna", 2.0, alpha=0.7)
+        grads.W[0, 0] = bad
+        assert max_relative_error(grads, oracle) == np.inf
+        assert max_relative_error(oracle, grads) == np.inf
+        grads.W[0, 0] = oracle.W[0, 0]
+        row = next(iter(grads.relation_rows))
+        grads.relation_rows[row] = grads.relation_rows[row].copy()
+        grads.relation_rows[row][-1] = bad
+        assert max_relative_error(grads, oracle) == np.inf
+        grads.relation_rows[row] = oracle.relation_rows[row]
+        assert max_relative_error(grads, oracle) < 1e-4
+
+    def test_sweep_fails_a_kernel_that_writes_nan(self, monkeypatch):
+        from cet.gradcheck import run_gradient_check
+
+        kernel = cet.train.backward
+
+        def nan_kernel(params, grads, *args, **kwargs):
+            result = kernel(params, grads, *args, **kwargs)
+            grads.W[0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(cet.train, "backward", nan_kernel)
+        report = run_gradient_check(instances=8)
+        assert not report.passed
+        assert report.max_rel_err == np.inf
+        assert all(case.max_rel_err == np.inf for case in report.cases)

@@ -46,6 +46,16 @@ class TestInitParams:
         np.testing.assert_array_equal(params.agg_b, 0.0)
         assert not np.array_equal(params.agg_W, params.W)
 
+    @pytest.mark.parametrize("separate_heads", [False, True])
+    def test_named_tensors_and_moments_follow_the_fields(self, vocab, separate_heads):
+        params = init_params(vocab, 4, seed=0, separate_heads=separate_heads)
+        names = ["entity_emb", "relation_emb", "type_emb", "W", "b"]
+        names += ["agg_W", "agg_b"] if separate_heads else []
+        assert [name for name, _ in params.named()] == names
+        assert all(tensor is getattr(params, name) for name, tensor in params.named())
+        state = AdamState(params, lr=0.01)
+        assert list(state.m) == names and list(state.v) == names
+
     def test_bad_dimension(self, vocab):
         with pytest.raises(ValueError):
             init_params(vocab, 0, seed=0)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import cet.kernel
 from cet import ParameterSet, TrainConfig, bce_loss, pool
-from cet.kernel import score_all_neighbors, score_neighbor_arrays
+from cet.kernel import score_all_neighbors
 from cet.scoring import candidate_matrix, neighbor_reps
-from synth import assembled, edges, kernel_gradients, tiny_corpus
+from synth import assembled, edges, kernel_gradients, kernel_pooled, tiny_corpus
 
 
 def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.float64):
@@ -24,9 +24,9 @@ def make_params(k=2, L=2, num_entities=3, num_relations=2, seed=0, dtype=np.floa
     )
 
 
-def weights_of(bundle, alpha=0.5):
-    """The (rows, types) pooling weights of an entity scored at ``alpha``."""
-    return np.column_stack([pool(column, alpha)[1] for column in bundle.candidate_scores.T])
+def weights_of(scores, alpha=0.5):
+    """The (rows, types) pooling weights of candidate ``scores`` at ``alpha``."""
+    return np.column_stack([pool(column, alpha)[1] for column in scores.T])
 
 
 def random_neighbors(rng, m, num_types=5):
@@ -143,10 +143,6 @@ class TestAgg2T:
         scores = self.two_edges(params, v, -v)
         np.testing.assert_allclose(scores[0], params.b)
 
-    def test_empty_reps_rejected(self):
-        with pytest.raises(ValueError):
-            score_neighbor_arrays(make_params(), *edges([], [], [], []), 0.5)
-
 
 class TestPool:
     def test_singleton(self):
@@ -239,20 +235,13 @@ class TestScoreEntity:
             seed=2,
         )
 
-    def score(self, entity, **kwargs):
-        return score_neighbor_arrays(
-            self.params, *self.graph.neighbor_arrays(entity), 0.5, **kwargs
-        )
-
     def test_single_neighbor_pooled_equals_row(self):
         # With one neighbor the aggregated row equals the neighbor row
         # (shared classifier), so pooling returns that row unchanged.
-        first = (a[:1] for a in self.graph.neighbor_arrays(0))
-        bundle = score_neighbor_arrays(self.params, *first, alpha=0.5)
-        np.testing.assert_allclose(bundle.pooled, bundle.candidate_scores[1], rtol=1e-6)
-        np.testing.assert_allclose(
-            bundle.candidate_scores[0], bundle.candidate_scores[1], rtol=1e-6
-        )
+        first = tuple(a[:1] for a in self.graph.neighbor_arrays(0))
+        scores = candidate_matrix(self.params, *first)
+        np.testing.assert_allclose(kernel_pooled(self.params, first, 0.5), scores[1], rtol=1e-6)
+        np.testing.assert_allclose(scores[0], scores[1], rtol=1e-6)
 
     def test_empty_sample_rejected(self):
         from cet import build_graph, build_vocab
@@ -264,23 +253,25 @@ class TestScoreEntity:
             score_all_neighbors(params, graph, [vocab.entity_ids["z"]], alpha=0.5)
 
     def test_columns_sum_to_one_and_bounds(self):
-        bundle = self.score(0)
+        neighbors = self.graph.neighbor_arrays(0)
+        scores = candidate_matrix(self.params, *neighbors)
+        pooled = kernel_pooled(self.params, neighbors, 0.5)
         np.testing.assert_allclose(
-            weights_of(bundle).sum(axis=0), np.ones(self.vocab.num_types), atol=1e-6
+            weights_of(scores).sum(axis=0), np.ones(self.vocab.num_types), atol=1e-6
         )
-        assert (bundle.pooled <= bundle.candidate_scores.max(axis=0) + 1e-6).all()
-        assert (bundle.pooled >= bundle.candidate_scores.min(axis=0) - 1e-6).all()
+        assert (pooled <= scores.max(axis=0) + 1e-6).all()
+        assert (pooled >= scores.min(axis=0) - 1e-6).all()
 
     def test_agg2t_disabled_drops_row(self):
         arrays = self.graph.neighbor_arrays(0)
-        bundle = self.score(0, use_agg2t=False)
-        assert bundle.candidate_scores.shape == (len(arrays[0]), self.vocab.num_types)
+        scores = candidate_matrix(self.params, *arrays, use_agg2t=False)
+        assert scores.shape == (len(arrays[0]), self.vocab.num_types)
         # Row i is edge i of the arrays, scored on its own.
         for i in range(len(arrays[0])):
-            alone = score_neighbor_arrays(
-                self.params, *(a[i : i + 1] for a in arrays), 0.5, use_agg2t=False
+            alone = candidate_matrix(
+                self.params, *(a[i : i + 1] for a in arrays), use_agg2t=False
             )
-            np.testing.assert_allclose(bundle.candidate_scores[i], alone.candidate_scores[0])
+            np.testing.assert_allclose(scores[i], alone[0])
 
     def test_sharp_pooling_matches_max_oracle(self):
         # A column's pooled score is within (rows - 1) / (e * alpha) of its
@@ -290,7 +281,7 @@ class TestScoreEntity:
             num_types = rng.integers(1, 5)
             neighbors = random_neighbors(rng, rng.integers(2, 6), num_types)
             params = make_params(k=3, L=num_types, num_entities=5, num_relations=3, seed=seed)
-            pooled = score_neighbor_arrays(params, *neighbors, 1e7).pooled
+            pooled = kernel_pooled(params, neighbors, 1e7)
             scores = candidate_matrix(params, *neighbors)
             np.testing.assert_allclose(pooled, scores.max(axis=0), atol=1e-6)
 
@@ -335,7 +326,7 @@ class TestPoolColumns:
         routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cet.kernel, "_CELLS", cells)
-            pooled = score_neighbor_arrays(params, *neighbors, alpha, **routes).pooled
+            pooled = kernel_pooled(params, neighbors, alpha, **routes)
         scores = candidate_matrix(params, *neighbors, **routes)
         for c in range(num_types):
             value, _ = pool(scores[:, c], alpha)
@@ -443,7 +434,7 @@ class TestNonFiniteColumns:
         params.W[1:, 0] = [np.nan, np.inf, -np.inf]
         with np.errstate(invalid="ignore"):
             scores = candidate_matrix(params, *neighbors)
-            pooled = score_neighbor_arrays(params, *neighbors, 0.5).pooled
+            pooled = kernel_pooled(params, neighbors, 0.5)
         assert np.isnan(scores[:, 1]).all()
         assert (scores[:, 2] == np.inf).all() and (scores[:, 3] == -np.inf).all()
         assert pooled[0] == pytest.approx(pool(scores[:, 0], 0.5)[0], abs=1e-12)
@@ -456,9 +447,9 @@ class TestNonFiniteColumns:
         params.b[1] = np.nan
         neighbors = edges([1, 0], [False, True], [False, False], [1, 2])
         with np.errstate(invalid="ignore"):
-            bundle = score_neighbor_arrays(params, *neighbors, 0.5)
-            assert np.isnan(bundle.pooled[1])
-            assert np.isfinite(bundle.pooled[[0, 2]]).all()
+            pooled = kernel_pooled(params, neighbors, 0.5)
+            assert np.isnan(pooled[1])
+            assert np.isfinite(pooled[[0, 2]]).all()
             loss, grads = kernel_gradients(
                 params, neighbors, [0], TrainConfig(alpha=0.5, loss_kind="bce")
             )
@@ -473,7 +464,7 @@ class TestNonFiniteColumns:
 
         params = make_params(L=2, seed=6)
         neighbors = edges([0], [False], [True], [0])
-        pooled = score_neighbor_arrays(params, *neighbors, 0.5).pooled
+        pooled = kernel_pooled(params, neighbors, 0.5)
         only_column_1 = bce_loss(pooled[1:], [])
         assert loss_of_entity(params, neighbors, [0], "bce", 0.0, 0.5, True) == pytest.approx(
             only_column_1, rel=1e-12
@@ -499,14 +490,13 @@ def bucket_peak(monkeypatch, num_entities, m, num_types, threads=2):
     assert params.W.dtype == np.float32
     entities = [vocab.entity_ids[f"q{i}"] for i in range(num_entities)]
     monkeypatch.setattr(cet.kernel, "_THREADS", threads)
-    with cet.kernel._lane_workers() as workers:
-        score_all_neighbors(params, graph, entities, 0.5, workers=workers)
-        tracemalloc.start()
-        try:
-            bundle = score_all_neighbors(params, graph, entities, 0.5, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    score_all_neighbors(params, graph, entities, 0.5)
+    tracemalloc.start()
+    try:
+        bundle = score_all_neighbors(params, graph, entities, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     return peak, bundle, params
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -357,32 +358,39 @@ def bits(result):
 
 @contextmanager
 def lane_threads():
-    """The names of the threads that run kernel lanes, recorded while inside.
+    """The threads that run kernel lanes while inside: one set per kernel call.
 
-    Threads take lanes as they come free, so with more than one thread the
-    caller holds its first lane until a worker has taken another: otherwise a
-    caller that ran every lane before the worker started would leave the
-    worker idle and the record empty.
+    Threads take lanes as they come free, so when a call has more than one
+    thread, the caller holds its first lane until a worker has taken another:
+    otherwise a caller that ran every lane before the worker started would
+    leave the worker idle and the record without it.
     """
-    names = set()
-    worker_started = threading.Event()
+    calls = []
     run_lanes = cet.kernel._run_lanes
 
-    def recorded(run_lane, *args):
+    def recorded(run_lane, lanes, new_slab):
+        threads = set()
+        calls.append(threads)
+        worker_started = threading.Event()
+
         def run(lane, slab):
-            name = threading.current_thread().name
-            names.add(name)
-            if name.startswith("cet-lane"):
+            thread = threading.current_thread()
+            threads.add(thread)
+            if thread.name.startswith("cet-lane"):
                 worker_started.set()
-            elif cet.kernel._THREADS > 1:
+            elif min(lanes, cet.kernel._THREADS) > 1:
                 worker_started.wait(timeout=60)
             run_lane(lane, slab)
 
-        run_lanes(run, *args)
+        run_lanes(run, lanes, new_slab)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cet.kernel, "_run_lanes", recorded)
-        yield names
+        yield calls
+
+
+def thread_names(calls):
+    return {thread.name for threads in calls for thread in threads}
 
 
 class TestLanes:
@@ -396,10 +404,10 @@ class TestLanes:
         rows = max(graph.degree(e) for e in batch) + 1
         monkeypatch.setattr(cet.kernel, "_CELLS", len(batch) * rows)
         monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 12)
-        with lane_threads() as threads:
+        with lane_threads() as calls:
             sampled = _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
             masked = _masked_batch(params, graph, dataset, batch, config)
-        return [bits(sampled), bits(masked)], threads
+        return [bits(sampled), bits(masked)], thread_names(calls)
 
     @staticmethod
     def forward(monkeypatch, params, hub_setup, config):
@@ -419,7 +427,7 @@ class TestLanes:
             buckets.append(entities)
             return bundle
 
-        with lane_threads() as threads, pytest.MonkeyPatch.context() as mp:
+        with lane_threads() as calls, pytest.MonkeyPatch.context() as mp:
             mp.setattr(cet.ranking, "score_all_neighbors", recorded)
             report = evaluate(
                 params, graph, dataset, "valid", config.alpha, use_agg2t=config.use_agg2t,
@@ -427,7 +435,7 @@ class TestLanes:
             )
         assert sum(len(b) > 1 for b in buckets) >= 3
         assert any(len(b) == 1 and graph.degree(b[0]) > 6 for b in buckets)
-        return [pooled, report.ranks], threads
+        return [pooled, report.ranks], thread_names(calls)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_at_any_thread_count(self, hub_setup, monkeypatch, dtype):
@@ -479,6 +487,110 @@ class TestLanes:
             (_, ranks), threads = self.forward(monkeypatch, params, hub_setup, config)
         assert any(name.startswith("cet-lane") for name in threads)
         assert all(np.isnan(rank) for _, _, rank in ranks)
+
+    def test_every_call_reuses_the_pools_thread(self, hub_setup, monkeypatch):
+        # At two threads the pool starts one worker for the first call and
+        # hands it every later call's share: three training batches (sampled,
+        # mask mode with several buckets, sampled) and an evaluation pass run
+        # their lanes on that one thread, and no call starts a thread.
+        config, params, batch = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[0])
+        vocab, dataset, graph, *_ = hub_setup
+        monkeypatch.setattr(cet.kernel, "_CELLS", 1)  # one-type blocks: 8 lanes per call
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 12)
+        monkeypatch.setattr(cet.kernel, "_THREADS", 2)
+        pool = ThreadPoolExecutor(cet.kernel._LANES - 1, thread_name_prefix="cet-lane")
+        monkeypatch.setattr(cet.kernel, "_WORKERS", pool)
+        try:
+            with lane_threads() as calls:
+                _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
+                _masked_batch(params, graph, dataset, batch, config)
+                _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(4))
+                evaluate(params, graph, dataset, "valid", config.alpha)
+        finally:
+            pool.shutdown()
+        workers = [{t for t in threads if t.name.startswith("cet-lane")} for threads in calls]
+        assert len(workers) > 4 and all(len(call) == 1 for call in workers)
+        # Thread objects, not idents: a thread started after another ended
+        # may reuse its ident.
+        assert len(set.union(*workers)) == 1
+
+    LIFECYCLE = """
+import sys
+import threading
+import cet.kernel
+from cet import TrainConfig, fit
+from synth import assembled, hub_marker_corpus
+
+vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=60, seed=5))
+if cet.kernel._BLAS_PINNED:
+    cet.kernel._THREADS = max(cet.kernel._THREADS, 2)  # lane threads even on one core
+config = TrainConfig(dim=8, batch_size=64, max_epochs=1, eval_every=1, mask_mode=sys.argv[1] == "1")
+fit(vocab, graph, dataset, config)
+print(sum(t.name.startswith("cet-lane") for t in threading.enumerate()))
+"""
+
+    @staticmethod
+    def run_fresh(environ, mask_mode):
+        """Train one epoch of 64-entity batches and validate once, in a fresh
+        interpreter; returns the completed process and the number of lane
+        threads alive at the end."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        tests = Path(__file__).parent
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cet.kernel.__file__).parents[1]), str(tests)])
+        env.update(environ)
+        done = subprocess.run(
+            [sys.executable, "-c", TestLanes.LIFECYCLE, str(int(mask_mode))], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        return done, int(done.stdout.split()[-1]) if done.returncode == 0 else None
+
+    @pytest.mark.parametrize("mask_mode", [False, True])
+    def test_unpinned_blas_starts_no_lane_thread(self, mask_mode):
+        done, alive = self.run_fresh({}, mask_mode)
+        assert done.returncode == 0, done.stderr
+        assert alive == 0
+
+    def test_idle_lane_threads_do_not_block_exit(self):
+        # The pool's threads wait, idle, after the last call; the interpreter
+        # still exits, with status 0, within the timeout.
+        pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        done, alive = self.run_fresh(pinned, False)
+        assert done.returncode == 0, done.stderr
+        assert alive >= 1
+
+    FORK = """
+import os
+import signal
+import cet.kernel
+from cet import evaluate, init_params
+from synth import assembled, hub_marker_corpus
+
+vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=60, seed=5))
+params = init_params(vocab, 8, seed=0)
+cet.kernel._THREADS = 2
+evaluate(params, graph, dataset, "valid", 0.5)  # starts a lane thread
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    evaluate(params, graph, dataset, "valid", 0.5)
+    os._exit(0)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_lanes_on_threads_of_its_own(self):
+        # The child of a process whose pool has idle threads evaluates and
+        # exits 0, instead of waiting on lanes that no thread takes.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cet.kernel.__file__).parents[1]), str(Path(__file__).parent)]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", TestLanes.FORK], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "0"
 
     @pytest.mark.parametrize(
         "environ, pinned",
