@@ -15,7 +15,6 @@ from .graph import (
     HAS_TYPE,
     AugmentedGraph,
     EmptyCorpusError,
-    Neighbor,
     UnknownNameError,
     Vocab,
     build_graph,
@@ -47,7 +46,6 @@ __all__ = [
     "GradientSet",
     "HAS_TYPE",
     "MetricsReport",
-    "Neighbor",
     "NumericError",
     "ParameterSet",
     "ParseError",

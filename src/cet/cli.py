@@ -144,6 +144,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-dir", required=True, help="dataset directory")
     parser.add_argument("--triples-file", help="override <data-dir>/train.txt")
@@ -303,7 +310,7 @@ def build_parser() -> _Parser:
     p_explain.add_argument("--checkpoint", required=True)
     p_explain.add_argument("--entity", required=True)
     p_explain.add_argument("--type", required=True)
-    p_explain.add_argument("--top-k", type=int, default=3, dest="top_k")
+    p_explain.add_argument("--top-k", type=positive_int, default=3, dest="top_k")
     p_explain.add_argument("--alpha", type=positive_float, help="override checkpoint alpha")
     p_explain.add_argument("--tsv", help="write rank<TAB>source<TAB>score<TAB>weight TSV")
     p_explain.set_defaults(func=cmd_explain)
@@ -312,7 +319,7 @@ def build_parser() -> _Parser:
     p_grad.add_argument("--instances", type=positive_int, default=104)
     p_grad.add_argument("--step", type=positive_float, default=1e-5)
     p_grad.add_argument("--tol", type=positive_float, default=1e-4)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=non_negative_int, default=0)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_inspect = sub.add_parser("inspect", help="dataset statistics after assembly")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AugmentedGraph, Neighbor, Vocab
+from .graph import AugmentedGraph, Vocab
 from .scoring import ParameterSet, candidate_matrix, pool
 
 __all__ = [
@@ -46,14 +46,12 @@ class Explanation:
     rows: list[ExplanationRow]
 
 
-def source_label(vocab: Vocab, nb: Neighbor) -> str:
+def source_label(vocab: Vocab, rel: int, inv: bool, is_type: bool, tgt: int) -> str:
     """Human-readable "(relation, target)" label for a neighbor edge."""
-    relation = vocab.relation_names[nb.relation]
-    if nb.inverted:
+    relation = vocab.relation_names[rel]
+    if inv:
         relation = f"inverse of {relation}"
-    target = (
-        vocab.type_names[nb.target] if nb.target_is_type else vocab.entity_names[nb.target]
-    )
+    target = vocab.type_names[tgt] if is_type else vocab.entity_names[tgt]
     return f"({relation}, {target})"
 
 
@@ -93,9 +91,8 @@ def explain(
         pooled_score, weights = pool(scores, alpha)
     if not np.isfinite(scores).all():
         pooled_score = np.nan  # as evaluation pools it; ``pool`` would mask a -inf
-    rel, inv, is_type, tgt = (a.tolist() for a in neighbors)
     labels = [AGGREGATION_LABEL] if use_agg2t else []
-    labels += [source_label(vocab, Neighbor(*edge)) for edge in zip(rel, inv, tgt, is_type)]
+    labels += [source_label(vocab, *edge) for edge in zip(*(a.tolist() for a in neighbors))]
     order = np.argsort(-scores, kind="stable")
     rows = [
         ExplanationRow(labels[i], float(scores[i]), float(weights[i]))
@@ -112,15 +109,14 @@ def explain(
 def neighbor_profile(
     params: ParameterSet,
     vocab: Vocab,
-    nb: Neighbor,
+    edge: tuple[int, bool, bool, int],
     top_k: int = 3,
     *,
     use_activation: bool = True,
 ) -> list[tuple[str, float]]:
-    """Types most strongly indicated by a single neighbor, best first."""
+    """Types most strongly indicated by one (relation, inverted, target_is_type, target) edge."""
     if top_k <= 0:
         return []
-    edge = (nb.relation, nb.inverted, nb.target_is_type, nb.target)
     scores = candidate_matrix(
         params, *(np.array([v]) for v in edge), use_agg2t=False, use_activation=use_activation
     )[0]

@@ -117,20 +117,18 @@ def _random_instance(rng: np.random.Generator):
     with _quiet_dedupe_logs():
         vocab, dataset = assemble(triples, pairs, [], [])
         graph = build_graph(vocab, triples, pairs, include_type_edges=True)
-    candidates = [e for e in range(vocab.num_entities) if graph.degree(e) > 0]
+    candidates = np.flatnonzero(graph.degrees(np.arange(vocab.num_entities)))
     entity = int(candidates[rng.integers(0, len(candidates))])
     return vocab, graph, dataset, entity
 
 
 def _ragged_batch(graph: AugmentedGraph, entity: int, rng: np.random.Generator) -> list[int]:
     """``entity`` plus up to two more entities, each of a degree new to the batch."""
+    degrees = graph.degrees(np.arange(graph.num_entities))
     batch = [entity]
-    degrees = {graph.degree(entity)}
     for other in rng.permutation(graph.num_entities).tolist():
-        degree = graph.degree(other)
-        if degree > 0 and degree not in degrees and len(batch) < 3:
+        if degrees[other] > 0 and degrees[other] not in degrees[batch] and len(batch) < 3:
             batch.append(other)
-            degrees.add(degree)
     return batch
 
 
@@ -175,7 +173,7 @@ def run_gradient_check(
         else:
             sample_size = int(rng.integers(1, sample_max + 1))
             kernel_rng = copy.deepcopy(rng)  # replays these draws in the kernel
-            neighbors = [sample_neighbors(graph, e, sample_size, rng) for e in batch]
+            neighbors = list(zip(*sample_neighbors(graph, batch, sample_size, rng)))
 
         beta = float(rng.uniform(0.5, 4.0))
         alpha = float(rng.uniform(0.3, 1.5))

@@ -11,7 +11,7 @@ every known (entity, type) pair becomes an edge through the reserved
 whole neighborhood of a node is visible from its outgoing adjacency alone.
 Only entity adjacency is stored, as CSR arrays: type nodes live in their
 own index space and are never scored, so their inverse ``has_type`` edges
-are only counted.
+are only counted. ``AugmentedGraph.gather`` reads a batch's edges at once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "ParseError",
     "UnknownNameError",
     "NameRows",
-    "Neighbor",
     "Vocab",
     "AugmentedGraph",
     "build_vocab",
@@ -55,24 +54,6 @@ class UnknownNameError(LookupError):
 
 class ParseError(ValueError):
     """A data file line does not have the expected tab-separated shape."""
-
-
-@dataclass(frozen=True)
-class Neighbor:
-    """One outgoing edge as a value: relation id, direction flag and target node.
-
-    Scoring works on the edge arrays of ``AugmentedGraph.neighbor_arrays``;
-    this form labels the sources of an explanation.
-
-    ``target`` indexes the type table when ``target_is_type`` is set (which
-    happens exactly for forward ``has_type`` edges) and the entity table
-    otherwise.
-    """
-
-    relation: int
-    inverted: bool
-    target: int
-    target_is_type: bool = False
 
 
 @dataclass(frozen=True)
@@ -313,6 +294,21 @@ class AugmentedGraph:
     def degree(self, entity: int) -> int:
         self._check_entity(entity)
         return int(self._offsets[entity + 1] - self._offsets[entity])
+
+    def degrees(self, entities: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The degree of each of ``entities``, as one int64 array."""
+        entities = np.asarray(entities, dtype=np.int64)
+        outside = (entities < 0) | (entities >= self.num_entities)
+        if outside.any():
+            self._check_entity(int(entities[outside][0]))
+        return self._offsets[entities + 1] - self._offsets[entities]
+
+    def gather(self, entities: Sequence[int] | np.ndarray, picks: np.ndarray) -> tuple:
+        """(relation, inverted, target_is_type, target) arrays shaped like ``picks``:
+        row i holds the edges at positions ``picks[i]`` (each in [0, degree)) of
+        the neighbor list of ``entities[i]``."""
+        edges = self._offsets[np.asarray(entities, dtype=np.int64)][:, None] + picks
+        return self._rel[edges], self._inv[edges], self._is_type[edges], self._tgt[edges]
 
     def neighbor_arrays(
         self, entity: int

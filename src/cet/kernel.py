@@ -14,7 +14,7 @@ Without labels and gradients the kernel runs forward only: each block is
 scored and pooled into its columns of a (batch, types) result. Inference
 runs that mode: ``score_all_neighbors`` scores a degree bucket of entities
 in one call, padded as mask-mode training pads them (``_degree_buckets``,
-``_padded_neighbors``), so the N2T product has hundreds of rows even when
+``_padded_neighbors``, one ``AugmentedGraph.gather``), so the N2T product has hundreds of rows even when
 each entity has few, and a hub costs the blocks' slabs, not a (rows,
 types) candidate matrix. A bucket is still cut into at least
 ``_FORWARD_BLOCKS`` blocks to spread over two cores.
@@ -162,29 +162,28 @@ def _run_lanes(
 
 
 def _degree_buckets(degrees: np.ndarray):
-    """Slices of ascending ``degrees`` whose padded size fits ``_BUCKET_ROWS``.
+    """Positions into ``degrees`` by stable ascending degree, cut to fit ``_BUCKET_ROWS``.
 
     An entity whose degree alone exceeds the budget gets a bucket of its own.
     """
+    order = np.argsort(degrees, kind="stable")
     start = 0
-    for i in range(1, len(degrees) + 1):
-        if i == len(degrees) or (i - start + 1) * degrees[i] > _BUCKET_ROWS:
-            yield slice(start, i)
+    for i in range(1, len(order) + 1):
+        if i == len(order) or (i - start + 1) * degrees[order[i]] > _BUCKET_ROWS:
+            yield order[start:i]
             start = i
 
 
 def _padded_neighbors(
     graph: AugmentedGraph, entities: list[int]
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The entities' neighbor arrays stacked to (entities, largest degree), padded
     with each entity's first edge as ``backward`` requires, and the ``valid`` mask."""
-    neighbors = [graph.neighbor_arrays(entity) for entity in entities]
-    degrees = np.array([len(rel) for rel, *_ in neighbors])
+    degrees = graph.degrees(entities)
     if not degrees.all():
         raise ValueError(f"entity {entities[degrees.argmin()]} is isolated; no neighbors to score")
     valid = np.arange(degrees.max()) < degrees[:, None]
-    pick = np.where(valid, np.arange(degrees.max()), 0)
-    return [np.stack([a[p] for a, p in zip(col, pick)]) for col in zip(*neighbors)], valid
+    return graph.gather(entities, np.where(valid, np.arange(degrees.max()), 0)), valid
 
 
 def backward(

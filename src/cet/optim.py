@@ -92,19 +92,12 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
 
-    def update_rows(name: str, target: np.ndarray, grad: np.ndarray, rows: np.ndarray) -> None:
+    def update(
+        name: str, target: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray
+    ) -> None:
+        """The update of ``target`` and its moments ``m`` and ``v``, in place,
+        through two scratch buffers."""
         _check_finite(name, grad)
-        m = b1 * state.m[name][rows] + (1.0 - b1) * grad
-        v = b2 * state.v[name][rows] + (1.0 - b2) * grad * grad
-        state.m[name][rows] = m
-        state.v[name][rows] = v
-        target[rows] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    def update_dense(name: str, target: np.ndarray, grad: np.ndarray) -> None:
-        # The formula of ``update_rows``, operation for operation (so the
-        # result is bitwise the same), in place through two scratch buffers.
-        _check_finite(name, grad)
-        m, v = state.m[name], state.v[name]
         tmp, step = np.empty_like(target), np.empty_like(target)
         m *= b1
         m += np.multiply(grad, 1.0 - b1, out=tmp)
@@ -118,14 +111,17 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
         target -= np.divide(step, tmp, out=step)
 
     for name, grad in grads.named_dense():
-        update_dense(name, getattr(params, name), grad)
+        update(name, getattr(params, name), state.m[name], state.v[name], grad)
 
     for name, rows in grads.named_sparse():
         if not rows:
             continue
-        table = getattr(params, name)
-        idx = np.fromiter(rows.keys(), dtype=np.int64, count=len(rows))
-        order = np.argsort(idx)
-        idx = idx[order]
-        grad = np.stack([rows[int(i)] for i in idx]).astype(table.dtype, copy=False)
-        update_rows(name, table, grad, idx)
+        tensors = getattr(params, name), state.m[name], state.v[name]
+        idx = np.sort(np.fromiter(rows.keys(), dtype=np.int64, count=len(rows)))
+        grad = np.stack([rows[int(i)] for i in idx]).astype(tensors[0].dtype, copy=False)
+        # The touched rows of the table and its moments, updated as gathered
+        # copies and written back.
+        touched = [tensor[idx] for tensor in tensors]
+        update(name, *touched, grad)
+        for tensor, part in zip(tensors, touched):
+            tensor[idx] = part

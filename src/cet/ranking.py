@@ -92,8 +92,8 @@ def evaluate(
     """Rank every (entity, type) pair of a split and aggregate the metrics.
 
     Entities are scored once and the vector reused for all their queried
-    types. They are sorted by degree and cut into the degree buckets of
-    mask-mode training (``kernel._degree_buckets``); each bucket is one
+    types. They are cut into the degree buckets of mask-mode training
+    (``kernel._degree_buckets``, ascending degree); each bucket is one
     ``score_all_neighbors`` call, the forward-only kernel with its lanes on
     every core, whose pooled rows are ranked as returned. Isolated entities
     (possible only without type edges) fall back to the bias vector. Every
@@ -120,19 +120,18 @@ def evaluate(
         for idx in indices:
             ranks[idx] = rank_one(pooled, pairs[idx][1], known)
 
-    scorable = [entity for entity in by_entity if graph.degree(entity) > 0]
-    degrees = np.array([graph.degree(entity) for entity in scorable])
-    order = np.argsort(degrees, kind="stable")
-    for bucket in _degree_buckets(degrees[order]):
-        entities = [scorable[i] for i in order[bucket]]
+    queried = np.fromiter(by_entity, dtype=np.int64, count=len(by_entity))
+    degrees = graph.degrees(queried)
+    scorable = queried[degrees > 0]
+    for bucket in _degree_buckets(degrees[degrees > 0]):
+        entities = scorable[bucket].tolist()
         pooled = score_all_neighbors(
             params, graph, entities, alpha, use_agg2t=use_agg2t, use_activation=use_activation
         ).pooled
         for entity, row in zip(entities, pooled):
             rank_entity(entity, row)
-    for entity in by_entity:
-        if graph.degree(entity) == 0:
-            rank_entity(entity, params.b)
+    for entity in queried[degrees == 0].tolist():
+        rank_entity(entity, params.b)
 
     mr, mrr, hits1, hits3, hits10 = _metrics(ranks)
     per_sample = None

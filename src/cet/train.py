@@ -7,13 +7,14 @@ mode scores from all neighbors and blanks self-revealing candidates instead.
 One Adam step is taken per batch on the batch-summed gradients.
 
 Neighbors are (relation, inverted, target_is_type, target) arrays
-throughout. Both modes run the type-blocked kernel ``kernel.backward`` over
-(batch, rows) neighbor arrays and scatter its representation gradients into
-the sparse embedding rows once per batch. A sampled batch stacks one
-``sample_neighbors`` draw per entity, fills every row and needs neither
-padding nor masks. A mask-mode batch is sorted by degree and cut into
-buckets of at most ``kernel._BUCKET_ROWS`` padded rows, one kernel call
-each, with short neighbor lists padded by copies of their first edge
+throughout, read for the whole batch by ``AugmentedGraph.gather``. Both modes
+run the type-blocked kernel ``kernel.backward`` over (batch, rows) neighbor
+arrays and scatter its representation gradients into the sparse embedding
+rows once per batch. A sampled batch is one ``sample_neighbors`` draw, fills
+every row and needs neither padding nor masks. A mask-mode batch is cut by
+``kernel._degree_buckets`` into buckets of ascending degree, at most
+``kernel._BUCKET_ROWS`` padded rows each, one kernel call each, with short
+neighbor lists padded by copies of their first edge
 (``kernel._padded_neighbors``, which evaluation shares) and the
 self-evidence mask on. The kernel runs its lanes on its own threads, the
 same ones for every batch.
@@ -74,8 +75,8 @@ class TrainConfig:
             raise ValueError("beta must be non-negative")
         if self.batch_size < 1 or self.sample_size < 1 or self.eval_every < 1:
             raise ValueError("batch_size, sample_size and eval_every must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
+        if self.max_epochs < 0 or self.seed < 0:
+            raise ValueError("max_epochs and seed must be >= 0")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
 
@@ -84,18 +85,19 @@ class TrainConfig:
 
 
 def sample_neighbors(
-    graph: AugmentedGraph, entity: int, sample_size: int, rng: np.random.Generator
+    graph: AugmentedGraph, entities: list[int], sample_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``sample_size`` neighbors i.i.d. uniformly with replacement.
+    """Draw ``sample_size`` neighbors of each entity i.i.d. uniformly with replacement.
 
-    Returns the drawn edges as (relation, inverted, target_is_type, target)
-    arrays, like ``AugmentedGraph.neighbor_arrays``.
+    Returns (relation, inverted, target_is_type, target) arrays of shape
+    (entities, sample_size), drawn by one broadcast ``rng.integers`` call as
+    one ``rng.integers(0, degree, size=sample_size)`` per entity would.
     """
-    degree = graph.degree(entity)
-    if degree == 0:
-        raise ValueError(f"entity {entity} is isolated; cannot sample neighbors")
-    idx = rng.integers(0, degree, size=sample_size)
-    return tuple(a[idx] for a in graph.neighbor_arrays(entity))
+    degrees = graph.degrees(entities)
+    if not degrees.all():
+        raise ValueError(f"entity {entities[degrees.argmin()]} is isolated; cannot sample neighbors")
+    picks = rng.integers(0, degrees[:, None], size=(len(degrees), sample_size))
+    return graph.gather(entities, picks)
 
 
 def _positive_pairs(
@@ -137,14 +139,10 @@ def _scatter_rows(
 
 
 def _trainable_entities(graph: AugmentedGraph, dataset: TypingDataset) -> tuple[list[int], int]:
-    trainable = []
-    skipped = 0
-    for entity in sorted(dataset.train_types):
-        if graph.degree(entity) > 0:
-            trainable.append(entity)
-        else:
-            skipped += 1
-    return trainable, skipped
+    """The labeled entities with neighbors, in id order, and the count of those without."""
+    labeled = np.array(sorted(dataset.train_types), dtype=np.int64)
+    connected = graph.degrees(labeled) > 0
+    return labeled[connected].tolist(), int((~connected).sum())
 
 
 def train_epoch(
@@ -179,8 +177,7 @@ def train_epoch(
 
 
 def _sampled_batch(params, graph, dataset, batch, config, rng):
-    draws = (sample_neighbors(graph, entity, config.sample_size, rng) for entity in batch)
-    arrays = [np.stack(column) for column in zip(*draws)]
+    arrays = sample_neighbors(graph, batch, config.sample_size, rng)
     grads = GradientSet.zeros_like(params)
     losses, dreps = backward(params, grads, *arrays, _positive_pairs(batch, dataset), config)
     _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(arrays[0].size, -1))
@@ -189,13 +186,10 @@ def _sampled_batch(params, graph, dataset, batch, config, rng):
 
 def _masked_batch(params, graph, dataset, batch, config):
     """All neighbors of each entity, in degree buckets padded to their largest degree."""
-    degrees = np.array([graph.degree(entity) for entity in batch])
-    order = np.argsort(degrees, kind="stable")
     losses = np.empty(len(batch))
     grads = GradientSet.zeros_like(params)
     edges = []
-    for bucket in _degree_buckets(degrees[order]):
-        members = order[bucket]
+    for members in _degree_buckets(graph.degrees(batch)):
         entities = [batch[i] for i in members]
         arrays, valid = _padded_neighbors(graph, entities)
         bucket_losses, dreps = backward(

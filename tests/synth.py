@@ -83,6 +83,20 @@ def edges(rel, inv, is_type, tgt):
     )
 
 
+def sample_each(graph, entities, sample_size, rng):
+    """The per-entity sampler that ``train.sample_neighbors`` batches, as a reference.
+
+    One ``rng.integers(0, degree, size=sample_size)`` per entity, in order,
+    indexing its ``neighbor_arrays``; returns one (relation, inverted,
+    target_is_type, target) tuple per entity.
+    """
+    draws = []
+    for entity in entities:
+        idx = rng.integers(0, graph.degree(entity), size=sample_size)
+        draws.append(tuple(a[idx] for a in graph.neighbor_arrays(entity)))
+    return draws
+
+
 def assembled(corpus, include_type_edges: bool = True):
     triples, train, valid, test = corpus
     vocab, dataset = assemble(triples, train, valid, test)

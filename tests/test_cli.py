@@ -267,6 +267,8 @@ class TestTrain:
                 for value in ("nan", "inf")
                 for case in ((["--" + name, value], None), ([], f"{name}={value}"))
             ),
+            (["--seed", "-1"], None),
+            ([], "seed=-1"),
         ],
     )
     def test_invalid_option_value_is_usage_error(
@@ -279,7 +281,8 @@ class TestTrain:
             config.write_text(config_line + "\n", encoding="utf-8")
             argv += ["--config", str(config)]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
         assert not (tmp_path / "x").exists()
 
 
@@ -446,6 +449,24 @@ class TestExplainCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("top_k", ["-2", "0", "1.5"])
+    def test_non_positive_top_k_is_usage_error(self, trained, capsys, top_k):
+        base, out = trained
+        code = main(
+            [
+                "explain",
+                "--data-dir", str(base),
+                "--checkpoint", str(out / "checkpoint.cet"),
+                "--entity", "e0",
+                "--type", "t0",
+                f"--top-k={top_k}",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--top-k" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("alpha", ["-0.5", "0", "nan", "inf"])
     def test_non_positive_alpha_is_usage_error(self, trained, capsys, alpha):
         base, out = trained
@@ -502,6 +523,7 @@ class TestGradcheckCommand:
             ("--instances", "0"), ("--instances", "-3"), ("--instances", "2.5"),
             ("--step", "0"), ("--step", "-1e-5"), ("--step", "nan"), ("--step", "inf"),
             ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+            ("--seed", "-1"), ("--seed", "1.5"),
         ],
     )
     def test_invalid_option_value_is_usage_error(self, capsys, option, value):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cet import (
-    Neighbor,
     UnknownNameError,
     build_graph,
     build_vocab,
@@ -29,9 +28,8 @@ def random_params(vocab, k=4, seed=0):
 
 
 def neighbors_of(graph, vocab, entity):
-    """An entity's neighbors, in row order, as explain labels them."""
-    rel, inv, is_type, tgt = (a.tolist() for a in graph.neighbor_arrays(vocab.entity_ids[entity]))
-    return [Neighbor(*edge) for edge in zip(rel, inv, tgt, is_type)]
+    """An entity's neighbor edges (relation, inverted, target_is_type, target), in row order."""
+    return list(zip(*(a.tolist() for a in graph.neighbor_arrays(vocab.entity_ids[entity]))))
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +129,9 @@ class TestExplain:
         r = vocab.relation_ids["r"]
         b = vocab.entity_ids["b"]
         t1 = vocab.type_ids["t1"]
-        assert source_label(vocab, Neighbor(r, False, b)) == "(r, b)"
-        assert source_label(vocab, Neighbor(r, True, b)) == "(inverse of r, b)"
-        assert (
-            source_label(vocab, Neighbor(0, False, t1, target_is_type=True))
-            == "(has_type, t1)"
-        )
+        assert source_label(vocab, r, False, False, b) == "(r, b)"
+        assert source_label(vocab, r, True, False, b) == "(inverse of r, b)"
+        assert source_label(vocab, 0, False, True, t1) == "(has_type, t1)"
 
 
 class TestNeighborProfile:

@@ -88,6 +88,12 @@ class TestBuildGraph:
             graph.neighbor_arrays(99)
         with pytest.raises(IndexError):
             graph.neighbor_arrays(-1)
+        n = vocab.num_entities
+        for entities, bad in (([0, n], n), ([-1, 0], -1), ([1, 99, -1], 99)):
+            with pytest.raises(IndexError, match=f"entity index {bad} out of range"):
+                graph.degrees(entities)
+            with pytest.raises(IndexError, match=f"entity index {bad} out of range"):
+                graph.degree(bad)
 
     def test_unknown_name_reported(self):
         vocab = build_vocab([("a", "r", "b")], [("a", "t")])
@@ -158,6 +164,46 @@ class TestGraphProperties:
             }
         )
         return triples, pairs
+
+    def test_degrees_match_degree(self):
+        rng = np.random.default_rng(4)
+        for _ in range(25):
+            triples, pairs = self._random_corpus(rng)
+            vocab = build_vocab(triples, pairs)
+            for tan in (True, False):
+                graph = build_graph(vocab, triples, pairs, include_type_edges=tan)
+                entities = rng.integers(vocab.num_entities, size=int(rng.integers(1, 12)))
+                degrees = graph.degrees(entities)
+                assert degrees.dtype == np.int64
+                assert degrees.tolist() == [graph.degree(e) for e in entities.tolist()]
+                assert graph.degrees(list(entities)).tolist() == degrees.tolist()
+
+    def test_gather_matches_neighbor_arrays(self):
+        # Row i holds the edges of entities[i] at positions picks[i], in
+        # the arrays' dtypes, whatever the shape of the picks.
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            triples, pairs = self._random_corpus(rng)
+            vocab = build_vocab(triples, pairs)
+            graph = build_graph(vocab, triples, pairs)
+            connected = np.flatnonzero(graph.degrees(np.arange(vocab.num_entities)))
+            entities = rng.choice(connected, size=int(rng.integers(1, 8)))
+            width = int(rng.integers(1, 6))
+            picks = rng.integers(0, graph.degrees(entities)[:, None], size=(len(entities), width))
+            gathered = graph.gather(entities, picks)
+            for got, want_dtype in zip(gathered, graph.neighbor_arrays(0)):
+                assert got.shape == picks.shape and got.dtype == want_dtype.dtype
+            for row, (entity, pick) in enumerate(zip(entities.tolist(), picks)):
+                want = [a[pick] for a in graph.neighbor_arrays(entity)]
+                for got, expected in zip(gathered, want):
+                    np.testing.assert_array_equal(got[row], expected)
+
+    def test_degrees_of_no_entities_is_empty(self):
+        vocab = build_vocab([("a", "r", "b")], [("a", "t")])
+        graph = build_graph(vocab, [("a", "r", "b")], [("a", "t")])
+        for empty in ([], np.array([], dtype=np.int32)):
+            degrees = graph.degrees(empty)
+            assert degrees.shape == (0,) and degrees.dtype == np.int64
 
     def test_edge_count_identity(self):
         rng = np.random.default_rng(0)

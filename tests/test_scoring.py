@@ -350,6 +350,55 @@ def ragged_graph(num_types=30, hub_degree=300):
     return vocab, graph, queries
 
 
+class TestBuckets:
+    """``kernel._degree_buckets`` and ``kernel._padded_neighbors``, which cut and
+    pad the entities of mask-mode batches and evaluation passes."""
+
+    @given(st.lists(st.integers(1, 60), max_size=40), st.integers(1, 200))
+    def test_degree_buckets_contract(self, degrees, budget):
+        # Buckets are positions into the unsorted degrees. Together they are
+        # the stable ascending order; each is as long as fits the budget, so
+        # that the next entity would not fit, and only a single entity may
+        # exceed it.
+        degrees = np.array(degrees, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cet.kernel, "_BUCKET_ROWS", budget)
+            buckets = list(cet.kernel._degree_buckets(degrees))
+        order = np.concatenate(buckets) if buckets else np.array([], dtype=np.int64)
+        np.testing.assert_array_equal(order, np.argsort(degrees, kind="stable"))
+        for bucket, after in zip(buckets, buckets[1:] + [None]):
+            assert len(bucket) > 0 and bucket.dtype.kind == "i"
+            largest = degrees[bucket].max()
+            assert largest == degrees[bucket[-1]]
+            assert len(bucket) == 1 or len(bucket) * largest <= budget
+            if after is not None:
+                assert (len(bucket) + 1) * degrees[after[0]] > budget
+
+    def test_padded_neighbors_stack_each_entity_after_its_first_edge(self):
+        vocab, graph, queries = ragged_graph(hub_degree=50)
+        entities = np.random.default_rng(6).permutation(queries).tolist()
+        arrays, valid = cet.kernel._padded_neighbors(graph, entities)
+        rows = max(graph.degree(e) for e in entities)
+        assert valid.shape == (len(entities), rows)
+        for i, entity in enumerate(entities):
+            own = graph.neighbor_arrays(entity)
+            degree = len(own[0])
+            assert valid[i].tolist() == [True] * degree + [False] * (rows - degree)
+            for got, edge in zip(arrays, own):
+                assert got.shape == valid.shape and got.dtype == edge.dtype
+                want = np.concatenate([edge, np.repeat(edge[:1], rows - degree)])
+                np.testing.assert_array_equal(got[i], want)
+
+    def test_padded_neighbors_reject_an_isolated_entity(self):
+        from cet import build_graph, build_vocab
+
+        vocab = build_vocab([("a", "r", "b")], [("z", "t")])
+        graph = build_graph(vocab, [("a", "r", "b")], [], include_type_edges=False)
+        a, b, z = (vocab.entity_ids[name] for name in "abz")
+        with pytest.raises(ValueError, match=f"entity {z} is isolated"):
+            cet.kernel._padded_neighbors(graph, [a, z, b])
+
+
 class TestBucketScorer:
     """``score_all_neighbors`` over a padded degree bucket against each entity
     scored as a bucket of one, and against the oracle ``pool`` of its
@@ -380,9 +429,8 @@ class TestBucketScorer:
         tol = dict(rtol=1e-12, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-6, atol=2e-6)
         monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 64)
         monkeypatch.setattr(cet.kernel, "_CELLS", cells)
-        degrees = np.array([graph.degree(e) for e in queries])
-        order = np.argsort(degrees, kind="stable")
-        buckets = [order[b] for b in cet.kernel._degree_buckets(degrees[order])]
+        degrees = graph.degrees(queries)
+        buckets = list(cet.kernel._degree_buckets(degrees))
         # Ragged multi-entity buckets, and the hub in a bucket of its own.
         assert max(len(b) for b in buckets) > 1 and [len(queries) - 1] in [list(b) for b in buckets]
         assert len({degrees[i] for b in buckets for i in b if len(b) > 1}) > 10

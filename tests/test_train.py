@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cet.kernel
@@ -27,7 +27,7 @@ from cet import (
 )
 from cet.loss import GradientSet, loss_of_entity, max_relative_error
 from cet.train import _masked_batch, _sampled_batch, format_log
-from synth import assembled, hub_marker_corpus, kernel_gradients, one_type_instance
+from synth import assembled, hub_marker_corpus, kernel_gradients, one_type_instance, sample_each
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +60,28 @@ class TestSampleNeighbors:
         vocab, dataset, graph, *_ = hub_setup
         entity = next(e for e in range(vocab.num_entities) if graph.degree(e) == 1)
         rng = np.random.default_rng(0)
-        sampled = sample_neighbors(graph, entity, 10, rng)
-        assert all(len(a) == 10 for a in sampled)
-        assert len(set(zip(*(a.tolist() for a in sampled)))) == 1
+        sampled = sample_neighbors(graph, [entity], 10, rng)
+        assert all(a.shape == (1, 10) for a in sampled)
+        assert len(set(zip(*(a[0].tolist() for a in sampled)))) == 1
 
     def test_isolated_entity_rejected(self):
         from cet import build_graph, build_vocab
 
         vocab = build_vocab([("a", "r", "b")], [("z", "t")])
         graph = build_graph(vocab, [("a", "r", "b")], [], include_type_edges=False)
-        with pytest.raises(ValueError):
-            sample_neighbors(graph, vocab.entity_ids["z"], 5, np.random.default_rng(0))
+        z = vocab.entity_ids["z"]
+        with pytest.raises(ValueError, match=f"entity {z} is isolated"):
+            sample_neighbors(graph, [z], 5, np.random.default_rng(0))
+
+    def test_isolated_entity_in_a_batch_is_named(self):
+        from cet import build_graph, build_vocab
+
+        triples = [("a", "r", "b"), ("c", "r", "a")]
+        vocab = build_vocab(triples, [("z", "t"), ("y", "t")])
+        graph = build_graph(vocab, triples, [], include_type_edges=False)
+        a, b, y, z = (vocab.entity_ids[name] for name in "abyz")
+        with pytest.raises(ValueError, match=f"entity {z} is isolated"):
+            sample_neighbors(graph, [a, b, z, y], 5, np.random.default_rng(0))
 
     def test_two_neighbor_frequency(self):
         from cet import build_graph, build_vocab
@@ -80,19 +91,58 @@ class TestSampleNeighbors:
         graph = build_graph(vocab, triples, [], include_type_edges=False)
         rng = np.random.default_rng(123)
         draws = 100_000
-        sampled = sample_neighbors(graph, vocab.entity_ids["a"], draws, rng)
+        sampled = sample_neighbors(graph, [vocab.entity_ids["a"]], draws, rng)
         _, _, _, tgt = sampled
-        count_b = int((tgt == vocab.entity_ids["b"]).sum())
+        count_b = int((tgt[0] == vocab.entity_ids["b"]).sum())
         sigma = np.sqrt(draws * 0.25)
         assert abs(count_b - draws / 2) < 3 * sigma
 
     def test_same_seed_replays(self, hub_setup):
         vocab, dataset, graph, *_ = hub_setup
         entity = next(e for e in range(vocab.num_entities) if graph.degree(e) > 2)
-        a = sample_neighbors(graph, entity, 10, np.random.default_rng(9))
-        b = sample_neighbors(graph, entity, 10, np.random.default_rng(9))
+        a = sample_neighbors(graph, [entity], 10, np.random.default_rng(9))
+        b = sample_neighbors(graph, [entity], 10, np.random.default_rng(9))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_matches_the_per_entity_sampler(self, hub_setup):
+        # The batched draw takes the positions that one draw per entity, in
+        # batch order, takes (degree-1 entities, which draw only zeros,
+        # included), and leaves the generator in the same state.
+        vocab, dataset, graph, *_ = hub_setup
+        connected = np.flatnonzero(graph.degrees(np.arange(vocab.num_entities)))
+        ones = [e for e in connected.tolist() if graph.degree(e) == 1]
+        assert ones
+        picker = np.random.default_rng(17)
+        for trial in range(50):
+            batch = picker.choice(connected, size=int(picker.integers(1, 40))).tolist()
+            batch[int(picker.integers(len(batch)))] = ones[trial % len(ones)]
+            size = int(picker.integers(1, 12))
+            rng, reference_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = sample_neighbors(graph, batch, size, rng)
+            want = sample_each(graph, batch, size, reference_rng)
+            for column, parts in zip(got, zip(*want)):
+                assert column.shape == (len(batch), size)
+                np.testing.assert_array_equal(column, np.stack(parts))
+            assert rng.integers(2**62) == reference_rng.integers(2**62)
+
+    @given(
+        st.lists(st.integers(1, 2**40), min_size=1, max_size=20),
+        st.integers(1, 16),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([1, 2**32 - 1, 2**32, 2**32 + 1, 1, 2**33], 5, 0)
+    def test_broadcast_draw_is_the_per_row_draws(self, degrees, size, seed):
+        # sample_neighbors rests on this NumPy identity: one integers() call
+        # with a column of upper bounds draws, row by row, what one call per
+        # bound draws, and consumes the same generator output, for bounds
+        # below and above 2**32 alike.
+        degrees = np.array(degrees, dtype=np.int64)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = rng.integers(0, degrees[:, None], size=(len(degrees), size))
+        want = [reference_rng.integers(0, d, size=size) for d in degrees.tolist()]
+        np.testing.assert_array_equal(got, np.stack(want))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def add_into(total, part):
@@ -185,8 +235,7 @@ class TestBatchedPath:
         losses, grads = _sampled_batch(
             params, graph, dataset, batch, config, np.random.default_rng(3)
         )
-        rng = np.random.default_rng(3)
-        draws = [sample_neighbors(graph, e, config.sample_size, rng) for e in batch]
+        draws = sample_each(graph, batch, config.sample_size, np.random.default_rng(3))
         return losses, grads, draws
 
     def masked_layouts(self, monkeypatch, params, hub_setup, batch, config):
@@ -646,7 +695,7 @@ class TestTrainEpoch:
 
         replay = np.random.default_rng(11)
         replay.permutation(1)
-        sampled = sample_neighbors(graph, single, config.sample_size, replay)
+        sampled = [a[0] for a in sample_neighbors(graph, [single], config.sample_size, replay)]
         expected = loss_of_entity(
             snapshot, sampled, sub.positives(single), "bce", config.beta, config.alpha
         )
