@@ -20,14 +20,7 @@ from .graph import (
     build_graph,
     build_vocab,
 )
-from .loss import (
-    GradientSet,
-    bce_loss,
-    finite_diff_oracle,
-    fna_loss,
-    max_relative_error,
-    sigmoid_probs,
-)
+from .loss import GradientSet, finite_diff_oracle, max_relative_error
 from .optim import AdamState, NumericError, adam_step, init_params
 from .kernel import ScoreBundle, score_all_neighbors
 from .scoring import ParameterSet, pool
@@ -56,14 +49,12 @@ __all__ = [
     "Vocab",
     "adam_step",
     "assemble",
-    "bce_loss",
     "build_graph",
     "build_vocab",
     "evaluate",
     "explain",
     "finite_diff_oracle",
     "fit",
-    "fna_loss",
     "format_log",
     "init_params",
     "load_checkpoint",
@@ -76,7 +67,6 @@ __all__ = [
     "sample_neighbors",
     "save_checkpoint",
     "score_all_neighbors",
-    "sigmoid_probs",
     "train_epoch",
     "__version__",
 ]

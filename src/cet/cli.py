@@ -173,11 +173,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     triples, train, valid, test = _load_corpus(args)
     vocab, dataset = assemble(triples, train, valid, test)
     graph = build_graph(vocab, triples, train, include_type_edges=config.use_tan)
+    out_dir = Path(args.out)  # made before training, so that a bad path fails at once
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = fit(vocab, graph, dataset, config)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.cet"
     save_checkpoint(checkpoint_path, result.params, vocab, config.to_dict())
     (out_dir / "train.log").write_text(format_log(result.log), encoding="utf-8")
@@ -357,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         EmptyCorpusError,
         UnknownNameError,
         FileNotFoundError,
+        FileExistsError,
         IsADirectoryError,
         NotADirectoryError,
         PermissionError,

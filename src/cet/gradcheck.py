@@ -3,7 +3,7 @@
 Builds many tiny typed graphs and runs the training kernel on each through
 every configuration corner (both losses, with and without the aggregated
 route, sampled and mask-mode batches). The analytic gradients are those of
-the calls training makes, ``_sampled_batch`` and ``_masked_batch``; half of
+the call training makes for every batch, ``train._train_batch``; half of
 the mask-mode instances are ragged batches of entities of different degree,
 so padding and its validity mask are differentiated too. Central finite
 differences in float64 of the independent per-entity forward are the
@@ -23,7 +23,7 @@ from .data import assemble
 from .graph import AugmentedGraph, Vocab, build_graph
 from .loss import finite_diff_oracle, max_relative_error
 from .scoring import ParameterSet
-from .train import TrainConfig, _masked_batch, _sampled_batch, sample_neighbors
+from .train import TrainConfig, _train_batch, sample_neighbors
 
 __all__ = ["GradcheckCase", "GradcheckReport", "run_gradient_check"]
 
@@ -167,12 +167,12 @@ def run_gradient_check(
         k = int(rng.integers(2, dim_max + 1))
         params = _draw_params(vocab, k, rng, separate_heads)
 
+        # Mask mode scores every neighbor, so its sample size is unused.
+        sample_size = 1 if masked else int(rng.integers(1, sample_max + 1))
+        kernel_rng = copy.deepcopy(rng)  # replays the draws below in the kernel
         if masked:
-            sample_size = 1  # unused: mask mode scores every neighbor
             neighbors = [graph.neighbor_arrays(e) for e in batch]
         else:
-            sample_size = int(rng.integers(1, sample_max + 1))
-            kernel_rng = copy.deepcopy(rng)  # replays these draws in the kernel
             neighbors = list(zip(*sample_neighbors(graph, batch, sample_size, rng)))
 
         beta = float(rng.uniform(0.5, 4.0))
@@ -182,10 +182,7 @@ def run_gradient_check(
             use_agg2t=use_agg2t, mask_mode=masked, use_activation=use_activation,
             separate_heads=separate_heads,
         )
-        if masked:
-            _, analytic = _masked_batch(params, graph, dataset, batch, config)
-        else:
-            _, analytic = _sampled_batch(params, graph, dataset, batch, config, kernel_rng)
+        _, analytic = _train_batch(params, graph, dataset, batch, config, kernel_rng)
         oracle = finite_diff_oracle(
             params, [(n, dataset.positives(e)) for n, e in zip(neighbors, batch)],
             loss_kind, beta, step, alpha=alpha, self_mask=masked,

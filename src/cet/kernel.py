@@ -195,7 +195,7 @@ def backward(
     tgt: np.ndarray,
     positives: tuple[np.ndarray, np.ndarray] | None,
     config,
-    valid: np.ndarray | None = None,
+    valid: np.ndarray,
     self_mask: bool = False,
 ):
     """Per-entity losses and d(loss)/d(neighbor representation) for one batch,
@@ -206,10 +206,11 @@ def backward(
     ``train._positive_pairs`` builds them. ``config`` is a ``TrainConfig``;
     forward only, it needs just ``alpha``, ``use_agg2t`` and
     ``use_activation``, ``positives`` is unused and ``self_mask`` must be off.
-    ``valid`` marks the real neighbor rows of a padded batch. Padded rows
-    must copy a real row of their entity, so that they never raise a
-    column's maximum; they take no pooling weight, stay out of the Agg2T
-    mean, and their returned gradient is meaningless. ``self_mask`` blanks
+    ``valid``, required on every call, marks the real neighbor rows; it is
+    all true when no row is padded, as in a sampled batch. Padded rows must
+    copy a real row of their entity, so that they never raise a column's
+    maximum; they take no pooling weight, stay out of the Agg2T mean, and
+    their returned gradient is meaningless. ``self_mask`` blanks
     every forward has_type row at its own type and the Agg2T row at the
     labels. The classifier gradients are added into ``grads``; the embedding
     rows are left to the caller. Types are processed in blocks, dealt to
@@ -230,13 +231,10 @@ def backward(
     # weights are exp(s - max s), pooled = mean_w(s) / alpha + b, and
     # 1 + alpha * (x - pooled) = s + 1 - mean_w(s).
     scaled_z = alpha * flat_z
-    if valid is None:
-        count = m
-    else:
-        count = valid.sum(axis=1, keepdims=True).astype(reps.dtype)
-        pad = np.flatnonzero(~valid)
+    count = valid.sum(axis=1, keepdims=True).astype(reps.dtype)
+    pad = np.flatnonzero(~valid)
     if use_agg2t:
-        h = reps.mean(axis=1) if valid is None else (reps * valid[..., None]).sum(axis=1) / count
+        h = (reps * valid[..., None]).sum(axis=1) / count
         h_act = np.maximum(h, 0) if use_activation else h
         scaled_h = alpha * h_act
         agg_w, agg_b = params.agg_head()
@@ -301,8 +299,7 @@ def backward(
                     agg[labels] = 0
             np.subtract(score3, top[:, None, :], out=expw3)
             np.exp(expw, out=expw)
-            if valid is not None:
-                expw[pad] = 0
+            expw[pad] = 0
             if self_mask:
                 score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
             denom = expw3.sum(axis=1)

@@ -31,9 +31,6 @@ __all__ = [
     "GradientSet",
     "sigmoid",
     "softplus",
-    "sigmoid_probs",
-    "bce_loss",
-    "fna_loss",
     "finite_diff_oracle",
     "max_relative_error",
 ]
@@ -61,26 +58,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, r, t * r)
 
 
-def sigmoid_probs(pooled: np.ndarray) -> np.ndarray:
-    """Per-type membership probabilities from pooled scores."""
-    return sigmoid(pooled)
-
-
-def _positive_mask(num_types: int, positives: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(num_types, dtype=bool)
-    idx = list(positives)
-    if idx:
-        mask[idx] = True
-    return mask
-
-
 def _loss_terms(
     pooled: np.ndarray, positives, loss_kind: str, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row loss and d(loss)/d(pooled) over the last (type) axis.
 
-    ``pooled`` is (..., L); ``positives`` indexes its positive entries, as a
-    boolean mask of the same shape or a tuple of index arrays. The loss has
+    ``pooled`` is (..., L); ``positives`` indexes its positive entries: a
+    list of columns when ``pooled`` is one entity's (L,), a tuple of index
+    arrays or a boolean mask of the same shape otherwise. The loss has
     the leading shape and both results keep the input's float dtype.
     Positive columns contribute -log p; negative columns contribute
     -log(1-p), weighted by beta*p*(1-p) for the false-negative-aware loss.
@@ -110,20 +95,6 @@ def _loss_terms(
         terms[~live] = 0
         grad[~live] = 0
     return terms.sum(axis=-1), grad
-
-
-def bce_loss(pooled: np.ndarray, positives: Iterable[int]) -> float:
-    """Binary cross-entropy over all types; non-positives count as negatives."""
-    pos_mask = _positive_mask(len(pooled), positives)
-    loss, _ = _loss_terms(pooled, pos_mask, "bce", 0.0)
-    return float(loss)
-
-
-def fna_loss(pooled: np.ndarray, positives: Iterable[int], beta: float) -> float:
-    """False-negative-aware loss: negatives down-weighted by beta*p*(1-p)."""
-    pos_mask = _positive_mask(len(pooled), positives)
-    loss, _ = _loss_terms(pooled, pos_mask, "fna", beta)
-    return float(loss)
 
 
 @dataclass
@@ -198,7 +169,7 @@ def loss_of_entity(
     pooled = np.array(
         [-np.inf if np.isneginf(col).all() else pool(col, alpha)[0] for col in scores.T]
     )
-    loss, _ = _loss_terms(pooled, _positive_mask(len(pooled), positives), loss_kind, beta)
+    loss, _ = _loss_terms(pooled, positives, loss_kind, beta)
     return float(loss)
 
 

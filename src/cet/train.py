@@ -8,13 +8,15 @@ One Adam step is taken per batch on the batch-summed gradients.
 
 Neighbors are (relation, inverted, target_is_type, target) arrays
 throughout, read for the whole batch by ``AugmentedGraph.gather``. Both modes
-run the type-blocked kernel ``kernel.backward`` over (batch, rows) neighbor
-arrays and scatter its representation gradients into the sparse embedding
-rows once per batch. A sampled batch is one ``sample_neighbors`` draw, fills
-every row and needs neither padding nor masks. A mask-mode batch is cut by
-``kernel._degree_buckets`` into buckets of ascending degree, at most
-``kernel._BUCKET_ROWS`` padded rows each, one kernel call each, with short
-neighbor lists padded by copies of their first edge
+take one path, ``_train_batch``: the batch is cut into buckets of (batch,
+rows) neighbor arrays with a ``valid`` mask of their real rows, the
+type-blocked kernel ``kernel.backward`` runs once per bucket, and the
+representation gradients of the valid rows are scattered into the sparse
+embedding rows once per batch. A sampled batch is one bucket, one
+``sample_neighbors`` draw that fills every row, so its mask is all true. A
+mask-mode batch is cut by ``kernel._degree_buckets`` into buckets of
+ascending degree, at most ``kernel._BUCKET_ROWS`` padded rows each, with
+short neighbor lists padded by copies of their first edge
 (``kernel._padded_neighbors``, which evaluation shares) and the
 self-evidence mask on. The kernel runs its lanes on its own threads, the
 same ones for every batch.
@@ -163,10 +165,7 @@ def train_epoch(
 
     for start in range(0, len(order), config.batch_size):
         batch = [trainable[i] for i in order[start : start + config.batch_size]]
-        if config.mask_mode:
-            losses, grads = _masked_batch(params, graph, dataset, batch, config)
-        else:
-            losses, grads = _sampled_batch(params, graph, dataset, batch, config, rng)
+        losses, grads = _train_batch(params, graph, dataset, batch, config, rng)
         if not np.isfinite(losses).all():
             bad = batch[int(np.nonzero(~np.isfinite(losses))[0][0])]
             raise NumericError(f"non-finite loss for entity {bad}")
@@ -176,27 +175,32 @@ def train_epoch(
     return total_loss / count
 
 
-def _sampled_batch(params, graph, dataset, batch, config, rng):
-    arrays = sample_neighbors(graph, batch, config.sample_size, rng)
-    grads = GradientSet.zeros_like(params)
-    losses, dreps = backward(params, grads, *arrays, _positive_pairs(batch, dataset), config)
-    _scatter_rows(grads, *(a.ravel() for a in arrays), dreps.reshape(arrays[0].size, -1))
-    return losses, grads
+def _train_batch(params, graph, dataset, batch, config, rng):
+    """One batch's per-entity losses and its summed gradients.
 
-
-def _masked_batch(params, graph, dataset, batch, config):
-    """All neighbors of each entity, in degree buckets padded to their largest degree."""
+    The batch is scored in buckets of (positions in the batch, neighbor
+    arrays, ``valid`` mask). A sampled batch is one bucket, one
+    ``sample_neighbors`` draw with every row valid. A mask-mode batch is cut
+    into ``_degree_buckets``, each built by ``_padded_neighbors`` when it is
+    reached, and draws nothing from ``rng``. The kernel runs once per bucket
+    and the representation gradients of the valid rows are scattered once.
+    """
+    if config.mask_mode:
+        buckets = (
+            (members, *_padded_neighbors(graph, [batch[i] for i in members]))
+            for members in _degree_buckets(graph.degrees(batch))
+        )
+    else:
+        arrays = sample_neighbors(graph, batch, config.sample_size, rng)
+        buckets = [(np.arange(len(batch)), arrays, np.ones(arrays[0].shape, dtype=bool))]
     losses = np.empty(len(batch))
     grads = GradientSet.zeros_like(params)
     edges = []
-    for members in _degree_buckets(graph.degrees(batch)):
-        entities = [batch[i] for i in members]
-        arrays, valid = _padded_neighbors(graph, entities)
-        bucket_losses, dreps = backward(
-            params, grads, *arrays, _positive_pairs(entities, dataset), config,
-            valid=valid, self_mask=True,
+    for members, arrays, valid in buckets:
+        positives = _positive_pairs([batch[i] for i in members], dataset)
+        losses[members], dreps = backward(
+            params, grads, *arrays, positives, config, valid, self_mask=config.mask_mode
         )
-        losses[members] = bucket_losses
         edges.append([a[valid] for a in arrays] + [dreps[valid]])
     _scatter_rows(grads, *(np.concatenate(parts) for parts in zip(*edges)))
     return losses, grads
@@ -234,6 +238,8 @@ def fit(
     if validation never ran (short budgets), the final parameters are
     returned instead. `max_epochs=0` returns the freshly initialized model.
     """
+    if config.max_epochs >= config.eval_every and not dataset.split("valid"):
+        raise ValueError("split 'valid' is empty")  # as evaluate would, but before any epoch
     params = init_params(
         vocab, config.dim, config.seed, separate_heads=config.separate_heads
     )

@@ -142,7 +142,7 @@ def kernel_gradients(params, neighbors, positives, config, self_mask=False):
         mp.setattr(cet.kernel, "_CELLS", 1 << 62)
         losses, dreps = cet.kernel.backward(
             params, grads, *(a[None] for a in neighbors), (np.zeros_like(labels), labels),
-            config, self_mask=self_mask,
+            config, np.ones((1, len(neighbors[0])), dtype=bool), self_mask=self_mask,
         )
     cet.train._scatter_rows(grads, *neighbors, dreps[0])
     return float(losses[0]), grads
@@ -155,7 +155,8 @@ def kernel_pooled(params, neighbors, alpha, *, use_agg2t=True, use_activation=Tr
     target) arrays, scored as a batch of one with no padding.
     """
     config = TrainConfig(alpha=alpha, use_agg2t=use_agg2t, use_activation=use_activation)
-    return cet.kernel.backward(params, None, *(a[None] for a in neighbors), None, config)[0]
+    valid = np.ones((1, len(neighbors[0])), dtype=bool)
+    return cet.kernel.backward(params, None, *(a[None] for a in neighbors), None, config, valid)[0]
 
 
 def drop_header_key(path, keys):

@@ -249,6 +249,23 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_path_is_data_error_before_training(
+        self, data_dir, tmp_path, monkeypatch, capsys, out
+    ):
+        import cet.cli
+
+        def no_fit(*args):
+            raise AssertionError("trained before the output directory was made")
+
+        monkeypatch.setattr(cet.cli, "fit", no_fit)
+        base, *_ = data_dir
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        argv = ["train", "--data-dir", str(base), "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["train", "--out", "/tmp/x"]) == 1
 

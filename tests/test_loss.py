@@ -5,31 +5,29 @@ import pytest
 
 import cet.train
 
-from cet import (
-    TrainConfig,
-    bce_loss,
-    finite_diff_oracle,
-    fna_loss,
-    max_relative_error,
-    sigmoid_probs,
-)
-from cet.loss import loss_of_entity, softplus
+from cet import TrainConfig, finite_diff_oracle, max_relative_error
+from cet.loss import _loss_terms, loss_of_entity, sigmoid, softplus
 from cet.scoring import candidate_matrix, pool
 from synth import (
     assembled, kernel_gradients, kernel_pooled, micro_instance, one_type_instance, tiny_corpus,
 )
 
 
+def entity_loss(pooled, positives, loss_kind, beta=0.0):
+    """One entity's loss from its pooled (types,) scores and its label columns."""
+    return float(_loss_terms(pooled, list(positives), loss_kind, beta)[0])
+
+
 class TestSigmoid:
     def test_zero_is_half(self):
-        np.testing.assert_allclose(sigmoid_probs(np.zeros(3)), 0.5)
+        np.testing.assert_allclose(sigmoid(np.zeros(3)), 0.5)
 
     def test_log3_is_three_quarters(self):
-        assert sigmoid_probs(np.array([math.log(3.0)]))[0] == pytest.approx(0.75)
+        assert sigmoid(np.array([math.log(3.0)]))[0] == pytest.approx(0.75)
 
     def test_saturation_handled_stably(self):
         x = np.array([40.0])
-        p = sigmoid_probs(x)
+        p = sigmoid(x)
         assert p[0] == pytest.approx(1.0)
         # -log(1-p) would be inf through the naive route; the logit form is finite.
         assert np.isfinite(softplus(x)[0])
@@ -40,15 +38,15 @@ class TestSigmoid:
 
 class TestBceLoss:
     def test_uniform_scores_two_types(self):
-        assert bce_loss(np.zeros(2), [0]) == pytest.approx(2 * math.log(2.0), rel=1e-12)
+        assert entity_loss(np.zeros(2), [0], "bce") == pytest.approx(2 * math.log(2.0), rel=1e-12)
 
     def test_perfect_fit_vanishes(self):
         pooled = np.array([40.0, -40.0, -40.0])
-        assert bce_loss(pooled, [0]) <= 1e-12
+        assert entity_loss(pooled, [0], "bce") <= 1e-12
 
     def test_no_positives_is_negative_term_only(self):
         pooled = np.array([0.3, -0.2])
-        loss = bce_loss(pooled, [])
+        loss = entity_loss(pooled, [], "bce")
         assert loss == pytest.approx(float(softplus(pooled).sum()))
         assert loss >= 0.0
 
@@ -56,21 +54,21 @@ class TestBceLoss:
         rng = np.random.default_rng(0)
         for _ in range(50):
             pooled = rng.normal(0, 3, 5)
-            assert bce_loss(pooled, list(rng.choice(5, 2, replace=False))) >= 0.0
+            assert entity_loss(pooled, rng.choice(5, 2, replace=False), "bce") >= 0.0
 
 
 class TestFnaLoss:
     def test_half_probability_weight_is_one(self):
         # At p=0.5 and beta=4 the negative weight is exactly 1: -1*log(0.5).
-        assert fna_loss(np.zeros(1), [], beta=4.0) == pytest.approx(math.log(2.0))
+        assert entity_loss(np.zeros(1), [], "fna", 4.0) == pytest.approx(math.log(2.0))
 
     def test_boundary_negatives_vanish(self):
-        assert fna_loss(np.array([40.0]), [], beta=4.0) == pytest.approx(0.0, abs=1e-12)
-        assert fna_loss(np.array([-40.0]), [], beta=4.0) == pytest.approx(0.0, abs=1e-15)
+        assert entity_loss(np.array([40.0]), [], "fna", 4.0) == pytest.approx(0.0, abs=1e-12)
+        assert entity_loss(np.array([-40.0]), [], "fna", 4.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_beta_zero_keeps_positive_term_only(self):
         pooled = np.array([0.7, -1.1, 0.2])
-        assert fna_loss(pooled, [0], beta=0.0) == pytest.approx(
+        assert entity_loss(pooled, [0], "fna", 0.0) == pytest.approx(
             float(softplus(-pooled[0]))
         )
 
@@ -81,17 +79,17 @@ class TestFnaLoss:
         positives = [1, 4]
 
         def reference(weight_fn):
-            p = sigmoid_probs(pooled)
+            p = sigmoid(pooled)
             loss = -np.log(p[positives]).sum()
             for i in range(len(pooled)):
                 if i not in positives:
                     loss -= weight_fn(p[i]) * math.log1p(-p[i])
             return loss
 
-        assert fna_loss(pooled, positives, beta=3.0) == pytest.approx(
+        assert entity_loss(pooled, positives, "fna", 3.0) == pytest.approx(
             reference(lambda p: 3.0 * p * (1 - p)), rel=1e-12
         )
-        assert bce_loss(pooled, positives) == pytest.approx(
+        assert entity_loss(pooled, positives, "bce") == pytest.approx(
             reference(lambda p: 1.0), rel=1e-12
         )
 
@@ -99,7 +97,7 @@ class TestFnaLoss:
         rng = np.random.default_rng(2)
         for _ in range(50):
             pooled = rng.normal(0, 3, 5)
-            assert fna_loss(pooled, [int(rng.integers(5))], beta=4.0) >= 0.0
+            assert entity_loss(pooled, [int(rng.integers(5))], "fna", 4.0) >= 0.0
 
 
 class TestBackward:
@@ -125,12 +123,12 @@ class TestBackward:
         loss, _ = kernel_gradients(
             params, neighbors, positives, TrainConfig(alpha=0.5, loss_kind="bce")
         )
-        assert loss == pytest.approx(bce_loss(pooled, positives), rel=1e-12)
+        assert loss == pytest.approx(entity_loss(pooled, positives, "bce"), rel=1e-12)
         loss_fna, _ = kernel_gradients(
             params, neighbors, positives, TrainConfig(alpha=0.5, beta=1.5, loss_kind="fna")
         )
         assert loss_fna == pytest.approx(
-            fna_loss(pooled, positives, 1.5), rel=1e-12
+            entity_loss(pooled, positives, "fna", 1.5), rel=1e-12
         )
 
     def test_duplicate_neighbor_gradients_accumulate(self):
@@ -228,8 +226,8 @@ class TestSelfEvidenceMask:
             live = np.concatenate([[t not in self.labels], own_type != t])
             pooled.append(pool(scores[live, t], 0.5)[0])
         for loss_kind, expected in (
-            ("bce", bce_loss(np.array(pooled), self.labels)),
-            ("fna", fna_loss(np.array(pooled), self.labels, 1.5)),
+            ("bce", entity_loss(np.array(pooled), self.labels, "bce")),
+            ("fna", entity_loss(np.array(pooled), self.labels, "fna", 1.5)),
         ):
             oracle, kernel = self.losses(loss_kind, True)
             assert oracle == pytest.approx(expected, rel=1e-12)
@@ -246,7 +244,7 @@ class TestSelfEvidenceMask:
 
     def test_no_mask_by_default(self):
         pooled = kernel_pooled(self.params, self.neighbors, 0.5)
-        expected = bce_loss(pooled, self.labels)
+        expected = entity_loss(pooled, self.labels, "bce")
         default = loss_of_entity(self.params, self.neighbors, self.labels, "bce", 0.0, 0.5)
         assert default == pytest.approx(expected, rel=1e-12)
         assert self.losses("bce", False)[1] == pytest.approx(expected, rel=1e-12)

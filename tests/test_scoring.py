@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cet.kernel
-from cet import ParameterSet, TrainConfig, bce_loss, pool
+from cet import ParameterSet, TrainConfig, pool
 from cet.kernel import score_all_neighbors
 from cet.scoring import candidate_matrix, neighbor_reps
 from synth import assembled, edges, kernel_gradients, kernel_pooled, tiny_corpus
@@ -508,12 +508,12 @@ class TestNonFiniteColumns:
         # One has_type edge to t0 masked at its own column, and the Agg2T row
         # masked at the label t0: column 0 has no live candidate, so only
         # column 1 enters the loss, in the oracle and in the kernel.
-        from cet.loss import loss_of_entity
+        from cet.loss import _loss_terms, loss_of_entity
 
         params = make_params(L=2, seed=6)
         neighbors = edges([0], [False], [True], [0])
         pooled = kernel_pooled(params, neighbors, 0.5)
-        only_column_1 = bce_loss(pooled[1:], [])
+        only_column_1 = float(_loss_terms(pooled[1:], [], "bce", 0.0)[0])
         assert loss_of_entity(params, neighbors, [0], "bce", 0.0, 0.5, True) == pytest.approx(
             only_column_1, rel=1e-12
         )

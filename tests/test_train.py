@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from cet import (
     train_epoch,
 )
 from cet.loss import GradientSet, loss_of_entity, max_relative_error
-from cet.train import _masked_batch, _sampled_batch, format_log
+from cet.train import _train_batch, format_log
 from synth import assembled, hub_marker_corpus, kernel_gradients, one_type_instance, sample_each
 
 
@@ -145,6 +146,12 @@ class TestSampleNeighbors:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+def with_mask_mode(config):
+    """``config`` with mask mode on, for a ``_train_batch`` given no generator:
+    mask mode draws nothing."""
+    return dataclasses.replace(config, mask_mode=True)
+
+
 def add_into(total, part):
     """``total += part`` for gradient sets: dense tensors and sparse row maps."""
     for (_, mine), (_, theirs) in zip(total.named_dense(), part.named_dense()):
@@ -232,7 +239,7 @@ class TestBatchedPath:
         vocab, dataset, graph, *_ = hub_setup
         rows = config.sample_size + (1 if config.use_agg2t else 0)
         monkeypatch.setattr(cet.kernel, "_CELLS", width * len(batch) * rows)
-        losses, grads = _sampled_batch(
+        losses, grads = _train_batch(
             params, graph, dataset, batch, config, np.random.default_rng(3)
         )
         draws = sample_each(graph, batch, config.sample_size, np.random.default_rng(3))
@@ -251,7 +258,7 @@ class TestBatchedPath:
         ):
             monkeypatch.setattr(cet.kernel, "_CELLS", cells)
             monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", bucket_rows)
-            yield _masked_batch(params, graph, dataset, batch, config)
+            yield _train_batch(params, graph, dataset, batch, with_mask_mode(config), None)
 
     def test_matches_per_entity_reference(self, hub_setup, monkeypatch):
         vocab, dataset, graph, *_ = hub_setup
@@ -301,6 +308,19 @@ class TestBatchedPath:
             ):
                 assert_float32_close(losses, grads, ref_losses, ref_grads)
 
+    def test_rng_draws_of_each_mode(self, hub_setup):
+        # Seeded mask-mode runs and gradcheck's replay rest on this: a
+        # mask-mode batch draws nothing, and a sampled batch draws what one
+        # sample_neighbors call over the batch draws.
+        vocab, dataset, graph, *_ = hub_setup
+        config, params, batch = self.setup_case(hub_setup, self.CASES[0])
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        _train_batch(params, graph, dataset, batch, with_mask_mode(config), rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        _train_batch(params, graph, dataset, batch, config, rng)
+        sample_neighbors(graph, batch, config.sample_size, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_fully_blanked_column(self):
         # "c" has one neighbor, its own has_type edge, and one type exists:
         # both of its candidates for t0 are blanked, so the column pools to
@@ -322,12 +342,12 @@ class TestBatchedPath:
         params = init_params(vocab, 3, seed=1, dtype=np.float64)
         config = TrainConfig(mask_mode=True, loss_kind="bce")
         ref_losses, ref_grads = reference(params, graph, dataset, [a, c], config)
-        losses, grads = _masked_batch(params, graph, dataset, [a, c], config)
+        losses, grads = _train_batch(params, graph, dataset, [a, c], config, None)
         assert np.isfinite(losses).all() and losses[1] == 0
         np.testing.assert_allclose(losses, ref_losses, rtol=1e-10)
         assert max_relative_error(grads, ref_grads) < 1e-9
         np.testing.assert_array_equal(grads.type_rows[0], 0)
-        dead_losses, dead_grads = _masked_batch(params, graph, dataset, [c], config)
+        dead_losses, dead_grads = _train_batch(params, graph, dataset, [c], config, None)
         assert dead_losses.tolist() == [0.0]
         for _, tensor in dead_grads.named_dense():
             np.testing.assert_array_equal(tensor, 0)
@@ -383,11 +403,11 @@ class TestRaggedKernel:
         batch = list(train_types)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cet.kernel, "_BUCKET_ROWS", bucket_rows)
-            losses, grads = _masked_batch(params, graph, dataset, batch, config)
+            losses, grads = _train_batch(params, graph, dataset, batch, config, None)
             alone_losses = []
             alone_grads = GradientSet.zeros_like(params)
             for entity in batch:
-                loss, grad = _masked_batch(params, graph, dataset, [entity], config)
+                loss, grad = _train_batch(params, graph, dataset, [entity], config, None)
                 alone_losses.append(loss[0])
                 add_into(alone_grads, grad)
         np.testing.assert_allclose(losses, alone_losses, rtol=1e-6)
@@ -454,8 +474,8 @@ class TestLanes:
         monkeypatch.setattr(cet.kernel, "_CELLS", len(batch) * rows)
         monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 12)
         with lane_threads() as calls:
-            sampled = _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
-            masked = _masked_batch(params, graph, dataset, batch, config)
+            sampled = _train_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
+            masked = _train_batch(params, graph, dataset, batch, with_mask_mode(config), None)
         return [bits(sampled), bits(masked)], thread_names(calls)
 
     @staticmethod
@@ -551,9 +571,9 @@ class TestLanes:
         monkeypatch.setattr(cet.kernel, "_WORKERS", pool)
         try:
             with lane_threads() as calls:
-                _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
-                _masked_batch(params, graph, dataset, batch, config)
-                _sampled_batch(params, graph, dataset, batch, config, np.random.default_rng(4))
+                _train_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
+                _train_batch(params, graph, dataset, batch, with_mask_mode(config), None)
+                _train_batch(params, graph, dataset, batch, config, np.random.default_rng(4))
                 evaluate(params, graph, dataset, "valid", config.alpha)
         finally:
             pool.shutdown()
@@ -835,6 +855,25 @@ class TestFit:
         config = TrainConfig(max_epochs=1, eval_every=1, seed=0)
         with pytest.raises(NumericError, match="validation MRR"):
             fit(vocab, graph, dataset, config)
+
+    @pytest.mark.parametrize("max_epochs, eval_every", [(3, 2), (2, 2), (3, 4)])
+    def test_empty_validation_split_is_found_before_training(
+        self, hub_setup, monkeypatch, max_epochs, eval_every
+    ):
+        # A run that would validate refuses an empty split before its first
+        # epoch, not at its first validation; a run that never validates trains.
+        vocab, dataset, graph, *_ = hub_setup
+        epochs = []
+        monkeypatch.setattr(cet.train, "train_epoch", lambda *args: epochs.append(1) or 1.0)
+        config = TrainConfig(max_epochs=max_epochs, eval_every=eval_every, seed=0)
+        empty = dataclasses.replace(dataset, valid=[])
+        if max_epochs >= eval_every:
+            with pytest.raises(ValueError, match="split 'valid' is empty"):
+                fit(vocab, graph, empty, config)
+            assert epochs == []
+        else:
+            assert fit(vocab, graph, empty, config).best_epoch is None
+            assert len(epochs) == max_epochs
 
     def test_log_format(self):
         text = format_log([(1, 0.5, None), (2, 0.25, 0.875)])
