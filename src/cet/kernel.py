@@ -9,6 +9,14 @@ gradients on its own. Only the losses and the neighbor-representation
 gradient accumulate across blocks. Memory per call is therefore bounded by
 the block, not by the number of types, and all arithmetic stays in the
 parameters' dtype (float32 in training, float64 under gradient checking).
+A block lives in two slabs: one holds the scores, shifted in place by each
+column's maximum (u = s - max s), and the other their weights exp(u). The
+softmax denominators and the weighted mean of u are one reduction each, and
+in training the score slab becomes the gradient of the N2T scores in place.
+Forward only, a candidate cell costs the N2T product and five elementwise
+passes (maximum, shift, exp, sum, weighted sum), none of them into a new
+array of the block's size; training adds three passes and the two backward
+products.
 
 Without labels and gradients the kernel runs forward only: each block is
 scored and pooled into its columns of a (batch, types) result. Inference
@@ -227,9 +235,10 @@ def backward(
     activated = np.maximum(reps, 0) if use_activation else reps
     flat_z = activated.reshape(batch * m, -1)
     # Scores are kept as s = alpha * (x - b): the column bias b shifts every
-    # row of a column alike and cancels in the softmax weights, so the
-    # weights are exp(s - max s), pooled = mean_w(s) / alpha + b, and
-    # 1 + alpha * (x - pooled) = s + 1 - mean_w(s).
+    # row of a column alike and cancels in the softmax weights. Pooling works
+    # on the shifted u = s - max s, in place: the weights are exp(u), pooled
+    # = (mean_w(u) + max s) / alpha + b, and 1 + alpha * (x - pooled) =
+    # u + 1 - mean_w(u).
     scaled_z = alpha * flat_z
     count = valid.sum(axis=1, keepdims=True).astype(reps.dtype)
     pad = np.flatnonzero(~valid)
@@ -293,42 +302,45 @@ def backward(
                 # pools to -inf, which the loss drops.
                 dead = np.isneginf(top)
                 top[dead] = 0
-            if use_agg2t:
-                agg_exp = np.exp(agg - top)
-                if self_mask:
-                    agg[labels] = 0
-            np.subtract(score3, top[:, None, :], out=expw3)
-            np.exp(expw, out=expw)
+            # From here on the slab holds u = s - max s, and the weights exp(u).
+            score3 -= top[:, None, :]
+            np.exp(score, out=expw)
             expw[pad] = 0
             if self_mask:
                 score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
-            denom = expw3.sum(axis=1)
-            score *= expw
-            mean_s = score3.sum(axis=1)
+            denom = np.add.reduce(expw3, axis=1)
+            mean_u = np.einsum("bmc,bmc->bc", expw3, score3)
             if use_agg2t:
+                agg -= top
+                agg_exp = np.exp(agg)
+                if self_mask:
+                    agg[labels] = 0
                 denom += agg_exp
-                mean_s += agg_exp * agg
+                mean_u += agg_exp * agg
             if self_mask:
                 denom[dead] = 1
-            mean_s /= denom
+            mean_u /= denom
 
-            pooled = mean_s / alpha + params.b[s:e]
             if not training:
-                out[:, s:e] = pooled
+                pooled = out[:, s:e]
+                np.add(mean_u, top, out=pooled)
+                pooled /= alpha
+                pooled += params.b[s:e]
                 continue
+            pooled = (mean_u + top) / alpha + params.b[s:e]
             if self_mask:
                 pooled[dead] = -np.inf
             losses, dreps, dh = lanes[lane]
             block_loss, dpooled = _loss_terms(pooled, labels, config.loss_kind, config.beta)
             losses += block_loss
             # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
-            #              = (dpooled / denom) * exp(s - max s) * (s + 1 - mean_w(s)).
+            #              = (dpooled / denom) * exp(u) * (u + 1 - mean_w(u)).
             gain = dpooled / denom
-            shift = 1.0 - mean_s
-            expw3 *= shift[:, None, :]
-            expw += score
-            expw3 *= gain[:, None, :]
-            dn2t = expw  # d(loss)/d(N2T score), (B*m, cols)
+            shift = 1.0 - mean_u
+            score3 += shift[:, None, :]
+            score *= expw
+            score3 *= gain[:, None, :]
+            dn2t = score  # d(loss)/d(N2T score), (B*m, cols)
             grads.W[s:e] += dn2t.T @ flat_z
             dreps += dn2t @ w_blk
             # A bias shared by every row of a column moves the pooled score one

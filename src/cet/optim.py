@@ -8,6 +8,8 @@ tensors are always dense-updated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import Vocab
@@ -75,6 +77,15 @@ class AdamState:
         self.v = {name: np.zeros_like(arr) for name, arr in params.named()}
 
 
+# Elements in one slice of the dense Adam update. A slice's rows of the
+# tensor, its moments, its gradient and two scratch rows, six times 128 KB in
+# float32, stay in cache from one operation of the formula to the next, where
+# a whole YAGO43kET-shape W (45,182 x 100, 18 MB) goes through memory once
+# per operation. A slice is about 330 rows of W at dim 100, near the kernel's
+# block width of 372 types on a sampled YAGO43kET-shape batch.
+_SLICE_CELLS = 1 << 15
+
+
 def _check_finite(name: str, grad: np.ndarray) -> None:
     if not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient for tensor {name!r}")
@@ -85,20 +96,46 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
 
     Dense tensors (W, b and the optional aggregation head) always update;
     embedding rows update only where ``grads`` carries them. Untouched rows
-    and their moments are left bitwise unchanged.
+    and their moments are left bitwise unchanged. Every gradient is checked
+    finite first: a ``NumericError`` leaves the parameters, the moments and
+    ``state.t`` as they were. The update is elementwise, so it runs on slices
+    of about ``_SLICE_CELLS`` elements through one scratch pair, with the
+    same bits whatever the slicing.
     """
+    # (name, tensor, m, v, grad): whole dense tensors, and the touched rows of
+    # each embedding table and its moments as gathered copies, written back
+    # after the update.
+    updates = [
+        (name, getattr(params, name), state.m[name], state.v[name], grad)
+        for name, grad in grads.named_dense()
+    ]
+    gathered = []
+    for name, rows in grads.named_sparse():
+        if not rows:
+            continue
+        tensors = getattr(params, name), state.m[name], state.v[name]
+        idx = np.sort(np.fromiter(rows.keys(), dtype=np.int64, count=len(rows)))
+        grad = np.stack([rows[int(i)] for i in idx]).astype(tensors[0].dtype, copy=False)
+        touched = [tensor[idx] for tensor in tensors]
+        updates.append((name, *touched, grad))
+        gathered.append((idx, tensors, touched))
+    for name, *_, grad in updates:
+        _check_finite(name, grad)
+
     state.t += 1
     lr, b1, b2, eps = state.lr, state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-
-    def update(
-        name: str, target: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray
-    ) -> None:
-        """The update of ``target`` and its moments ``m`` and ``v``, in place,
-        through two scratch buffers."""
-        _check_finite(name, grad)
-        tmp, step = np.empty_like(target), np.empty_like(target)
+    slices = []
+    for _, *arrays in updates:
+        rows = max(1, _SLICE_CELLS // math.prod(arrays[0].shape[1:]))
+        slices += [
+            [a[lo : lo + rows] for a in arrays] for lo in range(0, len(arrays[0]), rows)
+        ]
+    width = max(target.size for target, *_ in slices)
+    scratch = np.empty((2, width), dtype=params.dtype)
+    for target, m, v, grad in slices:
+        tmp, step = (buf[: target.size].reshape(target.shape) for buf in scratch)
         m *= b1
         m += np.multiply(grad, 1.0 - b1, out=tmp)
         v *= b2
@@ -109,19 +146,6 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
         np.divide(m, bc1, out=step)
         step *= lr
         target -= np.divide(step, tmp, out=step)
-
-    for name, grad in grads.named_dense():
-        update(name, getattr(params, name), state.m[name], state.v[name], grad)
-
-    for name, rows in grads.named_sparse():
-        if not rows:
-            continue
-        tensors = getattr(params, name), state.m[name], state.v[name]
-        idx = np.sort(np.fromiter(rows.keys(), dtype=np.int64, count=len(rows)))
-        grad = np.stack([rows[int(i)] for i in idx]).astype(tensors[0].dtype, copy=False)
-        # The touched rows of the table and its moments, updated as gathered
-        # copies and written back.
-        touched = [tensor[idx] for tensor in tensors]
-        update(name, *touched, grad)
+    for idx, tensors, touched in gathered:
         for tensor, part in zip(tensors, touched):
             tensor[idx] = part

@@ -5,16 +5,22 @@ sampling, no masking), in degree buckets of padded entities, one
 forward-only kernel call per bucket; each of its queried types is then
 ranked against all types minus the entity's other known types. Ties receive
 their mean occupied rank, so evaluation is deterministic without a tie-break
-coin flip.
+coin flip. A bucket's queries are ranked together against its pooled block:
+two comparisons of every row with its gold scores count the greater and
+tied types, and the known types are taken back out of the counts through
+flat (query, type) pairs. ``rank_one`` ranks one query the plain way; the
+tests check the bucket ranking against it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TypingDataset
+from . import kernel
 from .graph import AugmentedGraph
 from .kernel import _degree_buckets, score_all_neighbors
 from .scoring import ParameterSet
@@ -95,10 +101,11 @@ def evaluate(
     types. They are cut into the degree buckets of mask-mode training
     (``kernel._degree_buckets``, ascending degree); each bucket is one
     ``score_all_neighbors`` call, the forward-only kernel with its lanes on
-    every core, whose pooled rows are ranked as returned. Isolated entities
-    (possible only without type edges) fall back to the bias vector. Every
-    query of an entity whose pooled scores are not all finite gets rank NaN,
-    so a numeric failure makes MR and MRR NaN rather than a wrong number.
+    every core, whose pooled block is ranked as returned, all its queries at
+    once. Isolated entities (possible only without type edges) fall back to
+    the bias vector, ranked the same way. Every query of an entity whose
+    pooled scores are not all finite gets rank NaN, so a numeric failure
+    makes MR and MRR NaN rather than a wrong number.
     ``filtered=False`` is a debugging mode that skips the known-type removal.
     """
     pairs = dataset.split(split)
@@ -108,17 +115,44 @@ def evaluate(
     by_entity: dict[int, list[int]] = {}
     for idx, (entity, _) in enumerate(pairs):
         by_entity.setdefault(entity, []).append(idx)
-
+    gold_types = np.array([gold for _, gold in pairs], dtype=np.int64)
     ranks = np.empty(len(pairs))
 
-    def rank_entity(entity: int, pooled: np.ndarray) -> None:
-        indices = by_entity[entity]
-        if not np.isfinite(pooled).all():
-            ranks[indices] = np.nan
-            return
-        known = dataset.known_types.get(entity) if filtered else None
-        for idx in indices:
-            ranks[idx] = rank_one(pooled, pairs[idx][1], known)
+    def rank_rows(entities: list[int], pooled: np.ndarray) -> None:
+        """Rank every query of ``entities`` against its entity's row of ``pooled``."""
+        queries = [by_entity[entity] for entity in entities]
+        rows = np.repeat(np.arange(len(entities)), [len(q) for q in queries])
+        idx = np.concatenate(queries)
+        golds = gold_types[idx]
+        gold = pooled[rows, golds]
+        greater, ties = np.empty((2, len(idx)), dtype=np.int64)
+        # The queries' rows are compared a kernel block's worth of cells at a
+        # time, so ranking adds no (queries, types) array to the bucket's own.
+        step = max(1, kernel._CELLS // pooled.shape[1])
+        for lo in range(0, len(idx), step):
+            part = slice(lo, lo + step)
+            scores, against = pooled[rows[part]], gold[part, None]
+            greater[part] = np.count_nonzero(scores > against, axis=1)
+            ties[part] = np.count_nonzero(scores == against, axis=1)
+        ties -= 1  # less the gold itself
+        if filtered:
+            # The (query, type) pairs of each query's other known types,
+            # taken back out of the counts.
+            known = [dataset.known_types.get(entity, ()) for entity in entities]
+            sizes = np.array([len(types) for types in known])[rows]
+            pair_q = np.repeat(np.arange(len(idx)), sizes)
+            pair_t = np.fromiter(
+                itertools.chain.from_iterable(known[row] for row in rows.tolist()),
+                dtype=np.int64, count=len(pair_q),
+            )
+            other = pair_t != golds[pair_q]
+            pair_q, pair_t = pair_q[other], pair_t[other]
+            known_scores = pooled[rows[pair_q], pair_t]
+            greater -= np.bincount(pair_q[known_scores > gold[pair_q]], minlength=len(idx))
+            ties -= np.bincount(pair_q[known_scores == gold[pair_q]], minlength=len(idx))
+        rank = 1.0 + greater + ties / 2.0
+        rank[~np.isfinite(pooled).all(axis=1)[rows]] = np.nan
+        ranks[idx] = rank
 
     queried = np.fromiter(by_entity, dtype=np.int64, count=len(by_entity))
     degrees = graph.degrees(queried)
@@ -128,10 +162,10 @@ def evaluate(
         pooled = score_all_neighbors(
             params, graph, entities, alpha, use_agg2t=use_agg2t, use_activation=use_activation
         ).pooled
-        for entity, row in zip(entities, pooled):
-            rank_entity(entity, row)
-    for entity in queried[degrees == 0].tolist():
-        rank_entity(entity, params.b)
+        rank_rows(entities, pooled)
+    isolated = queried[degrees == 0].tolist()
+    if isolated:
+        rank_rows(isolated, np.broadcast_to(params.b, (len(isolated), len(params.b))))
 
     mr, mrr, hits1, hits3, hits10 = _metrics(ranks)
     per_sample = None

@@ -82,24 +82,17 @@ class ParameterSet:
         return self._map(lambda a: a.astype(dtype))
 
 
-def target_embeddings(params: ParameterSet, is_type, target) -> np.ndarray:
-    """Gather target-node embeddings, mixing the entity and type tables.
-
-    Works for any leading shape of ``is_type``/``target``.
-    """
-    is_type = np.asarray(is_type)
-    target = np.asarray(target)
-    ent = params.entity_emb[np.where(is_type, 0, target)]
-    typ = params.type_emb[np.where(is_type, target, 0)]
-    return np.where(is_type[..., None], typ, ent)
-
-
 def neighbor_reps(params: ParameterSet, rel, inv, is_type, tgt) -> np.ndarray:
-    """Translation representations for a batch of neighbor edges."""
+    """Translation representations for a batch of neighbor edges, of any
+    leading shape: the target's embedding (entity or type table) minus the
+    relation's, plus it for inverted edges."""
+    is_type, tgt = np.asarray(is_type), np.asarray(tgt)
+    reps = params.entity_emb[np.where(is_type, 0, tgt)]
+    reps[is_type] = params.type_emb[tgt[is_type]]
     rel_vec = params.relation_emb[np.asarray(rel)]
-    tgt_vec = target_embeddings(params, is_type, tgt)
-    inv = np.asarray(inv)
-    return np.where(inv[..., None], tgt_vec + rel_vec, tgt_vec - rel_vec)
+    rel_vec[np.asarray(inv)] *= -1  # target + rel is target - (-rel), bit for bit
+    reps -= rel_vec
+    return reps
 
 
 def _activate(x: np.ndarray, use_activation: bool) -> np.ndarray:

@@ -269,6 +269,76 @@ class TestEvaluate:
         # z's gold t1 is behind t0 in the bias; t2 is filtered as known.
         assert after[0][2] == before[0][2] == 2.0
 
+    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bucket_ranks_equal_rank_one(self, monkeypatch, filtered, seed):
+        # Every query's rank from the bucket ranking, which compares two
+        # queries at a time here, equals rank_one on its entity's pooled
+        # row: scores rounded to a few values tie often, golds sit inside
+        # their entity's known types, one poisoned entity has NaN in one
+        # cell of its row, and isolated entities rank on the bias, which
+        # ties too.
+        import cet.ranking
+
+        rng = np.random.default_rng(seed)
+        num_types = 9
+        triples = [
+            (f"q{i}", f"r{j % 2}", f"x{(i + j) % 7}") for i in range(24) for j in range(i % 5 + 1)
+        ]
+        entities = [f"q{i}" for i in range(24)] + [f"z{i}" for i in range(4)]
+        pairs = [(e, f"t{t}") for e in entities
+                 for t in rng.choice(num_types, size=rng.integers(1, 4), replace=False)]
+        pairs += [(f"x{j}", f"t{j}") for j in range(7)] + [("x0", f"t{num_types - 1}")]
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, [], include_type_edges=False)
+        ids = vocab.entity_ids
+        queries = [(ids[e], vocab.type_ids[t]) for e, t in pairs if e[0] in "qz"]
+        known = {}
+        for e, t in pairs:
+            known.setdefault(ids[e], set()).add(vocab.type_ids[t])
+        known[ids["q1"]] = set()  # an entity with nothing to filter
+        dataset = TypingDataset(train=[], valid=queries, test=queries, known_types=known,
+                                train_types={})
+        params = ParameterSet(
+            entity_emb=rng.normal(size=(vocab.num_entities, 3)),
+            relation_emb=rng.normal(size=(vocab.num_relations, 3)),
+            type_emb=rng.normal(size=(vocab.num_types, 3)),
+            W=rng.normal(size=(vocab.num_types, 3)),
+            b=rng.integers(-1, 2, size=vocab.num_types).astype(float),
+        )
+        poisoned = ids[f"q{rng.integers(24)}"]
+        rows = {}
+        score = cet.ranking.score_all_neighbors
+
+        def coarse(params, graph, entities, *args, **kwargs):
+            bundle = score(params, graph, entities, *args, **kwargs)
+            bundle.pooled[:] = np.round(bundle.pooled, 0)
+            for entity, row in zip(entities, bundle.pooled):
+                if entity == poisoned:
+                    row[rng.integers(num_types)] = np.nan
+                rows[entity] = row.copy()
+            return bundle
+
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 8)  # several buckets
+        monkeypatch.setattr(cet.kernel, "_CELLS", 2 * num_types)  # queries ranked two at a time
+        monkeypatch.setattr(cet.ranking, "score_all_neighbors", coarse)
+        report = evaluate(params, graph, dataset, "test", alpha=0.5, filtered=filtered)
+        isolated = {ids[f"z{i}"] for i in range(4)}
+        assert isolated.isdisjoint(rows) and len(rows) == 24
+        ties = 0
+        for entity, gold, rank in report.ranks:
+            row = params.b if entity in isolated else rows[entity]
+            expected = (
+                rank_one(row, gold, known[entity] if filtered else None)
+                if np.isfinite(row).all() else np.nan
+            )
+            assert rank == expected or np.isnan(rank) and np.isnan(expected)
+            ties += rank % 1 == 0.5
+        assert ties > 0
+        assert sum(np.isnan(rank) for _, _, rank in report.ranks) == sum(
+            entity == poisoned for entity, _ in queries
+        )
+
     def test_empty_split_rejected(self):
         params, graph, dataset, _ = one_hot_model()
         dataset.train = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cet.optim
 from cet import AdamState, GradientSet, NumericError, adam_step, build_vocab, init_params
 from cet.scoring import ParameterSet
 
@@ -124,15 +125,45 @@ class TestAdamStep:
         np.testing.assert_array_equal(params.entity_emb, reference)
 
     def test_nonfinite_gradient_aborts_with_tensor_name(self):
-        params, state = scalar_problem()
-        grads = GradientSet.zeros_like(params)
-        grads.W[0, 0] = np.nan
-        with pytest.raises(NumericError, match="W"):
-            adam_step(params, state, grads)
-        grads = GradientSet.zeros_like(params)
-        grads.entity_rows[0] = np.array([np.inf])
-        with pytest.raises(NumericError, match="entity_emb"):
-            adam_step(params, state, grads)
+        # A NaN or inf anywhere, in a dense tensor or in one sparse row, is
+        # found before any parameter, moment or the step count moves.
+        vocab = build_vocab(
+            [(f"e{i}", "r", f"e{i+1}") for i in range(6)], [(f"e{i}", f"t{i}") for i in range(5)]
+        )
+        params = init_params(vocab, 4, seed=2, separate_heads=True)
+        state = AdamState(params, lr=0.01)
+        rng = np.random.default_rng(4)
+
+        def gradients():
+            grads = GradientSet.zeros_like(params)
+            for _, tensor in grads.named_dense():
+                tensor[...] = rng.normal(size=tensor.shape)
+            for _, rows in grads.named_sparse():
+                rows.update({i: rng.normal(size=4).astype(np.float32) for i in (0, 1)})
+            return grads
+
+        def snapshot():
+            return (
+                state.t, [t.tobytes() for _, t in params.named()],
+                [state.m[n].tobytes() for n in state.m], [state.v[n].tobytes() for n in state.v],
+            )
+
+        adam_step(params, state, gradients())  # moments and t away from their start
+        before = snapshot()
+        for field, name, value in (
+            ("W", "W", np.nan), ("b", "b", np.nan), ("agg_b", "agg_b", np.inf),
+            ("entity_rows", "entity_emb", np.nan), ("relation_rows", "relation_emb", np.inf),
+            ("type_rows", "type_emb", np.nan),
+        ):
+            grads = gradients()
+            target = getattr(grads, field)
+            if isinstance(target, dict):
+                target[1][2] = value
+            else:
+                target.reshape(-1)[-1] = value
+            with pytest.raises(NumericError, match=repr(name)):
+                adam_step(params, state, grads)
+            assert snapshot() == before, field
 
     def test_update_deterministic(self):
         runs = []
@@ -143,6 +174,39 @@ class TestAdamStep:
             adam_step(params, state, grads)
             runs.append(params.W.tobytes())
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_slice_width_gives_the_same_bits(self, monkeypatch, dtype):
+        # Slices narrower than one row, a few rows wide, and one slice per
+        # tensor give the same parameters and moments, dense and sparse.
+        vocab = build_vocab(
+            [(f"e{i}", "r", f"e{i+1}") for i in range(9)], [(f"e{i}", f"t{i}") for i in range(7)]
+        )
+        start = init_params(vocab, 6, seed=3, dtype=dtype, separate_heads=True)
+        rng = np.random.default_rng(8)
+        steps = []
+        for _ in range(3):
+            grads = GradientSet.zeros_like(start)
+            for _, tensor in grads.named_dense():
+                tensor[...] = rng.normal(size=tensor.shape)
+            for (_, rows), table in zip(grads.named_sparse(), (
+                start.entity_emb, start.relation_emb, start.type_emb,
+            )):
+                for row in rng.choice(len(table), size=min(3, len(table)), replace=False):
+                    rows[int(row)] = rng.normal(size=6).astype(dtype)
+            steps.append(grads)
+        results = []
+        for cells in (5, 13, cet.optim._SLICE_CELLS, 1 << 30):
+            monkeypatch.setattr(cet.optim, "_SLICE_CELLS", cells)
+            params = start.copy()
+            state = AdamState(params, lr=0.01)
+            for grads in steps:
+                adam_step(params, state, grads)
+            results.append((
+                [t.tobytes() for _, t in params.named()],
+                [m.tobytes() for m in state.m.values()], [v.tobytes() for v in state.v.values()],
+            ))
+        assert all(result == results[0] for result in results[1:])
 
     def test_dense_update_bitwise_matches_formula(self):
         # The in-place dense update must reproduce the textbook expression

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import cet.kernel
 from cet import ParameterSet, TrainConfig, pool
+from cet.loss import GradientSet
 from cet.kernel import score_all_neighbors
 from cet.scoring import candidate_matrix, neighbor_reps
 from synth import assembled, edges, kernel_gradients, kernel_pooled, tiny_corpus
@@ -295,8 +296,36 @@ class TestScoreEntity:
         assert not np.allclose(split[0], shared[0])
 
 
+def padded_batch(entities):
+    """Neighbor arrays of several entities stacked to (entities, largest
+    degree), padded with each one's first edge as ``backward`` requires, and
+    the ``valid`` mask."""
+    degrees = np.array([len(neighbors[0]) for neighbors in entities])
+    valid = np.arange(degrees.max()) < degrees[:, None]
+    picks = np.where(valid, np.arange(degrees.max()), 0)
+    return tuple(np.stack(a) for a in zip(*(
+        tuple(array[row] for array in neighbors) for neighbors, row in zip(entities, picks)
+    ))), valid
+
+
+def scalar_pooled(params, neighbors, alpha, positives=None, **routes):
+    """One entity's pooled scores by ``scoring.pool`` of each column of its
+    candidate matrix; with ``positives`` given, under the self-evidence mask
+    as ``loss.loss_of_entity`` applies it, a fully blanked column pooling to -inf."""
+    scores = candidate_matrix(params, *neighbors, **routes)
+    if positives is not None:
+        _, inv, is_type, tgt = neighbors
+        own = np.flatnonzero(is_type & ~inv)
+        scores[own + (1 if routes["use_agg2t"] else 0), tgt[own]] = -np.inf
+        if routes["use_agg2t"]:
+            scores[0, positives] = -np.inf
+    return np.array(
+        [-np.inf if np.isneginf(col).all() else pool(col, alpha)[0] for col in scores.T]
+    )
+
+
 class TestPoolColumns:
-    """The forward-only kernel against the scalar ``pool`` of every column of
+    """The kernel's pooled scores against the scalar ``pool`` of every column of
     ``candidate_matrix``."""
 
     @given(
@@ -309,12 +338,15 @@ class TestPoolColumns:
         st.booleans(),
         st.booleans(),
         st.booleans(),
+        st.integers(1, 6),
     )
-    @example(0, 2, 2, 0.5, 1.0, 1 << 19, True, False, True)
+    @example(0, 2, 2, 0.5, 1.0, 1 << 19, True, False, True, 5)
     def test_matches_scalar_pool(
-        self, seed, m, num_types, alpha, scale, cells, use_agg2t, separate_heads, use_activation
+        self, seed, m, num_types, alpha, scale, cells, use_agg2t, separate_heads, use_activation,
+        m_other,
     ):
-        # Small block budgets split the types into several blocks and lanes.
+        # Small block budgets split the types into several blocks and lanes;
+        # a second entity of another degree pads the shorter one's rows.
         rng = np.random.default_rng(seed)
         params = make_params(k=3, L=num_types, num_entities=5, num_relations=3, seed=seed)
         params.W *= scale
@@ -322,15 +354,78 @@ class TestPoolColumns:
         if separate_heads:
             params.agg_W = rng.uniform(-scale, scale, params.W.shape)
             params.agg_b = rng.uniform(-scale, scale, num_types)
-        neighbors = random_neighbors(rng, m, num_types)
+        entities = [random_neighbors(rng, m, num_types), random_neighbors(rng, m_other, num_types)]
         routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
+        arrays, valid = padded_batch(entities)
+        config = TrainConfig(alpha=alpha, **routes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cet.kernel, "_CELLS", cells)
-            pooled = kernel_pooled(params, neighbors, alpha, **routes)
-        scores = candidate_matrix(params, *neighbors, **routes)
-        for c in range(num_types):
-            value, _ = pool(scores[:, c], alpha)
-            assert abs(pooled[c] - value) <= 1e-12
+            pooled = cet.kernel.backward(params, None, *arrays, None, config, valid)
+        for row, neighbors in zip(pooled, entities):
+            np.testing.assert_allclose(
+                row, scalar_pooled(params, neighbors, alpha, **routes), rtol=0, atol=1e-12
+            )
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        st.integers(1, 5),
+        st.floats(0.05, 5.0),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(0, [3, 1], 3, 0.5, True, False, True, True)
+    @example(1, [2, 4], 2, 1.0, False, False, True, True)
+    def test_self_masked_padded_batch_matches_scalar_pool(
+        self, seed, degrees, num_types, alpha, use_agg2t, separate_heads, use_activation, dead
+    ):
+        # Training mode, as mask-mode batches run it: self-mask blanks, padded
+        # rows, and with ``dead`` a column of the first entity whose every
+        # row is blanked (it pools to -inf). The pooled block the loss
+        # receives is compared.
+        rng = np.random.default_rng(seed)
+        params = make_params(k=3, L=num_types, num_entities=5, num_relations=3, seed=seed)
+        if separate_heads:
+            params.agg_W = rng.uniform(-1, 1, params.W.shape)
+            params.agg_b = rng.uniform(-1, 1, num_types)
+        entities = [random_neighbors(rng, d, num_types) for d in degrees]
+        positives = [
+            sorted(rng.choice(num_types, size=rng.integers(0, num_types + 1), replace=False))
+            for _ in degrees
+        ]
+        if dead:
+            t = int(rng.integers(num_types))
+            d = degrees[0]
+            entities[0] = edges([0] * d, [False] * d, [True] * d, [t] * d)
+            positives[0] = sorted(set(positives[0]) | {t})
+        routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
+        arrays, valid = padded_batch(entities)
+        key = np.unique(np.array(
+            [c * len(degrees) + r for r, cols in enumerate(positives) for c in cols], dtype=np.int64
+        ))
+        labels = (key % len(degrees), key // len(degrees))
+        config = TrainConfig(alpha=alpha, loss_kind="bce", **routes)
+        blocks = []
+
+        def capture(pooled, *args):
+            blocks.append(pooled.copy())
+            return loss_terms(pooled, *args)
+
+        loss_terms = cet.kernel._loss_terms
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cet.kernel, "_CELLS", 1 << 62)  # one block: all columns in order
+            mp.setattr(cet.kernel, "_loss_terms", capture)
+            grads = GradientSet.zeros_like(params)
+            cet.kernel.backward(params, grads, *arrays, labels, config, valid, self_mask=True)
+        (pooled,) = blocks
+        for row, neighbors, pos in zip(pooled, entities, positives):
+            expected = scalar_pooled(params, neighbors, alpha, pos, **routes)
+            np.testing.assert_array_equal(np.isneginf(row), np.isneginf(expected))
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+        if dead:
+            assert np.isneginf(pooled[0]).any()
 
 
 def ragged_graph(num_types=30, hub_degree=300):
