@@ -3,11 +3,11 @@
 Layout: the 5-byte magic ``CETK1``, a little-endian u64 header length, a
 UTF-8 JSON header (dimension, tensor counts, config echo and the three
 vocabulary name tables), the parameter tensors as little-endian float32 in
-a fixed order, and a trailing 64-bit checksum (blake2b, 8-byte digest) over
-everything between the magic and the checksum. Save/load round-trips are
-byte-identical. A save writes a temporary sibling file, syncs it to disk and
-renames it over the target, so a crash mid-save leaves the previous
-checkpoint intact.
+``ParameterSet`` field order, and a trailing 64-bit checksum (blake2b,
+8-byte digest) over everything between the magic and the checksum.
+Save/load round-trips are byte-identical. A save writes a temporary sibling
+file, syncs it to disk and renames it over the target, so a crash mid-save
+leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,6 @@ from .scoring import ParameterSet
 __all__ = ["ChecksumError", "save_checkpoint", "load_checkpoint", "MAGIC"]
 
 MAGIC = b"CETK1"
-_TENSOR_ORDER = ("entity_emb", "relation_emb", "type_emb", "W", "b")
-_AGG_ORDER = ("agg_W", "agg_b")
 
 
 class ChecksumError(RuntimeError):
@@ -57,12 +56,10 @@ def save_checkpoint(
     }
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode()
 
-    tensor_names = _TENSOR_ORDER + (_AGG_ORDER if params.separate_heads else ())
     blob = bytearray()
     blob += struct.pack("<Q", len(header_bytes))
     blob += header_bytes
-    for name in tensor_names:
-        arr = getattr(params, name)
+    for _, arr in params.named():
         blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
     path = Path(path)
@@ -93,44 +90,34 @@ def load_checkpoint(path: str | Path) -> tuple[ParameterSet, Vocab, dict]:
     try:
         header = json.loads(payload[8 : 8 + header_len].decode())
         k, separate_heads, config = header["k"], header["separate_heads"], header["config"]
-        counts = [header["counts"][key] for key in ("entities", "relations", "types")]
+        dims = {key: header["counts"][key] for key in ("entities", "relations", "types")}
         vocab = Vocab.from_names(header["entities"], header["relations"], header["types"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ChecksumError(f"{path}: malformed checkpoint header: {exc}") from None
-    if [vocab.num_entities, vocab.num_relations, vocab.num_types] != counts:
+    # JSON's 3.0, "3" and true are not counts, though 3.0 == 3 and true == 1.
+    if not (
+        type(k) is int
+        and all(type(count) is int for count in dims.values())
+        and type(separate_heads) is bool
+        and type(config) is dict
+    ):
+        raise ChecksumError(f"{path}: malformed checkpoint header: a field has the wrong type")
+    if [vocab.num_entities, vocab.num_relations, vocab.num_types] != list(dims.values()):
         raise ChecksumError(f"{path}: header counts do not match vocabulary tables")
+    dims["k"] = k
 
-    num_entities, num_relations, num_types = counts
-    shapes = {
-        "entity_emb": (num_entities, k),
-        "relation_emb": (num_relations, k),
-        "type_emb": (num_types, k),
-        "W": (num_types, k),
-        "b": (num_types,),
-        "agg_W": (num_types, k),
-        "agg_b": (num_types,),
-    }
-    tensor_names = _TENSOR_ORDER + (_AGG_ORDER if separate_heads else ())
     offset = 8 + header_len
     tensors = {}
-    for name in tensor_names:
-        shape = shapes[name]
+    for f in fields(ParameterSet):
+        if f.default is None and not separate_heads:
+            continue  # the separate aggregation head
+        shape = tuple(dims[dim] for dim in f.metadata["shape"])
         size = int(np.prod(shape)) * 4
         chunk = payload[offset : offset + size]
         if len(chunk) != size:
-            raise ChecksumError(f"{path}: truncated tensor {name!r}")
-        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+            raise ChecksumError(f"{path}: truncated tensor {f.name!r}")
+        tensors[f.name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
         offset += size
     if offset != len(payload):
         raise ChecksumError(f"{path}: trailing bytes after tensors")
-
-    params = ParameterSet(
-        entity_emb=tensors["entity_emb"],
-        relation_emb=tensors["relation_emb"],
-        type_emb=tensors["type_emb"],
-        W=tensors["W"],
-        b=tensors["b"],
-        agg_W=tensors.get("agg_W"),
-        agg_b=tensors.get("agg_b"),
-    )
-    return params, vocab, config
+    return ParameterSet(**tensors), vocab, config

@@ -18,6 +18,17 @@ passes (maximum, shift, exp, sum, weighted sum), none of them into a new
 array of the block's size; training adds three passes and the two backward
 products.
 
+The Agg2T route is one more candidate row, as in the paper: with it on, an
+entity with m neighbor rows has m + 1, the last being the mean of its valid
+neighbor representations. Every block step above runs over all the rows at
+once, and the Agg2T row's representation gradient goes back to the neighbor
+rows divided by their count. The row comes last so that each column's
+denominator adds the N2T weights and then the Agg2T one, and so that the
+neighbor rows are a leading slice of the block (``scoring.candidate_matrix``
+keeps it at row 0; pooling does not depend on the order). Only separate heads
+treat the row apart: it is scored with ``agg_W``/``agg_b`` over the shared
+product, and its gradient goes to them instead of ``W``/``b``.
+
 Without labels and gradients the kernel runs forward only: each block is
 scored and pooled into its columns of a (batch, types) result. Inference
 runs that mode: ``score_all_neighbors`` scores a degree bucket of entities
@@ -209,7 +220,7 @@ def backward(
     """Per-entity losses and d(loss)/d(neighbor representation) for one batch,
     or with ``grads`` None the pooled (batch, types) scores alone.
 
-    Array arguments have shape (batch, rows); ``positives`` holds the
+    Array arguments have shape (batch, m); ``positives`` holds the
     (batch row, type) index pairs of the labels, ordered by type, as
     ``train._positive_pairs`` builds them. ``config`` is a ``TrainConfig``;
     forward only, it needs just ``alpha``, ``use_agg2t`` and
@@ -226,36 +237,44 @@ def backward(
     ``loss.loss_of_entity`` on its real rows with the same ``self_mask``, and
     its pooled scores equal ``scoring.pool`` of each column of
     ``scoring.candidate_matrix``, up to float rounding.
+
+    With Agg2T on, each entity has rows = m + 1 candidate rows, the Agg2T
+    row last (see the module docstring).
     """
     batch, m = rel.shape
     num_types = params.num_types
     alpha, use_agg2t, use_activation = config.alpha, config.use_agg2t, config.use_activation
     training = grads is not None
-    reps = neighbor_reps(params, rel, inv, is_type, tgt)  # (B, m, k)
-    activated = np.maximum(reps, 0) if use_activation else reps
-    flat_z = activated.reshape(batch * m, -1)
+    separate = use_agg2t and params.separate_heads
+    z = neighbor_reps(params, rel, inv, is_type, tgt)  # (B, m, k)
+    if use_agg2t:
+        count = valid.sum(axis=1, keepdims=True).astype(z.dtype)
+        mean = (z * valid[..., None]).sum(axis=1) / count
+        z = np.concatenate([z, mean[:, None]], axis=1)  # (B, rows, k)
+        valid = np.pad(valid, ((0, 0), (0, 1)), constant_values=True)
+    rows = z.shape[1]
+    activated = np.maximum(z, 0) if use_activation else z
+    flat_z = activated.reshape(batch * rows, -1)
     # Scores are kept as s = alpha * (x - b): the column bias b shifts every
     # row of a column alike and cancels in the softmax weights. Pooling works
     # on the shifted u = s - max s, in place: the weights are exp(u), pooled
     # = (mean_w(u) + max s) / alpha + b, and 1 + alpha * (x - pooled) =
     # u + 1 - mean_w(u).
     scaled_z = alpha * flat_z
-    count = valid.sum(axis=1, keepdims=True).astype(reps.dtype)
     pad = np.flatnonzero(~valid)
-    if use_agg2t:
-        h = (reps * valid[..., None]).sum(axis=1) / count
-        h_act = np.maximum(h, 0) if use_activation else h
-        scaled_h = alpha * h_act
-        agg_w, agg_b = params.agg_head()
-        if training:
-            agg_gw = grads.agg_W if params.separate_heads else grads.W
+    if training:
+        pos_rows, pos_cols = positives
     if self_mask:
-        # Forward has_type rows (padding copies included), ordered by type.
+        # Blanked cells, ordered by type: forward has_type rows (padding
+        # copies included) at their own type, and the Agg2T row at the labels.
         own = np.flatnonzero(is_type & ~inv)
-        own_cols = tgt.ravel()[own]
-        by_col = np.argsort(own_cols, kind="stable")
-        own, own_cols = own[by_col], own_cols[by_col]
-    rows = m + 1 if use_agg2t else m
+        blank_rows = own // m * rows + own % m
+        blank_cols = tgt.ravel()[own]
+        if use_agg2t:
+            blank_rows = np.concatenate([blank_rows, pos_rows * rows + m])
+            blank_cols = np.concatenate([blank_cols, pos_cols])
+        by_col = np.argsort(blank_cols, kind="stable")
+        blank_rows, blank_cols = blank_rows[by_col], blank_cols[by_col]
     width = max(1, _CELLS // (batch * rows))
     if not training:
         width = min(width, -(-num_types // _FORWARD_BLOCKS))
@@ -263,40 +282,30 @@ def backward(
     blocks = range(0, num_types, width)
     num_lanes = min(_LANES, len(blocks))
     if training:
-        pos_rows, pos_cols = positives
         # Each lane's accumulators, allocated by this thread like the slabs
-        # (see the module docstring): losses, dreps and dh.
-        lanes = [
-            (np.zeros(batch), np.zeros_like(flat_z), np.zeros_like(h) if use_agg2t else None)
-            for _ in range(num_lanes)
-        ]
+        # (see the module docstring): losses and dz.
+        lanes = [(np.zeros(batch), np.zeros_like(flat_z)) for _ in range(num_lanes)]
 
     def new_slab() -> np.ndarray:
         """Score/exp scratch for one thread."""
-        return np.empty((2, batch * m * min(width, num_types)), dtype=flat_z.dtype)
+        return np.empty((2, batch * rows * min(width, num_types)), dtype=flat_z.dtype)
 
     def run_lane(lane: int, slab: np.ndarray) -> None:
         for s in blocks[lane::_LANES]:
             e = min(s + width, num_types)
-            score, expw = (buf[: batch * m * (e - s)].reshape(batch * m, e - s) for buf in slab)
-            score3, expw3 = score.reshape(batch, m, e - s), expw.reshape(batch, m, e - s)
-            if training:
-                lo, hi = np.searchsorted(pos_cols, (s, e))
-                labels = (pos_rows[lo:hi], pos_cols[lo:hi] - s)
+            cols = e - s
+            score3, expw3 = (buf[: batch * rows * cols].reshape(batch, rows, cols) for buf in slab)
+            score, expw = score3.reshape(batch * rows, cols), expw3.reshape(batch * rows, cols)
             w_blk = params.W[s:e]
             np.matmul(scaled_z, w_blk.T, out=score)
+            if separate:
+                score[m::rows] = scaled_z[m::rows] @ params.agg_W[s:e].T
+                score[m::rows] += alpha * (params.agg_b[s:e] - params.b[s:e])
             if self_mask:
-                a, z = np.searchsorted(own_cols, (s, e))
-                blank = (own[a:z], own_cols[a:z] - s)
+                lo, hi = np.searchsorted(blank_cols, (s, e))
+                blank = (blank_rows[lo:hi], blank_cols[lo:hi] - s)
                 score[blank] = -np.inf
             top = score3.max(axis=1)  # (B, cols)
-            if use_agg2t:
-                agg = scaled_h @ agg_w[s:e].T
-                if params.separate_heads:
-                    agg += alpha * (agg_b[s:e] - params.b[s:e])
-                if self_mask:
-                    agg[labels] = -np.inf
-                np.maximum(top, agg, out=top)
             if self_mask:
                 # A column with every row blanked gets weight 0 everywhere and
                 # pools to -inf, which the loss drops.
@@ -310,73 +319,58 @@ def backward(
                 score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
             denom = np.add.reduce(expw3, axis=1)
             mean_u = np.einsum("bmc,bmc->bc", expw3, score3)
-            if use_agg2t:
-                agg -= top
-                agg_exp = np.exp(agg)
-                if self_mask:
-                    agg[labels] = 0
-                denom += agg_exp
-                mean_u += agg_exp * agg
             if self_mask:
                 denom[dead] = 1
             mean_u /= denom
-
+            pooled = top if training else out[:, s:e]
+            np.add(mean_u, top, out=pooled)
+            pooled /= alpha
+            pooled += params.b[s:e]
             if not training:
-                pooled = out[:, s:e]
-                np.add(mean_u, top, out=pooled)
-                pooled /= alpha
-                pooled += params.b[s:e]
                 continue
-            pooled = (mean_u + top) / alpha + params.b[s:e]
             if self_mask:
                 pooled[dead] = -np.inf
-            losses, dreps, dh = lanes[lane]
+            losses, dz = lanes[lane]
+            lo, hi = np.searchsorted(pos_cols, (s, e))
+            labels = (pos_rows[lo:hi], pos_cols[lo:hi] - s)
             block_loss, dpooled = _loss_terms(pooled, labels, config.loss_kind, config.beta)
             losses += block_loss
             # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
             #              = (dpooled / denom) * exp(u) * (u + 1 - mean_w(u)).
-            gain = dpooled / denom
-            shift = 1.0 - mean_u
-            score3 += shift[:, None, :]
+            score3 += (1.0 - mean_u)[:, None, :]
             score *= expw
-            score3 *= gain[:, None, :]
-            dn2t = score  # d(loss)/d(N2T score), (B*m, cols)
-            grads.W[s:e] += dn2t.T @ flat_z
-            dreps += dn2t @ w_blk
+            score3 *= (dpooled / denom)[:, None, :]
+            dscore = score  # d(loss)/d(candidate score), (B*rows, cols)
             # A bias shared by every row of a column moves the pooled score one
             # for one, so its gradient is the batch sum of dpooled.
             db = dpooled.sum(axis=0)
-            if use_agg2t:
-                agg += shift
-                agg *= agg_exp
-                agg *= gain  # d(loss)/d(Agg2T score), (B, cols)
-                agg_gw[s:e] += agg.T @ h_act
-                dh += agg @ agg_w[s:e]
-                if params.separate_heads:
-                    agg_db = agg.sum(axis=0)
-                    grads.agg_b[s:e] += agg_db
-                    db -= agg_db
+            if separate:
+                dagg = dscore[m::rows]
+                grads.agg_W[s:e] += dagg.T @ flat_z[m::rows]
+                dz[m::rows] += dagg @ params.agg_W[s:e]
+                agg_db = dagg.sum(axis=0)
+                grads.agg_b[s:e] += agg_db
+                db -= agg_db
+                dagg[:] = 0  # the shared products below must not see it
+            grads.W[s:e] += dscore.T @ flat_z
+            dz += dscore @ w_blk
             grads.b[s:e] += db
 
     _run_lanes(run_lane, num_lanes, new_slab)
     if not training:
         return out
     # Lane order, whatever ran them: the sums do not depend on the threads.
-    losses, dreps, dh = lanes[0]
-    for lane_losses, lane_dreps, lane_dh in lanes[1:]:
+    losses, dz = lanes[0]
+    for lane_losses, lane_dz in lanes[1:]:
         losses += lane_losses
-        dreps += lane_dreps
-        if use_agg2t:
-            dh += lane_dh
+        dz += lane_dz
 
-    dreps = dreps.reshape(batch, m, -1)
+    dz = dz.reshape(batch, rows, -1)
     if use_activation:
-        dreps *= reps > 0
+        dz *= z > 0
     if use_agg2t:
-        if use_activation:
-            dh *= h > 0
-        dreps += (dh / count)[:, None, :]
-    return losses, dreps
+        dz[:, :m] += (dz[:, m] / count)[:, None, :]
+    return losses, dz[:, :m]
 
 
 class ScoreBundle:

@@ -64,8 +64,8 @@ def _loss_terms(
     """Per-row loss and d(loss)/d(pooled) over the last (type) axis.
 
     ``pooled`` is (..., L); ``positives`` indexes its positive entries: a
-    list of columns when ``pooled`` is one entity's (L,), a tuple of index
-    arrays or a boolean mask of the same shape otherwise. The loss has
+    list of columns when ``pooled`` is one entity's (L,), a tuple of
+    (row, column) index arrays when it is a (batch, L) block. The loss has
     the leading shape and both results keep the input's float dtype.
     Positive columns contribute -log p; negative columns contribute
     -log(1-p), weighted by beta*p*(1-p) for the false-negative-aware loss.

@@ -16,11 +16,14 @@ This module keeps the plain forms that check it: ``candidate_matrix`` builds
 one entity's (rows, types) candidate scores and the scalar ``pool`` pools
 one column. The finite-difference oracle ``loss.loss_of_entity`` runs on
 them, and ``explain`` reports one column or one row of them.
+``candidate_matrix`` keeps the Agg2T row first (row 0), the order ``explain``
+reports and the oracle masks; the kernel puts it last, which pooling does not
+see.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,16 +36,17 @@ class ParameterSet:
     ``type_emb`` holds types in their role as neighbor nodes; it is distinct
     from the classifier rows of ``W``, which score types as labels. When
     ``agg_W``/``agg_b`` are None the aggregated route shares the classifier
-    of the per-neighbor route.
+    of the per-neighbor route. Each field's ``shape`` metadata names its
+    dimensions; the field order is the checkpoint's tensor order.
     """
 
-    entity_emb: np.ndarray  # (num_entities, k)
-    relation_emb: np.ndarray  # (num_relations, k); row 0 is has_type
-    type_emb: np.ndarray  # (num_types, k)
-    W: np.ndarray  # (num_types, k)
-    b: np.ndarray  # (num_types,)
-    agg_W: np.ndarray | None = None
-    agg_b: np.ndarray | None = None
+    entity_emb: np.ndarray = field(metadata={"shape": ("entities", "k")})
+    relation_emb: np.ndarray = field(metadata={"shape": ("relations", "k")})  # row 0 is has_type
+    type_emb: np.ndarray = field(metadata={"shape": ("types", "k")})
+    W: np.ndarray = field(metadata={"shape": ("types", "k")})
+    b: np.ndarray = field(metadata={"shape": ("types",)})
+    agg_W: np.ndarray | None = field(default=None, metadata={"shape": ("types", "k")})
+    agg_b: np.ndarray | None = field(default=None, metadata={"shape": ("types",)})
 
     @property
     def k(self) -> int:
@@ -59,12 +63,6 @@ class ParameterSet:
     @property
     def separate_heads(self) -> bool:
         return self.agg_W is not None
-
-    def agg_head(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.agg_W is not None:
-            assert self.agg_b is not None
-            return self.agg_W, self.agg_b
-        return self.W, self.b
 
     def named(self):
         """(name, tensor) of every tensor present, in field order."""
@@ -135,6 +133,6 @@ def candidate_matrix(
     scores = _activate(reps, use_activation) @ params.W[columns].T + params.b[columns]
     if not use_agg2t:
         return scores
-    agg_w, agg_b = params.agg_head()
+    agg_w, agg_b = (params.agg_W, params.agg_b) if params.separate_heads else (params.W, params.b)
     agg = _activate(reps.mean(axis=0), use_activation) @ agg_w[columns].T + agg_b[columns]
     return np.vstack([agg, scores])

@@ -159,15 +159,27 @@ def kernel_pooled(params, neighbors, alpha, *, use_agg2t=True, use_activation=Tr
     return cet.kernel.backward(params, None, *(a[None] for a in neighbors), None, config, valid)[0]
 
 
-def drop_header_key(path, keys):
-    """Delete ``header[keys[0]][keys[1]]...`` from a checkpoint and re-sign it."""
+def _resign_header(path, keys, edit):
+    """Call ``edit(node, keys[-1])`` on the checkpoint header's node at
+    ``keys[:-1]``, then write the header back and re-sign the file."""
     payload = path.read_bytes()[len(MAGIC) : -8]
     (header_len,) = struct.unpack_from("<Q", payload, 0)
     header = json.loads(payload[8 : 8 + header_len])
     node = header
     for key in keys[:-1]:
         node = node[key]
-    del node[keys[-1]]
+    edit(node, keys[-1])
     header_bytes = json.dumps(header).encode()
     payload = struct.pack("<Q", len(header_bytes)) + header_bytes + payload[8 + header_len :]
     path.write_bytes(MAGIC + payload + hashlib.blake2b(payload, digest_size=8).digest())
+
+
+def drop_header_key(path, keys):
+    """Delete ``header[keys[0]][keys[1]]...`` from a checkpoint and re-sign it."""
+    _resign_header(path, keys, dict.pop)
+
+
+def edit_header_key(path, keys, change):
+    """Set ``header[keys[0]][keys[1]]...`` of a checkpoint to ``change`` of its
+    value and re-sign it."""
+    _resign_header(path, keys, lambda node, key: node.__setitem__(key, change(node[key])))

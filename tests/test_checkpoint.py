@@ -3,7 +3,7 @@ import pytest
 
 from cet import ChecksumError, init_params, load_checkpoint, save_checkpoint
 from cet.checkpoint import MAGIC
-from synth import assembled, drop_header_key, tiny_corpus
+from synth import assembled, drop_header_key, edit_header_key, tiny_corpus
 
 
 @pytest.fixture
@@ -44,6 +44,21 @@ class TestRoundTrip:
         loaded, _, _ = load_checkpoint(path)
         assert loaded.separate_heads
         np.testing.assert_array_equal(loaded.agg_W, params.agg_W)
+
+    @pytest.mark.parametrize("separate_heads", [False, True])
+    def test_tensors_follow_the_cetk1_order(self, setup, tmp_path, separate_heads):
+        # The layout is fixed here by name, apart from ParameterSet's field order.
+        vocab, _, config = setup
+        params = init_params(vocab, 6, seed=3, separate_heads=separate_heads)
+        params.b[:] = 1.5  # biases start at zero; tell them apart
+        names = ["entity_emb", "relation_emb", "type_emb", "W", "b"]
+        if separate_heads:
+            names += ["agg_W", "agg_b"]
+            params.agg_b[:] = -2.5
+        tensors = b"".join(getattr(params, name).astype("<f4").tobytes() for name in names)
+        path = tmp_path / "model.cet"
+        save_checkpoint(path, params, vocab, config)
+        assert path.read_bytes()[-8 - len(tensors) : -8] == tensors
 
     def test_float64_params_stored_as_float32(self, setup, tmp_path):
         vocab, params, config = setup
@@ -158,3 +173,28 @@ class TestCorruption:
         with pytest.raises(ChecksumError, match="header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "path_in_header, change",
+        [
+            pytest.param(("k",), float, id="k-float"),
+            pytest.param(("k",), str, id="k-string"),
+            pytest.param(("k",), lambda _: True, id="k-bool"),
+            pytest.param(("counts", "entities"), float, id="entities-float"),
+            pytest.param(("counts", "relations"), str, id="relations-string"),
+            pytest.param(("counts", "types"), float, id="types-float"),
+            pytest.param(("separate_heads",), int, id="separate-heads-int"),
+            pytest.param(("separate_heads",), lambda _: None, id="separate-heads-null"),
+            pytest.param(("config",), list, id="config-array"),
+            pytest.param(("config",), lambda _: "fna", id="config-string"),
+        ],
+    )
+    def test_valid_checksum_but_wrong_header_type(self, setup, tmp_path, path_in_header,
+                                                  change):
+        # A field of the wrong JSON type is a checkpoint error when it is read,
+        # not a TypeError later; 3.0 for 3 would pass an equality check.
+        vocab, params, config = setup
+        path = tmp_path / "model.cet"
+        save_checkpoint(path, params, vocab, config)
+        edit_header_key(path, path_in_header, change)
+        with pytest.raises(ChecksumError, match="header"):
+            load_checkpoint(path)

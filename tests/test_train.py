@@ -414,6 +414,75 @@ class TestRaggedKernel:
         assert max_relative_error(grads, alone_grads) < 1e-6
 
 
+class TestMultiBlockOracle:
+    """Batched training against finite differences, not against the kernel:
+    ragged type blocks on several lanes, several degree buckets in mask mode."""
+
+    SAMPLE_SIZE = 4
+
+    @staticmethod
+    def instance(separate_heads):
+        from cet import build_graph, build_vocab
+        from cet.data import TypingDataset
+        from cet.gradcheck import _draw_params
+
+        rng = np.random.default_rng(4)
+        triples, pairs = [], []
+        for i, degree in enumerate([1, 2, 3, 5, 7]):
+            triples += [(f"e{i}", f"r{rng.integers(3)}", f"x{rng.integers(4)}")
+                        for _ in range(degree)]
+            labels = rng.choice(5, size=rng.integers(1, 4), replace=False)
+            pairs += [(f"e{i}", f"t{t}") for t in sorted(labels)]
+        vocab = build_vocab(triples, pairs)
+        graph = build_graph(vocab, triples, pairs)  # has_type edges included
+        train_types = {}
+        for e, t in pairs:
+            train_types.setdefault(vocab.entity_ids[e], []).append(vocab.type_ids[t])
+        dataset = TypingDataset(
+            train=[(e, t) for e, types in train_types.items() for t in types], valid=[],
+            test=[], known_types={e: set(t) for e, t in train_types.items()},
+            train_types=train_types,
+        )
+        params = _draw_params(vocab, 3, np.random.default_rng(2), separate_heads)
+        return graph, dataset, params, list(train_types)
+
+    @pytest.mark.parametrize("separate_heads", [False, True], ids=["shared", "separate"])
+    @pytest.mark.parametrize("mask_mode", [False, True], ids=["sampled", "mask"])
+    def test_gradients_match_finite_differences(self, monkeypatch, mask_mode, separate_heads):
+        from cet.loss import finite_diff_oracle
+
+        graph, dataset, params, batch = self.instance(separate_heads)
+        config = TrainConfig(
+            mask_mode=mask_mode, separate_heads=separate_heads, sample_size=self.SAMPLE_SIZE
+        )
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 8)
+        if mask_mode:
+            # Four buckets of 5 to 10 candidate cells per type: blocks of one
+            # or two of the 5 types.
+            assert len(list(cet.kernel._degree_buckets(graph.degrees(batch)))) == 4
+            monkeypatch.setattr(cet.kernel, "_CELLS", 12)
+            neighbors = [graph.neighbor_arrays(e) for e in batch]
+        else:
+            # Blocks of 2, 2 and 1 types.
+            monkeypatch.setattr(cet.kernel, "_CELLS", 2 * len(batch) * (self.SAMPLE_SIZE + 1))
+            neighbors = sample_each(graph, batch, self.SAMPLE_SIZE, np.random.default_rng(3))
+        losses, grads = _train_batch(
+            params, graph, dataset, batch, config, np.random.default_rng(3)
+        )
+        entities = [(n, dataset.positives(e)) for n, e in zip(neighbors, batch)]
+        want = [
+            loss_of_entity(params, n, labels, config.loss_kind, config.beta, config.alpha,
+                           mask_mode)
+            for n, labels in entities
+        ]
+        np.testing.assert_allclose(losses, want, rtol=1e-10)
+        fd = finite_diff_oracle(
+            params, entities, config.loss_kind, config.beta, alpha=config.alpha,
+            self_mask=mask_mode,
+        )
+        assert max_relative_error(grads, fd) < 1e-4  # the gradient check's tolerance
+
+
 def bits(result):
     """A kernel result's losses and gradients as bytes, to compare bit for bit."""
     losses, grads = result
