@@ -97,14 +97,16 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
     Dense tensors (W, b and the optional aggregation head) always update;
     embedding rows update only where ``grads`` carries them. Untouched rows
     and their moments are left bitwise unchanged. Every gradient is checked
-    finite first: a ``NumericError`` leaves the parameters, the moments and
-    ``state.t`` as they were. The update is elementwise, so it runs on slices
-    of about ``_SLICE_CELLS`` elements through one scratch pair, with the
-    same bits whatever the slicing.
+    for its target's shape and finite first: a ``ValueError`` or
+    ``NumericError`` leaves the parameters, the moments and ``state.t`` as
+    they were. The update is elementwise, so it runs on slices of about
+    ``_SLICE_CELLS`` elements through one scratch pair, with the same bits
+    whatever the slicing.
     """
     # (name, tensor, m, v, grad): whole dense tensors, and the touched rows of
     # each embedding table and its moments as gathered copies, written back
-    # after the update.
+    # after the update. A row map's ids and rows become one array each, in
+    # insertion order, then go into id order by one argsort.
     updates = [
         (name, getattr(params, name), state.m[name], state.v[name], grad)
         for name, grad in grads.named_dense()
@@ -114,12 +116,19 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
         if not rows:
             continue
         tensors = getattr(params, name), state.m[name], state.v[name]
-        idx = np.sort(np.fromiter(rows.keys(), dtype=np.int64, count=len(rows)))
-        grad = np.stack([rows[int(i)] for i in idx]).astype(tensors[0].dtype, copy=False)
+        ids = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        try:
+            grad = np.array(list(rows.values()), dtype=params.dtype)
+        except ValueError as err:
+            raise ValueError(f"gradient rows of unequal shapes for tensor {name!r}") from err
+        order = np.argsort(ids, kind="stable")
+        idx, grad = ids[order], grad[order]
         touched = [tensor[idx] for tensor in tensors]
         updates.append((name, *touched, grad))
         gathered.append((idx, tensors, touched))
-    for name, *_, grad in updates:
+    for name, target, *_, grad in updates:
+        if grad.shape != target.shape:
+            raise ValueError(f"gradient shape {grad.shape} for tensor {name!r} of {target.shape}")
         _check_finite(name, grad)
 
     state.t += 1

@@ -124,10 +124,12 @@ def _scatter_rows(
     """Sum per-edge representation gradients into the sparse row maps.
 
     Arguments are flat over the batch's edges, with ``dreps`` of shape
-    (edges, k). The row maps must be empty: each table gets one
-    ``np.unique``/``np.add.at`` pass.
+    (edges, k). The row maps must be empty: each table gets one ``np.unique``
+    and one 1-D ``np.add.at`` at the flat cells ``row * k + j`` of its sum,
+    which adds each cell's edges in edge order, as a row-wise call does.
     """
     sign = np.where(inv, 1.0, -1.0).astype(dreps.dtype)
+    k = dreps.shape[-1]
     for rows, idx, grad in (
         (grads.entity_rows, tgt[~is_type], dreps[~is_type]),
         (grads.type_rows, tgt[is_type], dreps[is_type]),
@@ -135,8 +137,8 @@ def _scatter_rows(
     ):
         if idx.size:
             uniq, inverse = np.unique(idx, return_inverse=True)
-            acc = np.zeros((len(uniq), grad.shape[-1]), dtype=grad.dtype)
-            np.add.at(acc, inverse, grad)
+            acc = np.zeros((len(uniq), k), dtype=grad.dtype)
+            np.add.at(acc.reshape(-1), (inverse[:, None] * k + np.arange(k)).ravel(), grad.ravel())
             rows.update(zip(uniq.tolist(), acc))
 
 

@@ -74,6 +74,36 @@ def scalar_problem(x0=1.0, lr=0.01):
     return params, AdamState(params, lr=lr)
 
 
+def stepped_problem():
+    """A separate-head problem one Adam step from its start, so that the
+    moments and ``t`` are away from theirs, with a fresh random gradient set
+    per ``gradients()`` call and a bitwise ``snapshot()`` of the parameters,
+    the moments and ``t``."""
+    vocab = build_vocab(
+        [(f"e{i}", "r", f"e{i+1}") for i in range(6)], [(f"e{i}", f"t{i}") for i in range(5)]
+    )
+    params = init_params(vocab, 4, seed=2, separate_heads=True)
+    state = AdamState(params, lr=0.01)
+    rng = np.random.default_rng(4)
+
+    def gradients():
+        grads = GradientSet.zeros_like(params)
+        for _, tensor in grads.named_dense():
+            tensor[...] = rng.normal(size=tensor.shape)
+        for _, rows in grads.named_sparse():
+            rows.update({i: rng.normal(size=4).astype(np.float32) for i in (0, 1)})
+        return grads
+
+    def snapshot():
+        return (
+            state.t, [t.tobytes() for _, t in params.named()],
+            [state.m[n].tobytes() for n in state.m], [state.v[n].tobytes() for n in state.v],
+        )
+
+    adam_step(params, state, gradients())
+    return params, state, gradients, snapshot
+
+
 class TestAdamStep:
     def test_first_step_moves_by_lr_signed(self):
         params, state = scalar_problem(x0=0.0, lr=0.01)
@@ -127,28 +157,7 @@ class TestAdamStep:
     def test_nonfinite_gradient_aborts_with_tensor_name(self):
         # A NaN or inf anywhere, in a dense tensor or in one sparse row, is
         # found before any parameter, moment or the step count moves.
-        vocab = build_vocab(
-            [(f"e{i}", "r", f"e{i+1}") for i in range(6)], [(f"e{i}", f"t{i}") for i in range(5)]
-        )
-        params = init_params(vocab, 4, seed=2, separate_heads=True)
-        state = AdamState(params, lr=0.01)
-        rng = np.random.default_rng(4)
-
-        def gradients():
-            grads = GradientSet.zeros_like(params)
-            for _, tensor in grads.named_dense():
-                tensor[...] = rng.normal(size=tensor.shape)
-            for _, rows in grads.named_sparse():
-                rows.update({i: rng.normal(size=4).astype(np.float32) for i in (0, 1)})
-            return grads
-
-        def snapshot():
-            return (
-                state.t, [t.tobytes() for _, t in params.named()],
-                [state.m[n].tobytes() for n in state.m], [state.v[n].tobytes() for n in state.v],
-            )
-
-        adam_step(params, state, gradients())  # moments and t away from their start
+        params, state, gradients, snapshot = stepped_problem()
         before = snapshot()
         for field, name, value in (
             ("W", "W", np.nan), ("b", "b", np.nan), ("agg_b", "agg_b", np.inf),
@@ -164,6 +173,81 @@ class TestAdamStep:
             with pytest.raises(NumericError, match=repr(name)):
                 adam_step(params, state, grads)
             assert snapshot() == before, field
+
+    def test_wrong_shape_aborts_with_tensor_name(self):
+        # A sparse row of the wrong length, among rows of the right one or in
+        # every row, and a dense gradient of the wrong shape, even one that
+        # would broadcast, are found before any parameter, moment or the step
+        # count moves.
+        params, state, gradients, snapshot = stepped_problem()
+        types, k = params.W.shape
+        before = snapshot()
+        for field, name, value in (
+            ("entity_rows", "entity_emb", {1: np.ones(k + 1)}),
+            ("relation_rows", "relation_emb", {0: np.ones(k + 1), 1: np.ones(k + 1)}),
+            ("type_rows", "type_emb", {0: np.ones((1, k)), 1: np.ones((1, k))}),
+            ("W", "W", np.ones((types, k + 1))),
+            ("W", "W", np.ones(k)),
+            ("b", "b", np.ones(types + 1)),
+            ("agg_W", "agg_W", np.ones((1, k))),
+        ):
+            grads = gradients()
+            if isinstance(value, dict):
+                getattr(grads, field).update(value)
+            else:
+                setattr(grads, field, value)
+            with pytest.raises(ValueError, match=repr(name)):
+                adam_step(params, state, grads)
+            assert snapshot() == before, field
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_map_order_and_layout_give_the_same_bits(self, dtype):
+        # A row map's insertion order (sorted, reversed, shuffled) and its
+        # rows' layout (views of one array, strided views of one array,
+        # separate arrays) leave the parameters and moments bit for bit the
+        # same, over several steps.
+        vocab = build_vocab(
+            [(f"e{i}", f"r{i % 4}", f"e{i+1}") for i in range(11)],
+            [(f"e{i}", f"t{i % 6}") for i in range(10)],
+        )
+        k = 5
+        start = init_params(vocab, k, seed=4, dtype=dtype)
+        tables = (start.entity_emb, start.relation_emb, start.type_emb)
+        rng = np.random.default_rng(6)
+        steps = []
+        for _ in range(3):
+            dense = [rng.normal(size=start.W.shape), rng.normal(size=start.b.shape)]
+            sparse = []
+            for table in tables:
+                ids = np.sort(rng.choice(len(table), size=len(table) - 1, replace=False))
+                sparse.append((ids, rng.normal(size=(len(ids), k)).astype(dtype)))
+            steps.append((dense, sparse))
+        orders = {"sorted": np.arange, "reversed": lambda n: np.arange(n)[::-1], "shuffled": rng.permutation}
+        layouts = {
+            "views": lambda block: block,
+            "strided views": np.asfortranarray,
+            "separate arrays": lambda block: [row.copy() for row in block],
+        }
+        results = {}
+        for order_name, order in orders.items():
+            for layout_name, layout in layouts.items():
+                params = start.copy()
+                state = AdamState(params, lr=0.01)
+                for dense, sparse in steps:
+                    grads = GradientSet.zeros_like(params)
+                    grads.W[...], grads.b[...] = dense
+                    for (_, rows), (ids, block) in zip(grads.named_sparse(), sparse):
+                        laid = layout(block)
+                        rows.update((int(ids[i]), laid[i]) for i in order(len(ids)))
+                    adam_step(params, state, grads)
+                results[order_name, layout_name] = (
+                    [t.tobytes() for _, t in params.named()],
+                    [m.tobytes() for m in state.m.values()], [v.tobytes() for v in state.v.values()],
+                )
+        first = results["sorted", "separate arrays"]
+        assert all(result == first for result in results.values()), [
+            key for key, result in results.items() if result != first
+        ]
 
     def test_update_deterministic(self):
         runs = []

@@ -146,6 +146,62 @@ class TestSampleNeighbors:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+def scatter_rows_reference(grads, rel, inv, is_type, tgt, dreps):
+    """``_scatter_rows`` in its row-wise form, frozen: one ``np.unique`` and
+    one 2-D ``np.add.at`` per table."""
+    sign = np.where(inv, 1.0, -1.0).astype(dreps.dtype)
+    for rows, idx, grad in (
+        (grads.entity_rows, tgt[~is_type], dreps[~is_type]),
+        (grads.type_rows, tgt[is_type], dreps[is_type]),
+        (grads.relation_rows, rel, dreps * sign[:, None]),
+    ):
+        if idx.size:
+            uniq, inverse = np.unique(idx, return_inverse=True)
+            acc = np.zeros((len(uniq), grad.shape[-1]), dtype=grad.dtype)
+            np.add.at(acc, inverse, grad)
+            rows.update(zip(uniq.tolist(), acc))
+
+
+class TestScatterRows:
+    # (relations, share of type edges, share of inverted edges)
+    CASES = {
+        "mixed": (20, 0.3, 0.5),
+        "one relation": (1, 0.3, 0.5),
+        "no type edge": (20, 0.0, 0.5),
+        "only type edges": (20, 1.0, 0.5),
+        "forward edges": (20, 0.3, 0.0),
+        "inverted edges": (20, 0.3, 1.0),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bits_match_the_row_wise_sum(self, case, dtype):
+        # Hundreds of edges over a few dozen rows, with magnitudes spread over
+        # twelve decades and some rows signed zeros (as a ReLU mask leaves
+        # them), so that any other order or start of the sums shows in the bits.
+        relations, type_share, inverted_share = self.CASES[case]
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        edges, k = 700, 6
+        rel = rng.integers(0, relations, size=edges)
+        inv = rng.random(edges) < inverted_share
+        is_type = rng.random(edges) < type_share
+        tgt = rng.integers(0, 40, size=edges)
+        dreps = rng.normal(size=(edges, k)) * 10.0 ** rng.uniform(-6, 6, size=(edges, 1))
+        dreps[rng.random(edges) < 0.1] *= -0.0
+        dreps = dreps.astype(dtype)
+        got, want = (GradientSet(W=np.zeros((1, k)), b=np.zeros(1)) for _ in range(2))
+        cet.train._scatter_rows(got, rel, inv, is_type, tgt, dreps)
+        scatter_rows_reference(want, rel, inv, is_type, tgt, dreps)
+        assert bool(got.entity_rows) == (type_share < 1)
+        assert bool(got.type_rows) == (type_share > 0)
+        for (name, mine), (_, theirs) in zip(got.named_sparse(), want.named_sparse()):
+            assert list(mine) == list(theirs), name
+            assert all(row.dtype == dtype for row in mine.values()), name
+            assert [row.tobytes() for row in mine.values()] == [
+                row.tobytes() for row in theirs.values()
+            ], name
+
+
 def with_mask_mode(config):
     """``config`` with mask mode on, for a ``_train_batch`` given no generator:
     mask mode draws nothing."""
