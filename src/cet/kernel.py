@@ -30,33 +30,38 @@ treat the row apart: it is scored with ``agg_W``/``agg_b`` over the shared
 product, and its gradient goes to them instead of ``W``/``b``.
 
 Without labels and gradients the kernel runs forward only: each block is
-scored and pooled into its columns of a (batch, types) result. Inference
-runs that mode: ``score_all_neighbors`` scores a degree bucket of entities
-in one call, padded as mask-mode training pads them (``_degree_buckets``,
-``_padded_neighbors``, one ``AugmentedGraph.gather``), so the N2T product has hundreds of rows even when
-each entity has few, and a hub costs the blocks' slabs, not a (rows,
-types) candidate matrix. A bucket is still cut into at least
-``_FORWARD_BLOCKS`` blocks to spread over two cores.
+scored and pooled into its columns of a (batch, types) result, every block
+in order on the calling thread. Inference runs that mode:
+``score_all_neighbors`` scores a degree bucket of entities in one call,
+padded as mask-mode training pads them (``_degree_buckets``,
+``_padded_neighbors``, one ``AugmentedGraph.gather``), so the N2T product
+has hundreds of rows even when each entity has few, and a hub costs the
+blocks' slabs, not a (rows, types) candidate matrix. ``ranking.evaluate``
+spreads its buckets over the cores instead, one bucket per thread.
 
-The blocks of one call are dealt to ``_LANES`` lanes, block i to lane i %
-``_LANES``. Blocks write disjoint rows of the classifier gradients, so only
-the losses and the representation gradients are shared; each lane sums those
-into accumulators of its own, and the lanes are added in lane order at the
-end. The result is therefore bit-identical whatever the number of threads
-that ran the lanes: up to ``_THREADS``, the calling thread included, with
-the others taken from ``_WORKERS``, one pool for the whole process, whose
-threads start on first use and then wait, idle, for the next call (with
-``_THREADS`` = 1 none ever starts). Each thread takes the next lane not yet
-taken until none is left, so a thread whose core is busy with another
-process takes fewer lanes instead of holding up the call; there are more
-lanes than threads so that there is work left to take. ``_THREADS`` is one
-per usable core, at most ``_LANES``, when BLAS is pinned to one thread
-(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all
-1), else 1, because BLAS threads and lane threads on the same cores only
-slow each other down. ``_LANES`` stays fixed whatever the core count, since
-it fixes the summation order and so the bits of a seeded run. The calling
-thread allocates every lane's accumulators and every thread's slab, so that
-no worker thread's malloc arena keeps a slab's memory after the call.
+Threads take tasks with ``_run_tasks``: lanes in training, buckets in
+evaluation. The blocks of one training call are dealt to ``_LANES`` lanes,
+block i to lane i % ``_LANES``. Blocks write disjoint rows of the classifier
+gradients, so only the losses and the representation gradients are shared;
+each lane sums those into accumulators of its own, and the lanes are added in
+lane order at the end. A pooled score is computed per column, so a bucket's
+block does not depend on the thread or the block width either. Every result
+is therefore bit-identical whatever the number of threads that ran the
+tasks: up to ``_THREADS``, the calling thread included, with the others
+taken from ``_WORKERS``, one pool for the whole process, whose threads start
+on first use and then wait, idle, for the next call (with ``_THREADS`` = 1
+none ever starts). Each thread takes the next task not yet taken until none
+is left, so a thread whose core is busy with another process takes fewer
+tasks instead of holding up the call; there are more lanes than threads so
+that there is work left to take. ``_THREADS`` is one per usable core, at
+most ``_LANES``, when BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all 1), else 1, because BLAS
+threads and task threads on the same cores only slow each other down.
+``_LANES`` stays fixed whatever the core count, since it fixes the summation
+order and so the bits of a seeded run. The calling thread allocates every
+lane's accumulators and every thread's slab (``evaluate`` one per thread for
+the whole pass), so that no worker thread's malloc arena keeps a slab's
+memory after the call.
 
 This kernel is the only backward pass and the only pooled forward:
 gradient checking differentiates the training batches that call it against
@@ -69,8 +74,8 @@ self-evidence mask itself and pools each column with the scalar
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from functools import cached_property, partial
 from types import SimpleNamespace
@@ -87,9 +92,9 @@ __all__ = ["ScoreBundle", "backward", "score_all_neighbors"]
 # kernel, which sets the block width; the kernel's working slabs scale with it.
 _CELLS = 1 << 19
 
-# Lanes of one kernel call: type block i belongs to lane i % _LANES. A lane
-# sums its own blocks' losses and representation gradients; the lanes are
-# then added in lane order, so the result does not depend on how many
+# Lanes of one training kernel call: type block i belongs to lane i % _LANES.
+# A lane sums its own blocks' losses and representation gradients; the lanes
+# are then added in lane order, so the result does not depend on how many
 # threads ran them. Threads take lanes as they come free, and more lanes than
 # cores let a thread that is slowed take fewer. With 2 lanes on 2 threads a
 # preempted thread held up the whole call. Beside a process that kept one of
@@ -105,14 +110,6 @@ _LANES = 8
 # evaluation passes and mask-mode batches (2-vCPU Xeon VM).
 _BUCKET_ROWS = 512
 
-# Forward-only calls cut the types into at least this many blocks, so that
-# an entity of a few rows spreads over two cores. At 8 blocks a 50-row
-# entity's NumPy calls were so short that its two threads mostly waited on
-# each other for the interpreter lock: an FB-shape evaluation pass of 600
-# entities took a median 1.55 s, against 1.23 s at 2 and 1.62 s on one
-# thread (2-vCPU Xeon VM). Fixed whatever the core count, like _LANES.
-_FORWARD_BLOCKS = 2
-
 
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -120,10 +117,10 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Threads that may run lanes, the calling thread included: one per usable
-# core, up to one per lane. Only when BLAS is pinned to one thread, because a
-# BLAS that runs a thread per core already uses them and lanes on top of it
-# oversubscribe the cores; any other setting runs every lane on the caller.
+# Threads that may run lanes or buckets, the calling thread included: one per
+# usable core, up to one per lane. Only when BLAS is pinned to one thread,
+# because a BLAS that runs a thread per core already uses them and tasks on top
+# of it oversubscribe the cores; any other setting runs every task on the caller.
 _BLAS_PINNED = all(
     os.environ.get(name) == "1"
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -131,11 +128,12 @@ _BLAS_PINNED = all(
 _THREADS = min(_LANES, _usable_cores()) if _BLAS_PINNED else 1
 
 
-# Threads that run lanes beside the caller, for every kernel call of the
-# process. An executor starts a thread only when no idle one can take the
-# work, so each call reuses the threads of the last: starting the threads
-# per call instead was measured 8% slower in mask mode, about 20 kernel calls
-# per batch (2-vCPU Xeon VM). Idle threads are joined at interpreter exit.
+# Threads that run tasks beside the caller, for every kernel call and
+# evaluation pass of the process. An executor starts a thread only when no
+# idle one can take the work, so each call reuses the threads of the last:
+# starting the threads per call instead was measured 8% slower in mask mode,
+# about 20 kernel calls per batch (2-vCPU Xeon VM). Idle threads are joined
+# at interpreter exit.
 def _new_workers() -> None:
     global _WORKERS
     _WORKERS = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="cet-lane")
@@ -148,36 +146,45 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_workers)
 
 
-def _run_lanes(
-    run_lane: Callable[[int, np.ndarray], None],
-    lanes: int,
-    new_slab: Callable[[], np.ndarray],
-) -> None:
-    """Call ``run_lane(lane, slab)`` once for every lane: on the caller and, up
+def _slab(rows: int, num_types: int, dtype) -> np.ndarray:
+    """One thread's score/exp scratch, for any call of up to ``rows`` candidate rows in all."""
+    return np.empty((2, max(rows, min(_CELLS, rows * num_types))), dtype=dtype)
+
+
+def _run_tasks(run_task: Callable, tasks: Sequence, new_slab: Callable[[], np.ndarray]) -> None:
+    """Call ``run_task(task, slab)`` once for every task: on the caller and, up
     to ``_THREADS`` threads in all, on ``_WORKERS``.
 
-    Each thread takes the next lane not yet taken until none is left, so a
-    thread that is slowed (another process on its core) takes fewer lanes
+    Each thread takes the next task not yet taken until none is left, so a
+    thread that is slowed (another process on its core) takes fewer tasks
     instead of holding the others up. Each thread has its own slab, made by
-    ``new_slab`` on the calling thread.
+    ``new_slab`` on the calling thread. Once a task raises, no thread takes
+    another, and the first exception is raised again when every thread has
+    finished the task it holds.
     """
-    threads = min(lanes, _THREADS)
-    slabs = [new_slab() for _ in range(threads)]
-    queue = iter(range(lanes))  # shared: next() runs under the GIL, so each lane is taken once
+    slabs = [new_slab() for _ in range(min(len(tasks), _THREADS))]
+    queue = iter(tasks)  # shared: next() runs under the GIL, so each task is taken once
+    errors = []
 
     def share(slab: np.ndarray) -> None:
-        for lane in queue:
-            run_lane(lane, slab)
+        for task in queue:
+            if errors:
+                return
+            try:
+                run_task(task, slab)
+            except BaseException as exc:
+                errors.append(exc)
 
     # Each worker runs in a copy of the caller's context, so that the caller's
-    # np.errstate holds on every lane.
+    # np.errstate holds on every task.
     futures = [_WORKERS.submit(copy_context().run, share, slab) for slab in slabs[1:]]
     try:
         share(slabs[0])
     finally:
-        wait(futures)  # no worker may still write into the caller's arrays
-    for future in futures:
-        future.result()
+        for future in futures:  # no worker may still write into the caller's arrays
+            future.result()
+    if errors:
+        raise errors[0]
 
 
 def _degree_buckets(degrees: np.ndarray):
@@ -216,6 +223,7 @@ def backward(
     config,
     valid: np.ndarray,
     self_mask: bool = False,
+    slab: np.ndarray | None = None,
 ):
     """Per-entity losses and d(loss)/d(neighbor representation) for one batch,
     or with ``grads`` None the pooled (batch, types) scores alone.
@@ -233,7 +241,8 @@ def backward(
     every forward has_type row at its own type and the Agg2T row at the
     labels. The classifier gradients are added into ``grads``; the embedding
     rows are left to the caller. Types are processed in blocks, dealt to
-    lanes (see the module docstring). Each entity's loss equals
+    lanes in training, run in order forward only, in ``slab`` if given (see
+    the module docstring). Each entity's loss equals
     ``loss.loss_of_entity`` on its real rows with the same ``self_mask``, and
     its pooled scores equal ``scoring.pool`` of each column of
     ``scoring.candidate_matrix``, up to float rounding.
@@ -276,22 +285,17 @@ def backward(
         by_col = np.argsort(blank_cols, kind="stable")
         blank_rows, blank_cols = blank_rows[by_col], blank_cols[by_col]
     width = max(1, _CELLS // (batch * rows))
-    if not training:
-        width = min(width, -(-num_types // _FORWARD_BLOCKS))
-        out = np.empty((batch, num_types), dtype=flat_z.dtype)
     blocks = range(0, num_types, width)
-    num_lanes = min(_LANES, len(blocks))
     if training:
         # Each lane's accumulators, allocated by this thread like the slabs
         # (see the module docstring): losses and dz.
-        lanes = [(np.zeros(batch), np.zeros_like(flat_z)) for _ in range(num_lanes)]
-
-    def new_slab() -> np.ndarray:
-        """Score/exp scratch for one thread."""
-        return np.empty((2, batch * rows * min(width, num_types)), dtype=flat_z.dtype)
+        lanes = [(np.zeros(batch), np.zeros_like(flat_z)) for _ in range(min(_LANES, len(blocks)))]
+    else:
+        out = np.empty((batch, num_types), dtype=flat_z.dtype)
+    new_slab = partial(_slab, batch * rows, num_types, flat_z.dtype)
 
     def run_lane(lane: int, slab: np.ndarray) -> None:
-        for s in blocks[lane::_LANES]:
+        for s in blocks[lane::_LANES] if training else blocks:
             e = min(s + width, num_types)
             cols = e - s
             score3, expw3 = (buf[: batch * rows * cols].reshape(batch, rows, cols) for buf in slab)
@@ -356,9 +360,10 @@ def backward(
             dz += dscore @ w_blk
             grads.b[s:e] += db
 
-    _run_lanes(run_lane, num_lanes, new_slab)
     if not training:
+        run_lane(0, new_slab() if slab is None else slab)
         return out
+    _run_tasks(run_lane, range(len(lanes)), new_slab)
     # Lane order, whatever ran them: the sums do not depend on the threads.
     losses, dz = lanes[0]
     for lane_losses, lane_dz in lanes[1:]:
@@ -410,15 +415,17 @@ def score_all_neighbors(
     *,
     use_agg2t: bool = True,
     use_activation: bool = True,
+    slab: np.ndarray | None = None,
 ) -> ScoreBundle:
     """Score entities from their full neighbor lists (the inference path).
 
     One forward-only kernel call over the ``_padded_neighbors`` of the
-    entities; ``pooled`` has one row per entity, in the order given, equal to
-    the entity scored alone up to float rounding.
+    entities, on the calling thread, in ``slab`` if given (see ``backward``);
+    ``pooled`` has one row per entity, in the order given, equal to the
+    entity scored alone up to float rounding.
     """
     routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
     arrays, valid = _padded_neighbors(graph, entities)
     config = SimpleNamespace(alpha=alpha, **routes)
-    pooled = backward(params, None, *arrays, None, config, valid=valid)
+    pooled = backward(params, None, *arrays, None, config, valid=valid, slab=slab)
     return ScoreBundle(pooled, partial(_candidate_stack, params, graph, list(entities), **routes))

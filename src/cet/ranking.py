@@ -2,8 +2,9 @@
 
 Every entity of a split is scored once with its full neighbor list (no
 sampling, no masking), in degree buckets of padded entities, one
-forward-only kernel call per bucket; each of its queried types is then
-ranked against all types minus the entity's other known types. Ties receive
+forward-only kernel call per bucket, the buckets spread over the cores one
+per thread; each of its queried types is then ranked against all types
+minus the entity's other known types. Ties receive
 their mean occupied rank, so evaluation is deterministic without a tie-break
 coin flip. A bucket's queries are ranked together against its pooled block:
 two comparisons of every row with its gold scores count the greater and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,13 +101,15 @@ def evaluate(
 
     Entities are scored once and the vector reused for all their queried
     types. They are cut into the degree buckets of mask-mode training
-    (``kernel._degree_buckets``, ascending degree); each bucket is one
-    ``score_all_neighbors`` call, the forward-only kernel with its lanes on
-    every core, whose pooled block is ranked as returned, all its queries at
-    once. Isolated entities (possible only without type edges) fall back to
-    the bias vector, ranked the same way. Every query of an entity whose
-    pooled scores are not all finite gets rank NaN, so a numeric failure
-    makes MR and MRR NaN rather than a wrong number.
+    (``kernel._degree_buckets``), which up to ``kernel._THREADS`` threads
+    take, largest padded bucket first, each thread in one slab of its own for
+    the whole pass (``kernel._run_tasks``). A thread scores its bucket with
+    one forward-only ``score_all_neighbors`` call and ranks the block as
+    returned, all its queries at once into their own slots, so at most one
+    block per thread exists at a time. Isolated entities (possible only
+    without type edges) fall back to the bias vector, ranked the same way.
+    Every query of an entity whose pooled scores are not all finite gets rank
+    NaN, so a numeric failure makes MR and MRR NaN rather than a wrong number.
     ``filtered=False`` is a debugging mode that skips the known-type removal.
     """
     pairs = dataset.split(split)
@@ -154,15 +158,24 @@ def evaluate(
         rank[~np.isfinite(pooled).all(axis=1)[rows]] = np.nan
         ranks[idx] = rank
 
+    routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
+
+    def score_and_rank(entities: list[int], slab: np.ndarray) -> None:
+        bundle = score_all_neighbors(params, graph, entities, alpha, slab=slab, **routes)
+        rank_rows(entities, bundle.pooled)
+
     queried = np.fromiter(by_entity, dtype=np.int64, count=len(by_entity))
     degrees = graph.degrees(queried)
-    scorable = queried[degrees > 0]
-    for bucket in _degree_buckets(degrees[degrees > 0]):
-        entities = scorable[bucket].tolist()
-        pooled = score_all_neighbors(
-            params, graph, entities, alpha, use_agg2t=use_agg2t, use_activation=use_activation
-        ).pooled
-        rank_rows(entities, pooled)
+    scorable, scored_degrees = queried[degrees > 0], degrees[degrees > 0]
+    # (padded rows, entities) per bucket, largest first: no thread ends the pass on a big one.
+    buckets = sorted(
+        ((len(b) * (scored_degrees[b[-1]] + 1), scorable[b].tolist())
+         for b in _degree_buckets(scored_degrees)),
+        key=lambda bucket: bucket[0], reverse=True,
+    )
+    if buckets:
+        new_slab = partial(kernel._slab, buckets[0][0], len(params.b), params.dtype)
+        kernel._run_tasks(score_and_rank, [entities for _, entities in buckets], new_slab)
     isolated = queried[degrees == 0].tolist()
     if isolated:
         rank_rows(isolated, np.broadcast_to(params.b, (len(isolated), len(params.b))))

@@ -619,10 +619,9 @@ class TestNonFiniteColumns:
         np.testing.assert_array_equal(grads.W[0], 0.0)
 
 
-def bucket_peak(monkeypatch, num_entities, m, num_types, threads=2):
-    """``score_all_neighbors`` of ``num_entities`` float32 entities with ``m``
-    neighbors each over ``num_types`` types, on ``threads`` lane threads: the
-    tracemalloc peak of the second call, and its result."""
+def bucket_corpus(num_entities, m, num_types):
+    """``num_entities`` entities with ``m`` neighbors each over ``num_types``
+    types: the graph, float32 parameters of dimension 100, and the entities."""
     from cet import build_graph, build_vocab, init_params
 
     triples = [(f"q{i}", "r", f"e{j}") for i in range(num_entities) for j in range(m)]
@@ -631,19 +630,52 @@ def bucket_peak(monkeypatch, num_entities, m, num_types, threads=2):
     graph = build_graph(vocab, triples, pairs, include_type_edges=False)
     params = init_params(vocab, 100, seed=0)
     assert params.W.dtype == np.float32
-    entities = [vocab.entity_ids[f"q{i}"] for i in range(num_entities)]
-    monkeypatch.setattr(cet.kernel, "_THREADS", threads)
-    score_all_neighbors(params, graph, entities, 0.5)
+    return graph, params, [vocab.entity_ids[f"q{i}"] for i in range(num_entities)]
+
+
+def second_call_peak(call):
+    """The tracemalloc peak of a second ``call()``, and its result."""
+    call()
     tracemalloc.start()
     try:
-        bundle = score_all_neighbors(params, graph, entities, 0.5)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, result
+
+
+def bucket_peak(monkeypatch, num_entities, m, num_types, threads=2):
+    """``score_all_neighbors`` of ``num_entities`` float32 entities with ``m``
+    neighbors each over ``num_types`` types, on ``threads`` lane threads: the
+    tracemalloc peak of the second call, and its result."""
+    graph, params, entities = bucket_corpus(num_entities, m, num_types)
+    monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+    peak, bundle = second_call_peak(lambda: score_all_neighbors(params, graph, entities, 0.5))
     return peak, bundle, params
 
 
 class TestInferenceMemory:
+    def test_evaluate_keeps_one_block_per_thread(self, monkeypatch):
+        # 192 float32 entities with 30 neighbors each over 20,000 types, in
+        # 12 buckets of 17 or fewer, on two threads: the pass may allocate each
+        # thread's two slabs of _CELLS cells and the largest bucket's (B,
+        # types) block, plus O(B * rows * k + types), never the blocks of
+        # every bucket at once.
+        from cet import TypingDataset, evaluate
+
+        N, m, num_types, threads = 192, 30, 20000, 2
+        graph, params, entities = bucket_corpus(N, m, num_types)
+        queries = [(entity, 0) for entity in entities]
+        dataset = TypingDataset(train=[], valid=queries, test=[], known_types={}, train_types={})
+        monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+        peak, _ = second_call_peak(lambda: evaluate(params, graph, dataset, "valid", 0.5))
+        itemsize = np.dtype(np.float32).itemsize
+        B = cet.kernel._BUCKET_ROWS // m
+        slabs = 2 * cet.kernel._CELLS * itemsize
+        block = B * num_types * itemsize
+        assert peak < threads * (slabs + block) + 16 * (B * (m + 1) * params.k + num_types) * itemsize
+
     def test_bucket_peak_allocation_is_bounded_by_the_slabs_and_its_block(self, monkeypatch):
         # A bucket of 16 float32 entities with 30 neighbors each over 20,000
         # types, on two lane threads: the call may allocate each thread's two

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,6 +29,7 @@ from cet import (
     train_epoch,
 )
 from cet.loss import GradientSet, loss_of_entity, max_relative_error
+from cet.ranking import rank_one
 from cet.train import _train_batch, format_log
 from synth import assembled, hub_marker_corpus, kernel_gradients, one_type_instance, sample_each
 
@@ -552,34 +555,36 @@ def bits(result):
 
 @contextmanager
 def lane_threads():
-    """The threads that run kernel lanes while inside: one set per kernel call.
+    """The threads that run kernel tasks while inside: one set per
+    ``_run_tasks`` call, which is one training kernel call (its lanes) or one
+    ``evaluate`` (its buckets).
 
-    Threads take lanes as they come free, so when a call has more than one
-    thread, the caller holds its first lane until a worker has taken another:
-    otherwise a caller that ran every lane before the worker started would
+    Threads take tasks as they come free, so when a call has more than one
+    thread, the caller holds its first task until a worker has taken another:
+    otherwise a caller that ran every task before the worker started would
     leave the worker idle and the record without it.
     """
     calls = []
-    run_lanes = cet.kernel._run_lanes
+    run_tasks = cet.kernel._run_tasks
 
-    def recorded(run_lane, lanes, new_slab):
+    def recorded(run_task, tasks, new_slab):
         threads = set()
         calls.append(threads)
         worker_started = threading.Event()
 
-        def run(lane, slab):
+        def run(task, slab):
             thread = threading.current_thread()
             threads.add(thread)
             if thread.name.startswith("cet-lane"):
                 worker_started.set()
-            elif min(lanes, cet.kernel._THREADS) > 1:
+            elif min(len(tasks), cet.kernel._THREADS) > 1:
                 worker_started.wait(timeout=60)
-            run_lane(lane, slab)
+            run_task(task, slab)
 
-        run_lanes(run, lanes, new_slab)
+        run_tasks(run, tasks, new_slab)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cet.kernel, "_run_lanes", recorded)
+        mp.setattr(cet.kernel, "_run_tasks", recorded)
         yield calls
 
 
@@ -588,7 +593,8 @@ def thread_names(calls):
 
 
 class TestLanes:
-    """The type blocks of one kernel call, run in lanes on up to ``_THREADS`` threads."""
+    """The type blocks of one training kernel call, run in lanes, and the
+    degree buckets of one ``evaluate``, on up to ``_THREADS`` threads."""
 
     @staticmethod
     def batches(monkeypatch, params, hub_setup, batch, config):
@@ -608,28 +614,38 @@ class TestLanes:
         """``evaluate`` of the validation split with one-type blocks (8 per
         call) and a 6-row bucket budget, so several multi-entity buckets and
         buckets of one entity above the budget: every bucket's pooled block
-        as bytes, and the ranks; records which threads ran lanes."""
+        as bytes, by bucket, and the ranks, each checked against ``rank_one``
+        of its entity's row of those blocks; records which threads scored
+        buckets."""
         vocab, dataset, graph, *_ = hub_setup
         monkeypatch.setattr(cet.kernel, "_CELLS", 1)
         monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 6)
-        pooled, buckets = [], []
+        pooled, threads = {}, set()
         score = cet.ranking.score_all_neighbors
 
         def recorded(params, graph, entities, *args, **kwargs):
+            threads.add(threading.current_thread().name)
             bundle = score(params, graph, entities, *args, **kwargs)
-            pooled.append(bundle.pooled.tobytes())
-            buckets.append(entities)
+            pooled[tuple(entities)] = bundle.pooled.copy()
             return bundle
 
-        with lane_threads() as calls, pytest.MonkeyPatch.context() as mp:
+        with lane_threads(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(cet.ranking, "score_all_neighbors", recorded)
             report = evaluate(
                 params, graph, dataset, "valid", config.alpha, use_agg2t=config.use_agg2t,
                 use_activation=config.use_activation,
             )
-        assert sum(len(b) > 1 for b in buckets) >= 3
-        assert any(len(b) == 1 and graph.degree(b[0]) > 6 for b in buckets)
-        return [pooled, report.ranks], thread_names(calls)
+        assert sum(len(b) > 1 for b in pooled) >= 3
+        assert any(len(b) == 1 and graph.degree(b[0]) > 6 for b in pooled)
+        # Every query is ranked against its own entity's row, in its own slot.
+        rows = {e: block[i] for bucket, block in pooled.items() for i, e in enumerate(bucket)}
+        expected = [
+            rank_one(rows[e], gold, dataset.known_types[e]) if np.isfinite(rows[e]).all() else np.nan
+            for e, gold, _ in report.ranks
+        ]
+        np.testing.assert_array_equal([rank for *_, rank in report.ranks], expected)
+        blocks = sorted((bucket, block.tobytes()) for bucket, block in pooled.items())
+        return [blocks, report.ranks], threads
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_equal_at_any_thread_count(self, hub_setup, monkeypatch, dtype):
@@ -682,6 +698,46 @@ class TestLanes:
         assert any(name.startswith("cet-lane") for name in threads)
         assert all(np.isnan(rank) for _, _, rank in ranks)
 
+    def test_a_failed_bucket_stops_every_thread(self, hub_setup, monkeypatch):
+        # The first bucket taken raises once the other thread holds a bucket.
+        # No thread takes another bucket; evaluate raises that very exception
+        # once the other thread has finished its bucket, and the next evaluate
+        # ranks as one that never failed.
+        config, params, _ = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[0])
+        vocab, dataset, graph, *_ = hub_setup
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 6)
+        monkeypatch.setattr(cet.kernel, "_THREADS", 2)
+
+        def ranks():
+            return evaluate(params, graph, dataset, "valid", config.alpha).ranks
+
+        expected = ranks()
+        score = cet.ranking.score_all_neighbors
+        failure = RuntimeError("bucket failed")
+        calls, taken, finished = itertools.count(), [], []
+        holding, failed = threading.Event(), threading.Event()
+
+        def failing(*args, **kwargs):
+            taken.append(args[2])
+            if next(calls) == 0:
+                assert holding.wait(timeout=10)
+                failed.set()
+                raise failure
+            holding.set()
+            failed.wait(timeout=10)
+            time.sleep(0.1)  # still scoring when the other bucket has failed
+            bundle = score(*args, **kwargs)
+            finished.append(args[2])
+            return bundle
+
+        monkeypatch.setattr(cet.ranking, "score_all_neighbors", failing)
+        with pytest.raises(RuntimeError) as raised:
+            ranks()
+        assert raised.value is failure
+        assert len(taken) == 2 and len(finished) == 1
+        monkeypatch.setattr(cet.ranking, "score_all_neighbors", score)
+        assert ranks() == expected
+
     def test_every_call_reuses_the_pools_thread(self, hub_setup, monkeypatch):
         # At two threads the pool starts one worker for the first call and
         # hands it every later call's share: three training batches (sampled,
@@ -718,6 +774,7 @@ from synth import assembled, hub_marker_corpus
 vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=60, seed=5))
 if cet.kernel._BLAS_PINNED:
     cet.kernel._THREADS = max(cet.kernel._THREADS, 2)  # lane threads even on one core
+cet.kernel._BUCKET_ROWS = 8  # several validation buckets, so that they are dealt to threads
 config = TrainConfig(dim=8, batch_size=64, max_epochs=1, eval_every=1, mask_mode=sys.argv[1] == "1")
 fit(vocab, graph, dataset, config)
 print(sum(t.name.startswith("cet-lane") for t in threading.enumerate()))
