@@ -61,7 +61,7 @@ threads and task threads on the same cores only slow each other down.
 order and so the bits of a seeded run. The calling thread allocates every
 lane's accumulators and every thread's slab (``evaluate`` one per thread for
 the whole pass), so that no worker thread's malloc arena keeps a slab's
-memory after the call.
+memory after the call; an evaluation pass then returns its free pages.
 
 This kernel is the only backward pass and the only pooled forward:
 gradient checking differentiates the training batches that call it against
@@ -73,6 +73,7 @@ self-evidence mask itself and pools each column with the scalar
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -118,14 +119,17 @@ def _usable_cores() -> int:
 
 
 # Threads that may run lanes or buckets, the calling thread included: one per
-# usable core, up to one per lane. Only when BLAS is pinned to one thread,
-# because a BLAS that runs a thread per core already uses them and tasks on top
-# of it oversubscribe the cores; any other setting runs every task on the caller.
+# usable core, up to one per lane, only when BLAS is pinned (module docstring).
 _BLAS_PINNED = all(
     os.environ.get(name) == "1"
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 )
 _THREADS = min(_LANES, _usable_cores()) if _BLAS_PINNED else 1
+
+# glibc's malloc_trim(pad) gives the free pages of every C heap back to the OS;
+# freed arrays otherwise stay resident until they border the top of their heap.
+_malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim", lambda pad: 0)
+_malloc_trim.argtypes = [ctypes.c_size_t]  # it returns an int, ctypes' default (the no-op ignores both)
 
 
 # Threads that run tasks beside the caller, for every kernel call and

@@ -42,13 +42,8 @@ class MetricsReport:
     ranks: list[tuple[int, int, float]] | None = None  # (entity, type, rank)
 
     def lines(self) -> list[str]:
-        return [
-            f"mr\t{self.mr:.6f}",
-            f"mrr\t{self.mrr:.6f}",
-            f"hits1\t{self.hits1:.6f}",
-            f"hits3\t{self.hits3:.6f}",
-            f"hits10\t{self.hits10:.6f}",
-        ]
+        names = ("mr", "mrr", "hits1", "hits3", "hits10")
+        return [f"{name}\t{getattr(self, name):.6f}" for name in names]
 
 
 def rank_one(pooled: np.ndarray, gold: int, filter_types: set[int] | None = None) -> float:
@@ -184,4 +179,5 @@ def evaluate(
     per_sample = None
     if keep_ranks:
         per_sample = [(entity, gold, float(rank)) for (entity, gold), rank in zip(pairs, ranks)]
+    kernel._malloc_trim(0)  # the pass's free pages, wherever they lie in the heap
     return MetricsReport(mr=mr, mrr=mrr, hits1=hits1, hits3=hits3, hits10=hits10, ranks=per_sample)

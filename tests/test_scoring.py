@@ -676,6 +676,28 @@ class TestInferenceMemory:
         block = B * num_types * itemsize
         assert peak < threads * (slabs + block) + 16 * (B * (m + 1) * params.k + num_types) * itemsize
 
+    def test_evaluate_gives_free_pages_back_after_its_last_bucket(self, monkeypatch):
+        # Freed bucket arrays would stay resident wherever they lie in the C
+        # heap; the pass trims the heaps once, after every bucket is ranked.
+        from cet import TypingDataset, evaluate
+
+        assert cet.kernel._malloc_trim(0) in (0, 1)  # glibc's, or the no-op elsewhere
+        graph, params, entities = bucket_corpus(48, 30, 500)
+        queries = [(entity, 0) for entity in entities]
+        dataset = TypingDataset(train=[], valid=queries, test=[], known_types={}, train_types={})
+        events = []
+        score = cet.ranking.score_all_neighbors
+
+        def scored(*args, **kwargs):
+            events.append("bucket")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cet.ranking, "score_all_neighbors", scored)
+        monkeypatch.setattr(cet.kernel, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+        report = evaluate(params, graph, dataset, "valid", 0.5)
+        assert events.count("bucket") == 3 and events[-1] == ("trim", 0)
+        assert events.count(("trim", 0)) == 1 and np.isfinite(report.mrr)
+
     def test_bucket_peak_allocation_is_bounded_by_the_slabs_and_its_block(self, monkeypatch):
         # A bucket of 16 float32 entities with 30 neighbors each over 20,000
         # types, on two lane threads: the call may allocate each thread's two
