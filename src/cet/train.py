@@ -18,8 +18,10 @@ mask-mode batch is cut by ``kernel._degree_buckets`` into buckets of
 ascending degree, at most ``kernel._BUCKET_ROWS`` padded rows each, with
 short neighbor lists padded by copies of their first edge
 (``kernel._padded_neighbors``, which evaluation shares) and the
-self-evidence mask on. The kernel runs its lanes on its own threads, the
-same ones for every batch.
+self-evidence mask on. A sampled batch's kernel call runs its lanes on the
+threads; a mask-mode batch deals its buckets to them instead, one bucket per
+thread at a time, with the bits of the buckets run one after another. Both
+use the same threads for every batch.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import threading
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import TypingDataset
 from .ranking import evaluate
 from .graph import AugmentedGraph, Vocab
+from . import kernel
 # backward is called through this module's name, so that patching
 # cet.train.backward reaches every training batch; score_all_neighbors is
 # unused here, and only the benchmark's hook on this module looks it up.
@@ -177,35 +182,127 @@ def train_epoch(
     return total_loss / count
 
 
+# Buckets that threads may run ahead of the earliest one not yet folded, beyond
+# one per thread, so that a thread slowed on an early bucket holds the others
+# up less. Each bucket in flight keeps a set of classifier gradients; at 45,182
+# types and dimension 100 a set is 18.3 MB (36.5 MB with separate heads), so
+# two threads keep at most 73 MB (146 MB) of sets. On FB-shape mask-mode
+# batches (2-vCPU Xeon VM), 2 ran about 10% faster than 0 and within noise of
+# 6 (medians of five alternated runs of 12 batches).
+_FOLD_AHEAD = 2
+
+
 def _train_batch(params, graph, dataset, batch, config, rng):
     """One batch's per-entity losses and its summed gradients.
 
-    The batch is scored in buckets of (positions in the batch, neighbor
-    arrays, ``valid`` mask). A sampled batch is one bucket, one
-    ``sample_neighbors`` draw with every row valid. A mask-mode batch is cut
-    into ``_degree_buckets``, each built by ``_padded_neighbors`` when it is
-    reached, and draws nothing from ``rng``. The kernel runs once per bucket
-    and the representation gradients of the valid rows are scattered once.
+    A sampled batch is one ``sample_neighbors`` draw with every row valid,
+    one kernel call whose lanes run on the threads. A mask-mode batch draws
+    nothing from ``rng``; it is cut into ``_degree_buckets``, dealt to the
+    threads one bucket per task (``_masked_buckets``). The representation
+    gradients of the valid rows are scattered once, in bucket order.
     """
+    grads = GradientSet.zeros_like(params)
     if config.mask_mode:
-        buckets = (
-            (members, *_padded_neighbors(graph, [batch[i] for i in members]))
-            for members in _degree_buckets(graph.degrees(batch))
-        )
+        losses, edges = _masked_buckets(params, graph, dataset, batch, config, grads)
     else:
         arrays = sample_neighbors(graph, batch, config.sample_size, rng)
-        buckets = [(np.arange(len(batch)), arrays, np.ones(arrays[0].shape, dtype=bool))]
-    losses = np.empty(len(batch))
-    grads = GradientSet.zeros_like(params)
-    edges = []
-    for members, arrays, valid in buckets:
-        positives = _positive_pairs([batch[i] for i in members], dataset)
-        losses[members], dreps = backward(
-            params, grads, *arrays, positives, config, valid, self_mask=config.mask_mode
-        )
-        edges.append([a[valid] for a in arrays] + [dreps[valid]])
+        valid = np.ones(arrays[0].shape, dtype=bool)
+        positives = _positive_pairs(batch, dataset)
+        losses, dreps = backward(params, grads, *arrays, positives, config, valid)
+        edges = [[a[valid] for a in arrays] + [dreps[valid]]]
     _scatter_rows(grads, *(np.concatenate(parts) for parts in zip(*edges)))
     return losses, grads
+
+
+def _masked_buckets(params, graph, dataset, batch, config, grads):
+    """A mask-mode batch's losses and each bucket's (edge arrays, representation
+    gradients) of its valid rows, in bucket order; its classifier gradients are
+    added into ``grads``.
+
+    Up to ``kernel._THREADS`` threads take the buckets in ascending degree
+    order, one ``kernel._run_tasks`` task each, and each thread runs its
+    bucket's kernel call, lanes in lane order, in a slab of its own for the
+    whole batch. A bucket's classifier products go to a ``_BucketFolds`` set
+    and reach ``grads`` in bucket order, so the bits are those of the buckets
+    run one after another, whatever the number of threads.
+    """
+    degrees = graph.degrees(batch)
+    buckets = list(_degree_buckets(degrees))
+    losses = np.empty(len(batch))
+    edges = [None] * len(buckets)
+    folds = _BucketFolds(grads, params, len(buckets))
+
+    def run_bucket(i: int, slab: np.ndarray) -> None:
+        try:
+            entities = [batch[j] for j in buckets[i]]
+            arrays, valid = _padded_neighbors(graph, entities)
+            positives = _positive_pairs(entities, dataset)
+            part = folds.take(i)
+            if part is None:  # a bucket failed
+                return
+            losses[buckets[i]], dreps = backward(
+                params, part, *arrays, positives, config, valid, self_mask=True, slab=slab
+            )
+        except BaseException:
+            folds.fail()  # later buckets may be waiting for this one to fold
+            raise
+        folds.finish(i)
+        edges[i] = [a[valid] for a in arrays] + [dreps[valid]]
+
+    rows = max(len(b) * (degrees[b[-1]] + 1) for b in buckets)  # the largest, Agg2T row included
+    new_slab = partial(kernel._slab, rows, params.num_types, params.dtype)
+    kernel._run_tasks(run_bucket, range(len(buckets)), new_slab)
+    return losses, edges
+
+
+class _BucketFolds:
+    """The classifier gradients of a mask-mode batch's buckets, added into the
+    batch's ``GradientSet`` in bucket order.
+
+    Bucket i adds its products into a zeroed ``GradientSet`` of its own, set
+    i % ``bound``. As soon as every earlier bucket is folded, its set is added
+    into the batch's and zeroed for bucket i + ``bound``. Each cell of the
+    batch's gradients therefore gets every bucket's product in bucket order,
+    as when the buckets ran one after another (0 + x == x). Bucket i waits for
+    its set until bucket i - ``bound`` is folded, so a slow early bucket
+    cannot pile up later ones: at most ``bound`` sets exist, and the earliest
+    bucket not yet folded never waits. The sets are allocated by the calling
+    thread. ``bound`` is ``kernel._THREADS`` + ``_FOLD_AHEAD``.
+    """
+
+    def __init__(self, total: GradientSet, params: ParameterSet, buckets: int):
+        self.total = total
+        bound = min(buckets, kernel._THREADS + _FOLD_AHEAD)
+        self.parts = [GradientSet.zeros_like(params) for _ in range(bound)]
+        self.folded = 0  # buckets folded so far, the earliest first
+        self.finished = set()  # buckets finished, not yet folded
+        self.failed = False
+        self.turn = threading.Condition()
+
+    def take(self, i: int) -> GradientSet | None:
+        """Bucket i's zeroed set, once bucket i - bound is folded; None once a bucket failed."""
+        with self.turn:
+            self.turn.wait_for(lambda: self.failed or i < self.folded + len(self.parts))
+            return None if self.failed else self.parts[i % len(self.parts)]
+
+    def finish(self, i: int) -> None:
+        """Mark bucket i done, and fold every finished bucket whose turn has come."""
+        with self.turn:
+            self.finished.add(i)
+            while self.folded in self.finished:
+                self.finished.remove(self.folded)
+                part = self.parts[self.folded % len(self.parts)]
+                for (_, total), (_, own) in zip(self.total.named_dense(), part.named_dense()):
+                    total += own
+                    own.fill(0)
+                self.folded += 1
+            self.turn.notify_all()
+
+    def fail(self) -> None:
+        """Release every bucket waiting for a set: none of them will run."""
+        with self.turn:
+            self.failed = True
+            self.turn.notify_all()
 
 
 @dataclass

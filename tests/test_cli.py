@@ -197,12 +197,14 @@ class TestTrain:
         import cet.kernel
 
         base, *_ = data_dir
-        # One type per block: every kernel call, training or validation, has
-        # as many blocks as types, so each lane holds several and the worker
-        # thread takes its share.
+        # One type per block: every sampled kernel call has as many blocks as
+        # types, so each lane holds several and the worker threads take their
+        # share. A 16-row bucket budget cuts every mask-mode batch and every
+        # validation pass into several buckets, which the threads share.
         monkeypatch.setattr(cet.kernel, "_CELLS", 1)
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 16)
         runs = []
-        for threads in (1, 2):
+        for threads in (1, 2, 8):
             monkeypatch.setattr(cet.kernel, "_THREADS", threads)
             out = tmp_path / f"threads{threads}"
             argv = [
@@ -211,7 +213,7 @@ class TestTrain:
             ]
             assert main(argv) == 0
             runs.append([(out / name).read_bytes() for name in ("checkpoint.cet", "train.log")])
-        assert runs[0] == runs[1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_config_file_and_flag_precedence(self, data_dir, tmp_path, capsys):
         base, *_ = data_dir

@@ -556,8 +556,8 @@ def bits(result):
 @contextmanager
 def lane_threads():
     """The threads that run kernel tasks while inside: one set per
-    ``_run_tasks`` call, which is one training kernel call (its lanes) or one
-    ``evaluate`` (its buckets).
+    ``_run_tasks`` call, which is one sampled training kernel call (its
+    lanes), one mask-mode training batch or one ``evaluate`` (their buckets).
 
     Threads take tasks as they come free, so when a call has more than one
     thread, the caller holds its first task until a worker has taken another:
@@ -593,13 +593,15 @@ def thread_names(calls):
 
 
 class TestLanes:
-    """The type blocks of one training kernel call, run in lanes, and the
-    degree buckets of one ``evaluate``, on up to ``_THREADS`` threads."""
+    """The type blocks of one sampled training kernel call, run in lanes, and
+    the degree buckets of one mask-mode batch or one ``evaluate``, on up to
+    ``_THREADS`` threads."""
 
     @staticmethod
     def batches(monkeypatch, params, hub_setup, batch, config):
         """A sampled and a padded mask-mode batch, with one-type blocks (8 per
-        call) and several degree buckets; records which threads ran lanes."""
+        call) and several degree buckets; records which threads ran lanes or
+        buckets."""
         vocab, dataset, graph, *_ = hub_setup
         rows = max(graph.degree(e) for e in batch) + 1
         monkeypatch.setattr(cet.kernel, "_CELLS", len(batch) * rows)
@@ -738,11 +740,144 @@ class TestLanes:
         monkeypatch.setattr(cet.ranking, "score_all_neighbors", score)
         assert ranks() == expected
 
+    @staticmethod
+    def mask_batch(monkeypatch, hub_setup, case):
+        """A mask-mode batch of one-entity buckets (16 here) on two threads:
+        ``run()`` gives its result as bytes, and ``patch(around)`` makes
+        bucket i's kernel call ``call`` run as ``around(i, grads, call)`` on
+        whichever thread took the bucket."""
+        config, params, batch = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[case])
+        config = with_mask_mode(config)
+        vocab, dataset, graph, *_ = hub_setup
+        monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 1)
+        monkeypatch.setattr(cet.kernel, "_THREADS", 2)
+        buckets = list(cet.kernel._degree_buckets(graph.degrees(batch)))
+        assert len(buckets) == len(batch)
+        index = {tuple(batch[j] for j in b): i for i, b in enumerate(buckets)}
+        which = {}  # each bucket's relation array, while its call runs
+        padded, kernel = cet.train._padded_neighbors, cet.train.backward
+
+        def padded_neighbors(graph, entities):
+            arrays, valid = padded(graph, entities)
+            which[id(arrays[0])] = index[tuple(entities)]
+            return arrays, valid
+
+        def patch(around):
+            def backward(params, grads, rel, *args, **kwargs):
+                return around(which[id(rel)], grads, lambda: kernel(params, grads, rel, *args, **kwargs))
+
+            monkeypatch.setattr(cet.train, "_padded_neighbors", padded_neighbors)
+            monkeypatch.setattr(cet.train, "backward", backward)
+
+        def run():
+            return bits(_train_batch(params, graph, dataset, batch, config, None))
+
+        return run, patch
+
+    @pytest.mark.parametrize("case", [0, 4])  # shared and separate heads
+    def test_a_slow_first_bucket_keeps_the_bits(self, hub_setup, monkeypatch, case):
+        # Bucket 0's kernel call waits until a later bucket has finished, so
+        # the buckets finish out of order; their classifier gradients still
+        # reach the batch's in bucket order, and the batch's bytes are those
+        # of the buckets run one after another on one thread.
+        run, patch = self.mask_batch(monkeypatch, hub_setup, case)
+        monkeypatch.setattr(cet.kernel, "_THREADS", 1)
+        expected = run()
+        monkeypatch.setattr(cet.kernel, "_THREADS", 2)
+        later_done, ended = threading.Event(), []
+
+        def around(i, grads, call):
+            if i == 0:
+                assert later_done.wait(timeout=60)
+            result = call()
+            ended.append(i)
+            if i > 0:
+                later_done.set()
+            return result
+
+        patch(around)
+        assert run() == expected
+        assert ended[0] != 0 and sorted(ended) == list(range(len(ended)))
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_fold_sets_stay_within_the_bound(self, hub_setup, monkeypatch, fails):
+        # Bucket 0 is held until the other thread has run every bucket up to
+        # the bound and has waited a while for a set. No bucket i starts
+        # before bucket i - bound ends, only ``bound`` sets ever reach the
+        # kernel, and the bytes are those of an unheld run. When bucket 0
+        # raises instead, the thread waiting for a set is released without
+        # running its bucket, and _train_batch raises that very exception.
+        run, patch = self.mask_batch(monkeypatch, hub_setup, 4)
+        expected = run()
+        bound = cet.kernel._THREADS + cet.train._FOLD_AHEAD
+        failure = RuntimeError("bucket failed")
+        events, sets, ahead = [], set(), threading.Event()
+
+        def around(i, grads, call):
+            events.append(("start", i))
+            sets.add(id(grads))
+            if i == 0:
+                assert ahead.wait(timeout=60)
+                time.sleep(0.2)  # the other thread now waits for bucket 0's set
+                if fails:
+                    raise failure
+            result = call()
+            events.append(("end", i))
+            if i == bound - 1:
+                ahead.set()
+            return result
+
+        patch(around)
+        if fails:
+            with pytest.raises(RuntimeError) as raised:
+                run()
+            assert raised.value is failure
+            assert {i for kind, i in events if kind == "start"} == set(range(bound))
+            return
+        assert run() == expected
+        assert len(sets) == bound
+        for i in range(bound, len({i for _, i in events})):
+            assert events.index(("start", i)) > events.index(("end", i - bound)), i
+        assert events.index(("start", bound)) > events.index(("end", 0))
+
+    def test_a_failed_bucket_stops_every_thread_in_training(self, hub_setup, monkeypatch):
+        # The first mask-mode bucket taken raises once the other thread holds
+        # a bucket. No thread takes another bucket; _train_batch raises that
+        # very exception once the other thread has finished its bucket, and
+        # the next batch gives the bits of one that never failed.
+        run, patch = self.mask_batch(monkeypatch, hub_setup, 0)
+        expected = run()
+        failure = RuntimeError("bucket failed")
+        calls, taken, finished = itertools.count(), [], []
+        holding, failed = threading.Event(), threading.Event()
+
+        def around(i, grads, call):
+            taken.append(i)
+            if next(calls) == 0:
+                assert holding.wait(timeout=10)
+                failed.set()
+                raise failure
+            holding.set()
+            failed.wait(timeout=10)
+            time.sleep(0.1)  # still in its kernel call when the other bucket has failed
+            result = call()
+            finished.append(i)
+            return result
+
+        patch(around)
+        with pytest.raises(RuntimeError) as raised:
+            run()
+        assert raised.value is failure
+        assert len(taken) == 2 and len(finished) == 1
+        patch(lambda i, grads, call: call())
+        assert run() == expected
+
     def test_every_call_reuses_the_pools_thread(self, hub_setup, monkeypatch):
         # At two threads the pool starts one worker for the first call and
         # hands it every later call's share: three training batches (sampled,
-        # mask mode with several buckets, sampled) and an evaluation pass run
-        # their lanes on that one thread, and no call starts a thread.
+        # mask mode with several buckets, sampled) and an evaluation pass, one
+        # call each, run their lanes or buckets on that one thread, and no
+        # call starts a thread.
         config, params, batch = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[0])
         vocab, dataset, graph, *_ = hub_setup
         monkeypatch.setattr(cet.kernel, "_CELLS", 1)  # one-type blocks: 8 lanes per call
@@ -759,7 +894,7 @@ class TestLanes:
         finally:
             pool.shutdown()
         workers = [{t for t in threads if t.name.startswith("cet-lane")} for threads in calls]
-        assert len(workers) > 4 and all(len(call) == 1 for call in workers)
+        assert len(workers) == 4 and all(len(call) == 1 for call in workers)
         # Thread objects, not idents: a thread started after another ended
         # may reuse its ident.
         assert len(set.union(*workers)) == 1
