@@ -25,11 +25,11 @@ once, and the Agg2T row's representation gradient goes back to the neighbor
 rows divided by their count. The row comes last so that each column's
 denominator adds the N2T weights and then the Agg2T one, and so that the
 neighbor rows are a leading slice of the block (``scoring.candidate_matrix``
-keeps it at row 0; pooling does not depend on the order). Only separate heads
-treat the row apart: their block holds every entity's neighbor rows first and
-the Agg2T rows after them, so that ``W``'s products run over the neighbor rows
-alone and ``agg_W``/``agg_b`` score the Agg2T rows and take their gradient;
-pooling reduces each entity's rows in both parts, the Agg2T row last.
+keeps it at row 0; pooling does not depend on the order). Separate heads keep
+that block and treat the row apart only where it is scored: ``W``'s products
+run over every row, ``agg_W``/``agg_b`` re-score the Agg2T rows and take their
+gradient, and those rows of the score gradient are zeroed before ``W``'s
+backward products.
 
 Without labels and gradients the kernel runs forward only: each block is
 scored and pooled into its columns of a (batch, types) result, every block
@@ -44,32 +44,32 @@ spreads its buckets over the cores instead, one bucket per thread.
 Threads take tasks with ``_run_tasks``: the lanes of a sampled training
 batch's kernel call, and the degree buckets of a mask-mode training batch
 (``train._masked_buckets``) or of an evaluation pass, one bucket per task,
-each bucket's kernel call running its lanes in lane order on its thread.
-The blocks of one training call are dealt to ``_LANES`` lanes,
-block i to lane i % ``_LANES``. Blocks write disjoint rows of the classifier
-gradients, so only the losses and the representation gradients are shared;
-each lane sums those into accumulators of its own, and the lanes are added in
-lane order at the end. A pooled score is computed per column, so a bucket's
-block does not depend on the thread or the block width either. Every result
-is therefore bit-identical whatever the number of threads that ran the
-tasks: up to ``_THREADS``, the calling thread included, with the others
-taken from ``_WORKERS``, one pool for the whole process, whose threads start
-on first use and then wait, idle, for the next call (with ``_THREADS`` = 1
-none ever starts). Each thread takes the next task not yet taken until none
-is left, so a thread whose core is busy with another process takes fewer
-tasks instead of holding up the call; there are more lanes than threads so
-that there is work left to take. ``_THREADS`` is one per usable core, at
-most ``_LANES``, when BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all 1), else 1, because BLAS
-threads and task threads on the same cores only slow each other down.
-``_LANES`` stays fixed whatever the core count, since it fixes the summation
-order and so the bits of a seeded run. The thread that deals the tasks
-allocates every thread's slab (``evaluate`` and a mask-mode batch one per
-thread for the whole pass or batch), and a kernel call that deals lanes
-allocates their accumulators, so that no worker thread's malloc arena keeps
-a slab's memory after the call; an evaluation pass then returns its free
-pages. A mask-mode bucket's kernel call allocates its own accumulators, on
-the thread that runs it.
+each bucket's kernel call making one pass over its blocks on its thread. Only
+a training call that deals its lanes to the threads has lanes: its blocks go
+to ``_LANES`` lanes, block i to lane i % ``_LANES``. Blocks write disjoint
+rows of the classifier gradients, so only the losses and the representation
+gradients are shared; each lane sums those into accumulators of its own, and
+the lanes are added in lane order at the end. A pooled score is computed per
+column, so a bucket's block does not depend on the thread or the block width
+either. Every result is therefore bit-identical whatever the number of
+threads that ran the tasks: up to ``_THREADS``, the calling thread included,
+with the others taken from ``_WORKERS``, one pool for the whole process,
+whose threads start on first use and then wait, idle, for the next call (with
+``_THREADS`` = 1 none ever starts). Each thread takes the next task not yet
+taken until none is left, so a thread whose core is busy with another process
+takes fewer tasks instead of holding up the call; there are more lanes than
+threads so that there is work left to take. ``_THREADS`` is one per usable
+core, at most ``_LANES``, when BLAS is pinned to one thread
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all
+1), else 1, because BLAS threads and task threads on the same cores only slow
+each other down. ``_LANES`` stays fixed whatever the core count, since it
+fixes the summation order and so the bits of a seeded run. The thread that
+deals the tasks allocates every thread's slab (``evaluate`` and a mask-mode
+batch one per thread for the whole pass or batch), and a kernel call that
+deals lanes allocates their accumulators, so that no worker thread's malloc
+arena keeps a slab's memory after the call; an evaluation pass then returns
+its free pages. A mask-mode bucket's kernel call allocates its one pair of
+accumulators on the thread that runs it.
 
 This kernel is the only backward pass and the only pooled forward:
 gradient checking differentiates the training batches that call it against
@@ -101,7 +101,8 @@ __all__ = ["ScoreBundle", "backward", "score_all_neighbors"]
 # kernel, which sets the block width; the kernel's working slabs scale with it.
 _CELLS = 1 << 19
 
-# Lanes of one training kernel call: type block i belongs to lane i % _LANES.
+# Lanes of a training kernel call without a slab, the only call whose blocks
+# go to the threads: type block i belongs to lane i % _LANES.
 # A lane sums its own blocks' losses and representation gradients; the lanes
 # are then added in lane order, so the result does not depend on how many
 # threads ran them. Threads take lanes as they come free, and more lanes than
@@ -252,14 +253,13 @@ def backward(
     their returned gradient is meaningless. ``self_mask`` blanks
     every forward has_type row at its own type and the Agg2T row at the
     labels. The classifier gradients are added into ``grads``; the embedding
-    rows are left to the caller. Types are processed in blocks, dealt to
-    lanes in training (see the module docstring). The lanes run on the
-    threads, unless a ``slab`` is given: then they run on the calling thread,
-    in lane order, in that slab; forward only, every block runs in order on
-    the calling thread, in ``slab`` if given. Each entity's loss equals
-    ``loss.loss_of_entity`` on its real rows with the same ``self_mask``, and
-    its pooled scores equal ``scoring.pool`` of each column of
-    ``scoring.candidate_matrix``, up to float rounding.
+    rows are left to the caller. Types are processed in blocks. A training
+    call without a ``slab`` deals them to lanes that run on the threads (see
+    the module docstring); any other call runs every block in order on the
+    calling thread, in ``slab`` if given, into one set of sums. Each entity's
+    loss equals ``loss.loss_of_entity`` on its real rows with the same
+    ``self_mask``, and its pooled scores equal ``scoring.pool`` of each column
+    of ``scoring.candidate_matrix``, up to float rounding.
 
     With Agg2T on, each entity has rows = m + 1 candidate rows, the Agg2T
     row last (see the module docstring).
@@ -278,34 +278,23 @@ def backward(
     rows = z.shape[1]
     activated = np.maximum(z, 0) if use_activation else z
     flat_z = activated.reshape(batch * rows, -1)
-    # The block row of each entity's candidate rows: entity by entity, unless
-    # heads are separate. Then every neighbor row comes first and the Agg2T
-    # rows after them, so that W's products run over the leading ``shared``
-    # rows and agg_W's over the rest.
-    slab_row = np.arange(batch * rows).reshape(batch, rows)
-    shared = batch * rows
-    if separate:
-        slab_row = np.column_stack([np.arange(batch * m).reshape(batch, m), batch * m + np.arange(batch)])
-        shared = batch * m
-        flat_z = np.empty_like(flat_z)
-        flat_z[slab_row] = activated
     # Scores are kept as s = alpha * (x - b): the column bias b shifts every
     # row of a column alike and cancels in the softmax weights. Pooling works
     # on the shifted u = s - max s, in place: the weights are exp(u), pooled
     # = (mean_w(u) + max s) / alpha + b, and 1 + alpha * (x - pooled) =
     # u + 1 - mean_w(u).
     scaled_z = alpha * flat_z
-    pad = slab_row[~valid]
+    pad = np.flatnonzero(~valid)
     if training:
         pos_rows, pos_cols = positives
     if self_mask:
         # Blanked cells, ordered by type: forward has_type rows (padding
         # copies included) at their own type, and the Agg2T row at the labels.
         own = np.flatnonzero(is_type & ~inv)
-        blank_rows = slab_row[own // m, own % m]
+        blank_rows = own // m * rows + own % m
         blank_cols = tgt.ravel()[own]
         if use_agg2t:
-            blank_rows = np.concatenate([blank_rows, slab_row[pos_rows, m]])
+            blank_rows = np.concatenate([blank_rows, pos_rows * rows + m])
             blank_cols = np.concatenate([blank_cols, pos_cols])
         by_col = np.argsort(blank_cols, kind="stable")
         blank_rows, blank_cols = blank_rows[by_col], blank_cols[by_col]
@@ -313,33 +302,32 @@ def backward(
     blocks = range(0, num_types, width)
     if training:
         # Each lane's accumulators, allocated by this thread like the slabs
-        # (see the module docstring): losses and dz.
-        lanes = [(np.zeros(batch), np.zeros_like(flat_z)) for _ in range(min(_LANES, len(blocks)))]
+        # (see the module docstring): losses and dz. A call given a slab runs
+        # on one thread, so it makes one pass, one lane.
+        lanes = [
+            (np.zeros(batch), np.zeros_like(flat_z))
+            for _ in range(min(_LANES if slab is None else 1, len(blocks)))
+        ]
     else:
         out = np.empty((batch, num_types), dtype=flat_z.dtype)
     new_slab = partial(_slab, batch * rows, num_types, flat_z.dtype)
 
     def run_lane(lane: int, slab: np.ndarray) -> None:
-        for s in blocks[lane::_LANES] if training else blocks:
+        for s in blocks[lane :: len(lanes)] if training else blocks:
             e = min(s + width, num_types)
             cols = e - s
-            score, expw = (buf[: batch * rows * cols].reshape(batch * rows, cols) for buf in slab)
-            # The shared rows as (B, rows per entity, cols), and with separate
-            # heads the Agg2T rows as (B, cols).
-            score3, expw3 = (a[:shared].reshape(batch, -1, cols) for a in (score, expw))
-            agg, agg_w = score[shared:], expw[shared:]
+            score3, expw3 = (buf[: batch * rows * cols].reshape(batch, rows, cols) for buf in slab)
+            score, expw = score3.reshape(batch * rows, cols), expw3.reshape(batch * rows, cols)
             w_blk = params.W[s:e]
-            np.matmul(scaled_z[:shared], w_blk.T, out=score[:shared])
+            np.matmul(scaled_z, w_blk.T, out=score)
             if separate:
-                np.matmul(scaled_z[shared:], params.agg_W[s:e].T, out=agg)
-                agg += alpha * (params.agg_b[s:e] - params.b[s:e])
+                score[m::rows] = scaled_z[m::rows] @ params.agg_W[s:e].T
+                score[m::rows] += alpha * (params.agg_b[s:e] - params.b[s:e])
             if self_mask:
                 lo, hi = np.searchsorted(blank_cols, (s, e))
                 blank = (blank_rows[lo:hi], blank_cols[lo:hi] - s)
                 score[blank] = -np.inf
             top = score3.max(axis=1)  # (B, cols)
-            if separate:
-                np.maximum(top, agg, out=top)
             if self_mask:
                 # A column with every row blanked gets weight 0 everywhere and
                 # pools to -inf, which the loss drops.
@@ -347,17 +335,12 @@ def backward(
                 top[dead] = 0
             # From here on the slab holds u = s - max s, and the weights exp(u).
             score3 -= top[:, None, :]
-            if separate:
-                agg -= top
             np.exp(score, out=expw)
             expw[pad] = 0
             if self_mask:
                 score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
             denom = np.add.reduce(expw3, axis=1)
             mean_u = np.einsum("bmc,bmc->bc", expw3, score3)
-            if separate:
-                denom += agg_w
-                mean_u += agg_w * agg
             if self_mask:
                 denom[dead] = 1
             mean_u /= denom
@@ -377,34 +360,28 @@ def backward(
             # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
             #              = (dpooled / denom) * exp(u) * (u + 1 - mean_w(u)).
             score3 += (1.0 - mean_u)[:, None, :]
-            if separate:
-                agg += 1.0 - mean_u
             score *= expw
-            scale = dpooled / denom
-            score3 *= scale[:, None, :]
-            if separate:
-                agg *= scale
+            score3 *= (dpooled / denom)[:, None, :]
             dscore = score  # d(loss)/d(candidate score), (B*rows, cols)
             # A bias shared by every row of a column moves the pooled score one
             # for one, so its gradient is the batch sum of dpooled.
             db = dpooled.sum(axis=0)
             if separate:
-                dagg = dscore[shared:]
-                grads.agg_W[s:e] += dagg.T @ flat_z[shared:]
-                dz[shared:] += dagg @ params.agg_W[s:e]
+                dagg = dscore[m::rows]
+                grads.agg_W[s:e] += dagg.T @ flat_z[m::rows]
+                dz[m::rows] += dagg @ params.agg_W[s:e]
                 agg_db = dagg.sum(axis=0)
                 grads.agg_b[s:e] += agg_db
                 db -= agg_db
-            grads.W[s:e] += dscore[:shared].T @ flat_z[:shared]
-            dz[:shared] += dscore[:shared] @ w_blk
+                dagg[:] = 0  # the shared products below must not see it
+            grads.W[s:e] += dscore.T @ flat_z
+            dz += dscore @ w_blk
             grads.b[s:e] += db
 
     if training and slab is None:
         _run_tasks(run_lane, range(len(lanes)), new_slab)
     else:
-        slab = new_slab() if slab is None else slab
-        for lane in range(len(lanes)) if training else (0,):
-            run_lane(lane, slab)
+        run_lane(0, new_slab() if slab is None else slab)
         if not training:
             return out
     # Lane order, whatever ran them: the sums do not depend on the threads.
@@ -413,7 +390,7 @@ def backward(
         losses += lane_losses
         dz += lane_dz
 
-    dz = dz[slab_row] if separate else dz.reshape(batch, rows, -1)
+    dz = dz.reshape(batch, rows, -1)
     if use_activation:
         dz *= z > 0
     if use_agg2t:

@@ -221,10 +221,11 @@ def _masked_buckets(params, graph, dataset, batch, config, grads):
 
     Up to ``kernel._THREADS`` threads take the buckets in ascending degree
     order, one ``kernel._run_tasks`` task each, and each thread runs its
-    bucket's kernel call, lanes in lane order, in a slab of its own for the
-    whole batch. A bucket's classifier products go to a ``_BucketFolds`` set
-    and reach ``grads`` in bucket order, so the bits are those of the buckets
-    run one after another, whatever the number of threads.
+    bucket's kernel call, one pass over its type blocks, in a slab of its own
+    for the whole batch. A bucket's classifier products go to a
+    ``_BucketFolds`` set and reach ``grads`` in bucket order, so the bits are
+    those of the buckets run one after another, whatever the number of
+    threads.
     """
     degrees = graph.degrees(batch)
     buckets = list(_degree_buckets(degrees))
@@ -339,8 +340,9 @@ def fit(
     """
     if config.max_epochs >= config.eval_every and not dataset.split("valid"):
         raise ValueError("split 'valid' is empty")  # as evaluate would, but before any epoch
+    # Without Agg2T nothing reads a separate head, so none is made.
     params = init_params(
-        vocab, config.dim, config.seed, separate_heads=config.separate_heads
+        vocab, config.dim, config.seed, separate_heads=config.separate_heads and config.use_agg2t
     )
     state = AdamState(params, config.lr)
     rng = np.random.default_rng(config.seed)

@@ -190,7 +190,9 @@ class TestTrain:
         assert epoch == "10" and float(loss) > 0 and 0 < float(mrr) <= 1
         assert lines[0].endswith("\t")  # no validation on epoch 1
 
-    @pytest.mark.parametrize("mode", [[], ["--mask-mode"]])
+    @pytest.mark.parametrize(
+        "mode", [[], ["--mask-mode"], ["--separate-heads"], ["--mask-mode", "--separate-heads"]]
+    )
     def test_seeded_run_is_byte_identical_at_any_thread_count(
         self, data_dir, tmp_path, monkeypatch, capsys, mode
     ):

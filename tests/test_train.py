@@ -25,7 +25,9 @@ from cet import (
     evaluate,
     fit,
     init_params,
+    load_checkpoint,
     sample_neighbors,
+    save_checkpoint,
     train_epoch,
 )
 from cet.loss import GradientSet, loss_of_entity, max_relative_error
@@ -542,6 +544,51 @@ class TestMultiBlockOracle:
         assert max_relative_error(grads, fd) < 1e-4  # the gradient check's tolerance
 
 
+class TestTiedHeads:
+    """Separate heads tied to the shared head, ``agg_W = W`` and ``agg_b = b``:
+    the kernel gives the shared-head results, the classifier gradient split
+    between the two heads."""
+
+    @pytest.mark.parametrize("mask_mode", [False, True], ids=["sampled", "mask"])
+    def test_tied_heads_match_shared_heads(self, hub_setup, monkeypatch, mask_mode):
+        _, dataset, graph, *_ = hub_setup
+        config, shared, batch = TestBatchedPath.setup_case(hub_setup, TestBatchedPath.CASES[0])
+        tied = dataclasses.replace(shared, agg_W=shared.W.copy(), agg_b=shared.b.copy())
+        if mask_mode:
+            arrays, valid = cet.kernel._padded_neighbors(graph, batch)
+        else:
+            arrays = sample_neighbors(graph, batch, config.sample_size, np.random.default_rng(3))
+            valid = np.ones(arrays[0].shape, dtype=bool)
+        positives = cet.train._positive_pairs(batch, dataset)
+        # Ragged blocks of 3 of the 8 types, on one thread so that the pooled
+        # blocks reach the loss in the same order in both runs.
+        monkeypatch.setattr(cet.kernel, "_CELLS", TestBatchedPath.RAGGED * valid.size + len(batch))
+        monkeypatch.setattr(cet.kernel, "_THREADS", 1)
+        loss_terms = cet.kernel._loss_terms
+
+        def run(params):
+            pooled = []
+
+            def capture(block, *args):
+                pooled.append(block.copy())
+                return loss_terms(block, *args)
+
+            monkeypatch.setattr(cet.kernel, "_loss_terms", capture)
+            grads = GradientSet.zeros_like(params)
+            losses, dz = cet.kernel.backward(
+                params, grads, *arrays, positives, config, valid, self_mask=mask_mode
+            )
+            return losses, np.concatenate(pooled, axis=1), dz, grads
+
+        want, got = run(shared), run(tied)
+        for a, b in zip(want[:3], got[:3]):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+        want_grads, got_grads = want[3], got[3]
+        np.testing.assert_allclose(got_grads.W + got_grads.agg_W, want_grads.W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_grads.b + got_grads.agg_b, want_grads.b, rtol=0, atol=1e-12)
+        assert np.abs(got_grads.agg_W).max() > 0
+
+
 def bits(result):
     """A kernel result's losses and gradients as bytes, to compare bit for bit."""
     losses, grads = result
@@ -687,6 +734,56 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_a_call_given_a_slab_makes_one_pass(self, monkeypatch):
+        # Float32 kernel calls with one type per block: 30 blocks. A sampled
+        # call without a slab deals _LANES lanes to the threads, with the same
+        # bytes at 1 and 2 threads. A mask-mode bucket's call, given a slab,
+        # sums its blocks in one pass on the calling thread, so its bytes are
+        # those of the same call with one lane; lanes run one after another
+        # would add the blocks in another order.
+        vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=80, n_types=30))
+        params = init_params(vocab, 12, seed=5)
+        params.b[:] = np.random.default_rng(2).normal(size=vocab.num_types)
+        batch = [e for e in sorted(dataset.train_types) if graph.degree(e) > 0][:16]
+        positives = cet.train._positive_pairs(batch, dataset)
+        monkeypatch.setattr(cet.kernel, "_CELLS", 1)
+        assert vocab.num_types >= 3 * cet.kernel._LANES
+        dealt = []
+        run_tasks = cet.kernel._run_tasks
+
+        def recorded(run_task, tasks, new_slab):
+            dealt.append(len(tasks))
+            run_tasks(run_task, tasks, new_slab)
+
+        monkeypatch.setattr(cet.kernel, "_run_tasks", recorded)
+
+        def call(arrays, valid, **kwargs):
+            grads = GradientSet.zeros_like(params)
+            losses, dz = cet.kernel.backward(
+                params, grads, *arrays, positives, TrainConfig(), valid, **kwargs
+            )
+            return [a.tobytes() for a in (losses, dz, grads.W, grads.b)]
+
+        sampled = sample_neighbors(graph, batch, 5, np.random.default_rng(3))
+        results = []
+        for threads in (1, 2):
+            monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+            results.append(call(sampled, np.ones(sampled[0].shape, dtype=bool)))
+        assert results[1] == results[0]
+        assert dealt == [cet.kernel._LANES] * 2
+
+        padded, valid = cet.kernel._padded_neighbors(graph, batch)
+        rows = valid.size + len(batch)  # the Agg2T rows included
+
+        def masked():
+            slab = cet.kernel._slab(rows, vocab.num_types, params.dtype)
+            return call(padded, valid, self_mask=True, slab=slab)
+
+        one_pass = masked()
+        monkeypatch.setattr(cet.kernel, "_LANES", 1)
+        assert masked() == one_pass
+        assert len(dealt) == 2
 
     def test_workers_keep_the_callers_errstate(self, hub_setup, monkeypatch):
         # Lanes on a worker thread run under the caller's np.errstate: the
@@ -1191,6 +1288,20 @@ class TestFit:
         else:
             assert fit(vocab, graph, empty, config).best_epoch is None
             assert len(epochs) == max_epochs
+
+    def test_no_separate_head_without_agg2t(self, hub_setup, tmp_path):
+        # Without Agg2T nothing reads a separate head: fit makes none, so Adam
+        # never passes over one and the checkpoint stores none.
+        vocab, dataset, graph, *_ = hub_setup
+        config = TrainConfig(
+            max_epochs=1, eval_every=25, seed=0, dim=8, separate_heads=True, use_agg2t=False
+        )
+        result = fit(vocab, graph, dataset, config)
+        assert result.params.agg_W is None and result.params.agg_b is None
+        path = tmp_path / "checkpoint.cet"
+        save_checkpoint(path, result.params, vocab, config.to_dict())
+        # The header says separate_heads false, so loading reads no head.
+        assert load_checkpoint(path)[0].agg_W is None
 
     def test_log_format(self):
         text = format_log([(1, 0.5, None), (2, 0.25, 0.875)])
