@@ -7,7 +7,10 @@ vocabulary name tables), the parameter tensors as little-endian float32 in
 8-byte digest) over everything between the magic and the checksum.
 Save/load round-trips are byte-identical. A save writes a temporary sibling
 file, syncs it to disk and renames it over the target, so a crash mid-save
-leaves the previous checkpoint intact.
+leaves the previous checkpoint intact; on POSIX it then syncs the directory,
+so a finished save also survives a power cut. Neither direction copies the
+whole payload: a save writes and hashes the tensors' own buffers, and a load
+hashes and reads the file's bytes through memoryview slices.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import json
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import fields
 from pathlib import Path
 
@@ -33,8 +37,12 @@ class ChecksumError(RuntimeError):
     """The checkpoint payload does not match its recorded checksum."""
 
 
-def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=8).digest()
+def _digest(parts: Iterable) -> bytes:
+    """The checksum of the concatenated buffers ``parts``, fed one at a time."""
+    hasher = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        hasher.update(part)
+    return hasher.digest()
 
 
 def save_checkpoint(
@@ -56,39 +64,44 @@ def save_checkpoint(
     }
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode()
 
-    blob = bytearray()
-    blob += struct.pack("<Q", len(header_bytes))
-    blob += header_bytes
+    parts = [struct.pack("<Q", len(header_bytes)), header_bytes]
     for _, arr in params.named():
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        parts.append(np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8))
 
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as handle:
             handle.write(MAGIC)
-            handle.write(blob)
-            handle.write(_digest(bytes(blob)))
+            for part in parts:
+                handle.write(part)
+            handle.write(_digest(parts))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if os.name == "posix":  # the rename is durable once its directory is synced
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterSet, Vocab, dict]:
     """Read a checkpoint; raises ChecksumError on any payload corruption."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 16 or not raw.startswith(MAGIC):
+    raw = memoryview(Path(path).read_bytes())
+    if len(raw) < len(MAGIC) + 16 or raw[: len(MAGIC)] != MAGIC:
         raise ChecksumError(f"{path} is not a recognizable checkpoint")
     payload, checksum = raw[len(MAGIC) : -8], raw[-8:]
-    if _digest(payload) != checksum:
+    if _digest([payload]) != checksum:
         raise ChecksumError(f"checksum mismatch in {path}")
 
     (header_len,) = struct.unpack_from("<Q", payload, 0)
     try:
-        header = json.loads(payload[8 : 8 + header_len].decode())
+        header = json.loads(str(payload[8 : 8 + header_len], "utf-8"))
         k, separate_heads, config = header["k"], header["separate_heads"], header["config"]
         dims = {key: header["counts"][key] for key in ("entities", "relations", "types")}
         vocab = Vocab.from_names(header["entities"], header["relations"], header["types"])

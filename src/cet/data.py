@@ -11,13 +11,25 @@ Each file is read straight into id columns (``NameRows``), with no Python
 object per row. ``assemble`` builds the vocabulary from the files' name
 tables, maps codes to ids through vocabulary-sized arrays and drops repeats
 in one pass per file, which ``build_graph`` reuses.
+
+The assembled labels keep no Python object per pair or per entity either.
+Each split is a ``PairList``, a read-only sequence of (entity, type) tuples
+over an (n, 2) int32 array. ``train_types`` and ``known_types`` are
+``TypeMap`` views, read-only mappings over one shared CSR (``TypeGroups``):
+the labelled entities in first-appearance order, each one's bounds, and one
+int32 array of types, grouped by entity with the training types first.
+Reading a view builds the tuple, list or set of Python ints it stands for,
+so code that takes plain lists and dicts takes these as well.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -59,46 +71,173 @@ class TypingDataset:
 
     ``known_types`` maps each entity to the union of its types across all
     three splits; the ranking protocol removes these (minus the queried
-    type) from the candidate list.
+    type) from the candidate list. The library reads the fields only as
+    sequences and mappings: ``assemble`` fills them with array-backed views,
+    and plain lists and dicts serve as well.
     """
 
-    train: list[tuple[int, int]]
-    valid: list[tuple[int, int]]
-    test: list[tuple[int, int]]
-    known_types: dict[int, set[int]]
-    train_types: dict[int, list[int]]
+    train: Sequence[tuple[int, int]]
+    valid: Sequence[tuple[int, int]]
+    test: Sequence[tuple[int, int]]
+    known_types: Mapping[int, AbstractSet[int]]
+    train_types: Mapping[int, Sequence[int]]
     drop_counts: dict[str, int] = field(default_factory=dict)
 
-    def split(self, name: str) -> list[tuple[int, int]]:
+    def split(self, name: str) -> Sequence[tuple[int, int]]:
         try:
             return {"train": self.train, "valid": self.valid, "test": self.test}[name]
         except KeyError:
             raise ValueError(f"unknown split {name!r}") from None
 
-    def positives(self, entity: int) -> list[int]:
+    def positives(self, entity: int) -> Sequence[int]:
         """Training-split types of an entity (empty list if it has none)."""
         return self.train_types.get(entity, [])
 
 
-def _group_types(
-    pairs: np.ndarray, num_train: int
-) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
+# Rows per ``.tolist()`` while a PairList is iterated: the column lists of one
+# chunk take about 2.5 MB, where those of a whole YAGO43kET-size split would
+# take tens of MB.
+_CHUNK = 1 << 15
+
+
+def _tuples(pairs: np.ndarray) -> Iterator[tuple[int, int]]:
+    return zip(*pairs.T.tolist())
+
+
+class PairList(Sequence):
+    """A read-only list of (entity, type) tuples over an (n, 2) int32 array.
+
+    Iteration converts the array a chunk of columns at a time and zips them:
+    each pass costs about what building the list of tuples would, not one
+    ``__getitem__`` per pair. It compares equal to a list of the same tuples,
+    and ``+`` concatenates into a list.
+    """
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: np.ndarray):
+        self._pairs = pairs
+        pairs.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(_tuples(self._pairs[index]))
+        return tuple(self._pairs[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        pairs = self._pairs
+        return chain.from_iterable(
+            _tuples(pairs[lo : lo + _CHUNK]) for lo in range(0, len(pairs), _CHUNK)
+        )
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, PairList)) else NotImplemented
+
+    __hash__ = None  # like a list's
+
+    def __add__(self, other) -> list[tuple[int, int]]:
+        return [*self, *other] if isinstance(other, (list, PairList)) else NotImplemented
+
+    def __radd__(self, other) -> list[tuple[int, int]]:  # list + PairList, as in a + b + c
+        return [*other, *self] if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PairList({list(self)!r})"
+
+
+@dataclass(frozen=True)
+class TypeGroups:
+    """Every labelled entity's types in one CSR, which ``train_types`` and
+    ``known_types`` share.
+
+    Group ``g`` belongs to entity ``entities[g]``, the groups in order of
+    their entity's first appearance. Its types are
+    ``types[indptr[g]:indptr[g + 1]]``, the training ones first, up to
+    ``train_ends[g]``. ``slot`` maps an entity id to its group, -1 if the
+    entity has none. Every array is int32 except the two bounds, and none is
+    writeable.
+    """
+
+    entities: np.ndarray
+    indptr: np.ndarray
+    train_ends: np.ndarray
+    types: np.ndarray
+    slot: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.entities, self.indptr, self.train_ends, self.types, self.slot):
+            array.flags.writeable = False
+
+
+class TypeMap(Mapping):
+    """A read-only dict view of a ``TypeGroups``: each entity whose group has
+    types before ``ends`` maps to those types, as a new ``kind`` (list or set)
+    of Python ints. Keys are in first-appearance order; any other key, a
+    negative or too large id or a non-integer, is missing.
+    """
+
+    __slots__ = ("_groups", "_ends", "_kind", "_keys")
+
+    def __init__(self, groups: TypeGroups, ends: np.ndarray, kind: type):
+        self._groups, self._ends, self._kind = groups, ends, kind
+        self._keys = groups.entities[ends > groups.indptr[:-1]]
+
+    def _bounds(self, entity) -> tuple[int, int]:
+        """``entity``'s slice of the type array; empty if it is not a key."""
+        try:
+            entity = operator.index(entity)
+        except TypeError:
+            return 0, 0
+        slot = self._groups.slot
+        group = slot[entity] if 0 <= entity < len(slot) else -1
+        return (0, 0) if group < 0 else (self._groups.indptr[group], self._ends[group])
+
+    def __getitem__(self, entity):
+        lo, hi = self._bounds(entity)
+        if lo == hi:
+            raise KeyError(entity)
+        return self._kind(self._groups.types[lo:hi].tolist())
+
+    def __contains__(self, entity) -> bool:
+        lo, hi = self._bounds(entity)
+        return hi > lo
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys.tolist())
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return f"TypeMap({dict(self)!r})"
+
+
+def _group_types(pairs: np.ndarray, num_train: int) -> tuple[TypeMap, TypeMap]:
     """``train_types`` and ``known_types`` from the id pairs of all splits, train first.
 
-    A stable sort by entity keeps each entity's types in input order, so its
-    training types lead its group. Both dicts key entities by first appearance.
+    A stable sort by each pair's group, its entity's rank by first appearance,
+    keeps each entity's types in input order, so its training types lead.
     """
-    order = np.argsort(pairs[:, 0], kind="stable")
-    entities = pairs[order, 0]
-    starts = np.flatnonzero(np.diff(entities, prepend=-1))
-    mids = starts + np.add.reduceat((order < num_train).astype(np.int64), starts)  # train rows end
-    ends = np.append(starts[1:], len(entities))
-    by_first = np.argsort(order[starts])  # groups by first appearance
-    types = pairs[order, 1].tolist()
-    groups = list(zip(*(a[by_first].tolist() for a in (entities[starts], starts, mids, ends))))
-    train_types = {e: types[lo:mid] for e, lo, mid, _ in groups if mid > lo}
-    known_types = {e: set(types[lo:hi]) for e, lo, _, hi in groups}
-    return train_types, known_types
+    entities, first, inverse = np.unique(pairs[:, 0], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(entities), dtype=np.int32)
+    rank[by_first] = np.arange(len(entities))
+    group = rank[inverse]
+    counts = np.bincount(group, minlength=len(entities))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    slot = np.full(entities[-1] + 1 if len(entities) else 0, -1, dtype=np.int32)
+    slot[entities] = rank
+    groups = TypeGroups(
+        entities=entities[by_first],
+        indptr=indptr,
+        train_ends=indptr[:-1] + np.bincount(group[:num_train], minlength=len(entities)),
+        types=pairs[np.argsort(group, kind="stable"), 1],
+        slot=slot,
+    )
+    return TypeMap(groups, groups.train_ends, list), TypeMap(groups, indptr[1:], set)
 
 
 def assemble(
@@ -142,9 +281,9 @@ def assemble(
         log.info("assembly dropped %d input rows: %s", dropped, drop_counts)
 
     dataset = TypingDataset(
-        train=list(zip(*train.T.tolist())),
-        valid=list(zip(*valid.T.tolist())),
-        test=list(zip(*test.T.tolist())),
+        train=PairList(train),
+        valid=PairList(valid),
+        test=PairList(test),
         known_types=known_types,
         train_types=train_types,
         drop_counts=drop_counts,

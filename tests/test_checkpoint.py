@@ -1,8 +1,13 @@
+import os
+import stat
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cet import ChecksumError, init_params, load_checkpoint, save_checkpoint
 from cet.checkpoint import MAGIC
+from cet.graph import HAS_TYPE, Vocab
 from synth import assembled, drop_header_key, edit_header_key, tiny_corpus
 
 
@@ -105,6 +110,62 @@ class TestAtomicSave:
         save_checkpoint(fresh, changed, vocab, config)
         assert path.read_bytes() == fresh.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.cet", "model.cet"]
+
+
+class TestDurableSave:
+    @pytest.mark.skipif(os.name != "posix", reason="directories are synced on POSIX only")
+    def test_file_then_directory_synced(self, setup, tmp_path, monkeypatch):
+        vocab, params, config = setup
+        path = tmp_path / "model.cet"
+        synced = []
+        fsync = os.fsync
+
+        def record(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        save_checkpoint(path, params, vocab, config)
+        # The temporary file, which became the checkpoint, then its directory.
+        assert synced == [(False, path.stat().st_ino), (True, tmp_path.stat().st_ino)]
+
+
+class TestMemory:
+    """Neither save nor load copies the whole payload."""
+
+    @pytest.fixture
+    def wide(self):
+        # Few names and a wide dimension: the tensors (about 1.6 MB) dwarf the header.
+        vocab = Vocab.from_names(
+            [f"e{i}" for i in range(200)], [HAS_TYPE, "r"], [f"t{i}" for i in range(100)]
+        )
+        params = init_params(vocab, 1024, seed=0)
+        return vocab, params, sum(tensor.nbytes for _, tensor in params.named())
+
+    @staticmethod
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_peak_below_the_tensors(self, wide, tmp_path):
+        # Copying the payload into one buffer, and that again for the
+        # checksum, took twice the tensors' bytes.
+        vocab, params, nbytes = wide
+        path = tmp_path / "model.cet"
+        assert self.peak(lambda: save_checkpoint(path, params, vocab, {})) < nbytes / 8
+
+    def test_load_peak_is_the_file_and_the_tensors(self, wide, tmp_path):
+        # The file's bytes and the loaded tensors; slicing out the payload
+        # and then each tensor added over one more copy.
+        vocab, params, nbytes = wide
+        path = tmp_path / "model.cet"
+        save_checkpoint(path, params, vocab, {})
+        assert self.peak(lambda: load_checkpoint(path)) < 2.5 * nbytes
 
 
 class TestCorruption:

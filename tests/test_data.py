@@ -1,10 +1,16 @@
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cet import ParseError, assemble, load_pairs, load_triples
+import cet.data
+from cet import (
+    ParseError, TrainConfig, TypingDataset, assemble, evaluate, init_params, load_pairs, load_triples,
+)
 from cet.graph import Vocab
+from cet.train import _train_batch
+from synth import assembled, hub_marker_corpus
 
 
 @pytest.fixture
@@ -189,3 +195,121 @@ class TestAssemble:
         assert again.entity_ids == vocab.entity_ids
         assert again.relation_ids == vocab.relation_ids
         assert again.type_ids == vocab.type_ids
+
+
+class TestLabelViews:
+    """``assemble``'s array-backed fields behave as the lists and dicts they stand for."""
+
+    # Entity ids follow the triples (a, b, c); first appearance in the pairs is c, a, b.
+    corpus = (
+        [("a", "r", "b"), ("b", "s", "c")],
+        [("c", "t1"), ("a", "t2"), ("c", "t2")],
+        [("b", "t1")],
+        [("a", "t1")],
+    )
+
+    @pytest.fixture
+    def labelled(self):
+        vocab, ds = assemble(*self.corpus)
+        return vocab, ds, [vocab.entity_ids[name] for name in "abc"], vocab.type_ids
+
+    def test_absent_entities_give_the_defaults(self, labelled):
+        vocab, ds, (a, b, c), _ = labelled
+        for entity in (-1, -vocab.num_entities, vocab.num_entities, 2**70, "a", None):
+            assert ds.positives(entity) == []
+            assert ds.known_types.get(entity, ()) == ()
+            assert entity not in ds.known_types and entity not in ds.train_types
+            with pytest.raises(KeyError):
+                ds.known_types[entity]
+        # b is labelled only in validation: known, but without training types.
+        assert ds.positives(b) == [] and b not in ds.train_types
+        assert b in ds.known_types
+
+    def test_elements_are_python_ints(self, labelled):
+        _, ds, *_ = labelled
+        for split in (ds.train, ds.valid, ds.test):
+            pairs = list(split) + [split[0], split[-1], *split[:]]
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+            assert all(type(x) is int for pair in pairs for x in pair)
+        for mapping, kind in ((ds.train_types, list), (ds.known_types, set)):
+            assert all(type(e) is int for e in mapping)
+            assert all(type(types) is kind for types in mapping.values())
+            assert all(type(t) is int for types in mapping.values() for t in types)
+
+    def test_keys_in_first_appearance_order(self, labelled):
+        _, ds, (a, b, c), t = labelled
+        assert list(ds.known_types) == [c, a, b]
+        assert list(ds.train_types) == [c, a]
+        assert ds.train_types[c] == [t["t1"], t["t2"]]  # training types in input order
+        assert ds.known_types[a] == {t["t1"], t["t2"]}
+
+    def test_equal_to_plain_containers(self, labelled):
+        _, ds, (a, b, c), t = labelled
+        assert ds.train == [(c, t["t1"]), (a, t["t2"]), (c, t["t2"])]
+        assert ds.valid == [(b, t["t1"])] and ds.valid != [] and ds.valid != (b, t["t1"])
+        assert ds.train_types == dict(ds.train_types) == {c: [t["t1"], t["t2"]], a: [t["t2"]]}
+        assert ds.known_types == {e: set(types) for e, types in ds.known_types.items()}
+        assert ds.train + ds.valid + ds.test == list(ds.train) + list(ds.valid) + list(ds.test)
+        assert [] + ds.valid == ds.valid + [] == list(ds.valid)
+        assert (b, t["t1"]) in ds.valid and (a, t["t1"]) not in ds.valid
+        with pytest.raises(IndexError):
+            ds.train[len(ds.train)]
+        with pytest.raises(TypeError):
+            ds.train[0] = (a, t["t1"])
+
+    def test_iteration_crosses_chunks(self, labelled, monkeypatch):
+        _, ds, *_ = labelled
+        monkeypatch.setattr(cet.data, "_CHUNK", 2)
+        assert list(ds.train) == [ds.train[i] for i in range(len(ds.train))]
+
+    @pytest.mark.parametrize("mask_mode", [False, True])
+    def test_plain_copies_give_the_same_bytes(self, mask_mode):
+        # The library reads the fields only as sequences and mappings, so a
+        # dataset of plain lists and dicts is the same input to it.
+        vocab, ds, graph, *_ = assembled(hub_marker_corpus())
+        plain = TypingDataset(
+            train=list(ds.train), valid=list(ds.valid), test=list(ds.test),
+            known_types=dict(ds.known_types), train_types=dict(ds.train_types),
+        )
+        params = init_params(vocab, 8, seed=4)
+        params.b[:] = np.random.default_rng(1).normal(size=vocab.num_types)
+        batch = [e for e in sorted(ds.train_types) if graph.degree(e) > 0][:24]
+
+        def outputs(dataset):
+            losses, grads = _train_batch(
+                params, graph, dataset, batch, TrainConfig(sample_size=5, mask_mode=mask_mode),
+                np.random.default_rng(7),
+            )
+            sparse = [sorted((e, row.tobytes()) for e, row in rows.items())
+                      for rows in (grads.entity_rows, grads.relation_rows, grads.type_rows)]
+            report = evaluate(params, graph, dataset, "valid", 0.5, keep_ranks=True)
+            return losses.tobytes(), grads.W.tobytes(), grads.b.tobytes(), sparse, report.ranks
+
+        assert outputs(ds) == outputs(plain)
+
+
+class TestAssembledMemory:
+    def test_few_bytes_per_pair(self):
+        # About 8,000 pairs over 3,000 entities and 60 types. The pairs and
+        # their grouping by entity are arrays: 12 bytes a pair and about 30 a
+        # labelled entity, 24 a pair here. A tuple per pair and a list and a
+        # set per entity, as they were once kept, took about 270.
+        rng = np.random.default_rng(0)
+        entities, types, pairs = 3_000, 60, 8_000
+        triples = [(f"e{i}", "r", f"e{(i + 1) % entities}") for i in range(entities)]
+        codes = rng.choice(entities * types, size=pairs, replace=False)
+        labelled = [(f"e{code // types}", f"t{code % types}") for code in codes.tolist()]
+        train, valid, test = labelled[:6_400], labelled[6_400:7_200], labelled[7_200:]
+        train += [("e0", f"t{t}") for t in range(types) if ("e0", f"t{t}") not in labelled]
+        tracemalloc.start()
+        try:
+            vocab, ds = assemble(triples, train, valid, test)
+            with_dataset = tracemalloc.get_traced_memory()[0]
+            kept = len(ds.train) + len(ds.valid) + len(ds.test)
+            del ds
+            gc.collect()
+            without = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept > 7_900 and vocab.num_entities == entities
+        assert (with_dataset - without) / kept < 40
