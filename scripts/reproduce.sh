@@ -6,10 +6,10 @@
 # (default ./data), laid out as described in the README.
 set -euo pipefail
 
-# One BLAS thread: cet runs its own threads on the cores, one per core, and
-# deals them the type blocks of sampled training batches and the degree
-# buckets of mask-mode batches and of evaluation; it starts them only when
-# BLAS is pinned.
+# One BLAS thread: cet runs its own threads on the cores, one per core; they
+# take the fixed lanes that training deals its type blocks (sampled batches)
+# or degree buckets (mask-mode batches) to, and evaluation's buckets one at a
+# time. cet starts them only when BLAS is pinned.
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 DATA_ROOT="${CET_DATA_ROOT:-data}"

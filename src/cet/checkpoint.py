@@ -10,13 +10,14 @@ file, syncs it to disk and renames it over the target, so a crash mid-save
 leaves the previous checkpoint intact; on POSIX it then syncs the directory,
 so a finished save also survives a power cut. Neither direction copies the
 whole payload: a save writes and hashes the tensors' own buffers, and a load
-hashes and reads the file's bytes through memoryview slices.
+reads each tensor straight into its array and hashes it there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from collections.abc import Iterable
@@ -91,46 +92,54 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterSet, Vocab, dict]:
-    """Read a checkpoint; raises ChecksumError on any payload corruption."""
-    raw = memoryview(Path(path).read_bytes())
-    if len(raw) < len(MAGIC) + 16 or raw[: len(MAGIC)] != MAGIC:
-        raise ChecksumError(f"{path} is not a recognizable checkpoint")
-    payload, checksum = raw[len(MAGIC) : -8], raw[-8:]
-    if _digest([payload]) != checksum:
-        raise ChecksumError(f"checksum mismatch in {path}")
+    """Read a checkpoint; raises ChecksumError on any payload corruption.
 
-    (header_len,) = struct.unpack_from("<Q", payload, 0)
-    try:
-        header = json.loads(str(payload[8 : 8 + header_len], "utf-8"))
-        k, separate_heads, config = header["k"], header["separate_heads"], header["config"]
-        dims = {key: header["counts"][key] for key in ("entities", "relations", "types")}
-        vocab = Vocab.from_names(header["entities"], header["relations"], header["types"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ChecksumError(f"{path}: malformed checkpoint header: {exc}") from None
-    # JSON's 3.0, "3" and true are not counts, though 3.0 == 3 and true == 1.
-    if not (
-        type(k) is int
-        and all(type(count) is int for count in dims.values())
-        and type(separate_heads) is bool
-        and type(config) is dict
-    ):
-        raise ChecksumError(f"{path}: malformed checkpoint header: a field has the wrong type")
-    if [vocab.num_entities, vocab.num_relations, vocab.num_types] != list(dims.values()):
-        raise ChecksumError(f"{path}: header counts do not match vocabulary tables")
-    dims["k"] = k
+    The header's sizes are checked against the file's before any tensor is
+    allocated; each tensor is read into its own array and hashed from there,
+    and nothing is returned unless the checksum matches.
+    """
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(len(MAGIC) + 8)
+        if size < len(MAGIC) + 16 or head[: len(MAGIC)] != MAGIC:
+            raise ChecksumError(f"{path} is not a recognizable checkpoint")
+        (header_len,) = struct.unpack_from("<Q", head, len(MAGIC))
+        header_bytes = handle.read(min(header_len, size))
+        try:
+            header = json.loads(str(header_bytes, "utf-8"))
+            k, separate_heads, config = header["k"], header["separate_heads"], header["config"]
+            dims = {key: header["counts"][key] for key in ("entities", "relations", "types")}
+            vocab = Vocab.from_names(header["entities"], header["relations"], header["types"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ChecksumError(f"{path}: malformed checkpoint header: {exc}") from None
+        # JSON's 3.0, "3" and true are not counts, though 3.0 == 3 and true == 1.
+        if not (
+            type(k) is int
+            and all(type(count) is int for count in dims.values())
+            and type(separate_heads) is bool
+            and type(config) is dict
+        ):
+            raise ChecksumError(f"{path}: malformed checkpoint header: a field has the wrong type")
+        if [vocab.num_entities, vocab.num_relations, vocab.num_types] != list(dims.values()):
+            raise ChecksumError(f"{path}: header counts do not match vocabulary tables")
+        dims["k"] = k
+        shapes = {
+            f.name: tuple(dims[dim] for dim in f.metadata["shape"])
+            for f in fields(ParameterSet)
+            if f.default is not None or separate_heads  # else no separate aggregation head
+        }
+        tensor_bytes = sum(4 * math.prod(shape) for shape in shapes.values())
+        if k < 0 or len(head) + header_len + tensor_bytes + 8 != size:
+            raise ChecksumError(f"{path}: header sizes do not match the file's {size} bytes")
+        tensors = {name: np.empty(shape, dtype="<f4") for name, shape in shapes.items()}
 
-    offset = 8 + header_len
-    tensors = {}
-    for f in fields(ParameterSet):
-        if f.default is None and not separate_heads:
-            continue  # the separate aggregation head
-        shape = tuple(dims[dim] for dim in f.metadata["shape"])
-        size = int(np.prod(shape)) * 4
-        chunk = payload[offset : offset + size]
-        if len(chunk) != size:
-            raise ChecksumError(f"{path}: truncated tensor {f.name!r}")
-        tensors[f.name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-        offset += size
-    if offset != len(payload):
-        raise ChecksumError(f"{path}: trailing bytes after tensors")
+        def payload():
+            yield head[len(MAGIC) :]
+            yield header_bytes
+            for tensor in tensors.values():  # a short read ends the file: no checksum follows
+                buffer = tensor.reshape(-1).view(np.uint8)
+                yield buffer[: handle.readinto(buffer)]
+
+        if _digest(payload()) != handle.read(9):  # nine: a longer file does not match either
+            raise ChecksumError(f"checksum mismatch in {path}")
     return ParameterSet(**tensors), vocab, config

@@ -32,44 +32,42 @@ gradient, and those rows of the score gradient are zeroed before ``W``'s
 backward products.
 
 Without labels and gradients the kernel runs forward only: each block is
-scored and pooled into its columns of a (batch, types) result, every block
-in order on the calling thread. Inference runs that mode:
-``score_all_neighbors`` scores a degree bucket of entities in one call,
-padded as mask-mode training pads them (``_degree_buckets``,
+scored and pooled into its columns of a (batch, types) result. Inference
+runs that mode: ``score_all_neighbors`` scores a degree bucket of entities
+in one call, padded as mask-mode training pads them (``_degree_buckets``,
 ``_padded_neighbors``, one ``AugmentedGraph.gather``), so the N2T product
 has hundreds of rows even when each entity has few, and a hub costs the
-blocks' slabs, not a (rows, types) candidate matrix. ``ranking.evaluate``
-spreads its buckets over the cores instead, one bucket per thread.
+blocks' slabs, not a (rows, types) candidate matrix.
 
-Threads take tasks with ``_run_tasks``: the lanes of a sampled training
-batch's kernel call, and the degree buckets of a mask-mode training batch
-(``train._masked_buckets``) or of an evaluation pass, one bucket per task,
-each bucket's kernel call making one pass over its blocks on its thread. Only
-a training call that deals its lanes to the threads has lanes: its blocks go
-to ``_LANES`` lanes, block i to lane i % ``_LANES``. Blocks write disjoint
-rows of the classifier gradients, so only the losses and the representation
-gradients are shared; each lane sums those into accumulators of its own, and
-the lanes are added in lane order at the end. A pooled score is computed per
-column, so a bucket's block does not depend on the thread or the block width
-either. Every result is therefore bit-identical whatever the number of
-threads that ran the tasks: up to ``_THREADS``, the calling thread included,
-with the others taken from ``_WORKERS``, one pool for the whole process,
-whose threads start on first use and then wait, idle, for the next call (with
+Threads take tasks with ``_run_tasks``: the degree buckets of an evaluation
+pass, one bucket per task, or lanes. Every sum that threads share goes
+through one rule, ``_run_lanes``: item i goes to lane i % lanes, at most
+``_LANES`` lanes; a lane runs its items in order on one thread, into
+accumulators of its own, and the lanes are added in lane order at the end.
+A sampled training call deals its type blocks so, its lanes summing the
+losses and representation gradients (blocks write disjoint rows of the
+classifier gradients). A mask-mode batch (``train._masked_buckets``) deals
+its degree buckets so, its lanes summing the classifier gradients, and
+each bucket's kernel call makes one pass over its blocks, as every forward
+call and every call given a slab does, on the calling thread. A pooled
+score is computed per column, so it does not depend on the thread or the
+block width either. Every result is therefore bit-identical whatever the
+number of threads: up to ``_THREADS``, the calling thread included, with
+the others taken from ``_WORKERS``, one pool for the whole process, whose
+threads start on first use and then wait, idle, for the next call (with
 ``_THREADS`` = 1 none ever starts). Each thread takes the next task not yet
-taken until none is left, so a thread whose core is busy with another process
-takes fewer tasks instead of holding up the call; there are more lanes than
-threads so that there is work left to take. ``_THREADS`` is one per usable
-core, at most ``_LANES``, when BLAS is pinned to one thread
+taken until none is left, so a thread whose core is busy with another
+process takes fewer tasks instead of holding up the call; there are more
+lanes than threads so that there is work left to take. ``_THREADS`` is one
+per usable core, at most ``_LANES``, when BLAS is pinned to one thread
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all
-1), else 1, because BLAS threads and task threads on the same cores only slow
-each other down. ``_LANES`` stays fixed whatever the core count, since it
-fixes the summation order and so the bits of a seeded run. The thread that
-deals the tasks allocates every thread's slab (``evaluate`` and a mask-mode
-batch one per thread for the whole pass or batch), and a kernel call that
-deals lanes allocates their accumulators, so that no worker thread's malloc
-arena keeps a slab's memory after the call; an evaluation pass then returns
-its free pages. A mask-mode bucket's kernel call allocates its one pair of
-accumulators on the thread that runs it.
+1), else 1, because BLAS threads and task threads on the same cores only
+slow each other down. ``_LANES`` stays fixed whatever the core count, since
+it fixes the summation order and so the bits of a seeded run. The thread
+that deals the tasks allocates every thread's slab (one per thread for a
+whole evaluation pass or mask-mode batch) and every lane's accumulators, so
+that no worker thread's malloc arena keeps their memory after the call; an
+evaluation pass then returns its free pages.
 
 This kernel is the only backward pass and the only pooled forward:
 gradient checking differentiates the training batches that call it against
@@ -101,16 +99,18 @@ __all__ = ["ScoreBundle", "backward", "score_all_neighbors"]
 # kernel, which sets the block width; the kernel's working slabs scale with it.
 _CELLS = 1 << 19
 
-# Lanes of a training kernel call without a slab, the only call whose blocks
-# go to the threads: type block i belongs to lane i % _LANES.
-# A lane sums its own blocks' losses and representation gradients; the lanes
-# are then added in lane order, so the result does not depend on how many
-# threads ran them. Threads take lanes as they come free, and more lanes than
-# cores let a thread that is slowed take fewer. With 2 lanes on 2 threads a
-# preempted thread held up the whole call. Beside a process that kept one of
-# two cores half busy, FB-shape sampled batches took a median 43.6-44.3 ms
-# with interquartile range 8.6-11.3 ms at 2 lanes, against 41.4-43.0 and
-# 5.7-9.2 ms at 8; on an idle host both took 35.7 ms (2-vCPU Xeon VM).
+# Lanes of every sum that threads share (``_run_lanes``): the type blocks of
+# a sampled training call, block i in lane i % _LANES, and the degree buckets
+# of a mask-mode batch, at most one GradientSet per lane, so at most
+# _LANES - 1 besides the batch's own whatever the number of threads.
+# A lane sums into its own accumulators; the lanes are then added in lane
+# order, so the result does not depend on how many threads ran them. Threads
+# take lanes as they come free, and more lanes than cores let a thread that
+# is slowed take fewer. With 2 lanes on 2 threads a preempted thread held up
+# the whole call. Beside a process that kept one of two cores half busy,
+# FB-shape sampled batches took a median 43.6-44.3 ms with interquartile
+# range 8.6-11.3 ms at 2 lanes, against 41.4-43.0 and 5.7-9.2 ms at 8; on an
+# idle host both took 35.7 ms (2-vCPU Xeon VM).
 _LANES = 8
 
 # Padded neighbor rows (entities * largest degree) in one degree bucket, for
@@ -173,7 +173,8 @@ def _run_tasks(run_task: Callable, tasks: Sequence, new_slab: Callable[[], np.nd
     instead of holding the others up. Each thread has its own slab, made by
     ``new_slab`` on the calling thread. Once a task raises, no thread takes
     another, and the first exception is raised again when every thread has
-    finished the task it holds.
+    finished the task it holds. The tasks are an evaluation pass's buckets or
+    the lanes of ``_run_lanes``.
     """
     slabs = [new_slab() for _ in range(min(len(tasks), _THREADS))]
     queue = iter(tasks)  # shared: next() runs under the GIL, so each task is taken once
@@ -198,6 +199,32 @@ def _run_tasks(run_task: Callable, tasks: Sequence, new_slab: Callable[[], np.nd
             future.result()
     if errors:
         raise errors[0]
+
+
+def _run_lanes(items: Sequence, run_item: Callable, accumulators: list, new_slab: Callable) -> None:
+    """Call ``run_item(item, accumulators[i % lanes], slab)`` for every item i,
+    one lane per accumulator, each lane's items in order on one thread: the
+    threads take the lanes through ``_run_tasks``, and a single lane runs on
+    the calling thread. Once an item raises, no thread starts another, not
+    even the next of its own lane. The caller adds the accumulators in lane
+    order, so its sums do not depend on the threads (module docstring).
+    """
+    failed = []
+
+    def run_lane(lane: int, slab: np.ndarray) -> None:
+        for item in items[lane :: len(accumulators)]:
+            if failed:
+                return
+            try:
+                run_item(item, accumulators[lane], slab)
+            except BaseException:
+                failed.append(lane)
+                raise
+
+    if len(accumulators) == 1:
+        run_lane(0, new_slab())
+    else:
+        _run_tasks(run_lane, range(len(accumulators)), new_slab)
 
 
 def _degree_buckets(degrees: np.ndarray):
@@ -300,93 +327,87 @@ def backward(
         blank_rows, blank_cols = blank_rows[by_col], blank_cols[by_col]
     width = max(1, _CELLS // (batch * rows))
     blocks = range(0, num_types, width)
-    if training:
-        # Each lane's accumulators, allocated by this thread like the slabs
-        # (see the module docstring): losses and dz. A call given a slab runs
-        # on one thread, so it makes one pass, one lane.
-        lanes = [
-            (np.zeros(batch), np.zeros_like(flat_z))
-            for _ in range(min(_LANES if slab is None else 1, len(blocks)))
-        ]
-    else:
+    if not training:
         out = np.empty((batch, num_types), dtype=flat_z.dtype)
     new_slab = partial(_slab, batch * rows, num_types, flat_z.dtype)
 
-    def run_lane(lane: int, slab: np.ndarray) -> None:
-        for s in blocks[lane :: len(lanes)] if training else blocks:
-            e = min(s + width, num_types)
-            cols = e - s
-            score3, expw3 = (buf[: batch * rows * cols].reshape(batch, rows, cols) for buf in slab)
-            score, expw = score3.reshape(batch * rows, cols), expw3.reshape(batch * rows, cols)
-            w_blk = params.W[s:e]
-            np.matmul(scaled_z, w_blk.T, out=score)
-            if separate:
-                score[m::rows] = scaled_z[m::rows] @ params.agg_W[s:e].T
-                score[m::rows] += alpha * (params.agg_b[s:e] - params.b[s:e])
-            if self_mask:
-                lo, hi = np.searchsorted(blank_cols, (s, e))
-                blank = (blank_rows[lo:hi], blank_cols[lo:hi] - s)
-                score[blank] = -np.inf
-            top = score3.max(axis=1)  # (B, cols)
-            if self_mask:
-                # A column with every row blanked gets weight 0 everywhere and
-                # pools to -inf, which the loss drops.
-                dead = np.isneginf(top)
-                top[dead] = 0
-            # From here on the slab holds u = s - max s, and the weights exp(u).
-            score3 -= top[:, None, :]
-            np.exp(score, out=expw)
-            expw[pad] = 0
-            if self_mask:
-                score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
-            denom = np.add.reduce(expw3, axis=1)
-            mean_u = np.einsum("bmc,bmc->bc", expw3, score3)
-            if self_mask:
-                denom[dead] = 1
-            mean_u /= denom
-            pooled = top if training else out[:, s:e]
-            np.add(mean_u, top, out=pooled)
-            pooled /= alpha
-            pooled += params.b[s:e]
-            if not training:
-                continue
-            if self_mask:
-                pooled[dead] = -np.inf
-            losses, dz = lanes[lane]
-            lo, hi = np.searchsorted(pos_cols, (s, e))
-            labels = (pos_rows[lo:hi], pos_cols[lo:hi] - s)
-            block_loss, dpooled = _loss_terms(pooled, labels, config.loss_kind, config.beta)
-            losses += block_loss
-            # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
-            #              = (dpooled / denom) * exp(u) * (u + 1 - mean_w(u)).
-            score3 += (1.0 - mean_u)[:, None, :]
-            score *= expw
-            score3 *= (dpooled / denom)[:, None, :]
-            dscore = score  # d(loss)/d(candidate score), (B*rows, cols)
-            # A bias shared by every row of a column moves the pooled score one
-            # for one, so its gradient is the batch sum of dpooled.
-            db = dpooled.sum(axis=0)
-            if separate:
-                dagg = dscore[m::rows]
-                grads.agg_W[s:e] += dagg.T @ flat_z[m::rows]
-                dz[m::rows] += dagg @ params.agg_W[s:e]
-                agg_db = dagg.sum(axis=0)
-                grads.agg_b[s:e] += agg_db
-                db -= agg_db
-                dagg[:] = 0  # the shared products below must not see it
-            grads.W[s:e] += dscore.T @ flat_z
-            dz += dscore @ w_blk
-            grads.b[s:e] += db
-
-    if training and slab is None:
-        _run_tasks(run_lane, range(len(lanes)), new_slab)
-    else:
-        run_lane(0, new_slab() if slab is None else slab)
+    def run_block(s: int, sums: tuple[np.ndarray, np.ndarray] | None, slab: np.ndarray) -> None:
+        """Block s's pooled scores into ``out``, or in training its losses and dz into ``sums``."""
+        e = min(s + width, num_types)
+        cols = e - s
+        score3, expw3 = (buf[: batch * rows * cols].reshape(batch, rows, cols) for buf in slab)
+        score, expw = score3.reshape(batch * rows, cols), expw3.reshape(batch * rows, cols)
+        w_blk = params.W[s:e]
+        np.matmul(scaled_z, w_blk.T, out=score)
+        if separate:
+            score[m::rows] = scaled_z[m::rows] @ params.agg_W[s:e].T
+            score[m::rows] += alpha * (params.agg_b[s:e] - params.b[s:e])
+        if self_mask:
+            lo, hi = np.searchsorted(blank_cols, (s, e))
+            blank = (blank_rows[lo:hi], blank_cols[lo:hi] - s)
+            score[blank] = -np.inf
+        top = score3.max(axis=1)  # (B, cols)
+        if self_mask:
+            # A column with every row blanked gets weight 0 everywhere and
+            # pools to -inf, which the loss drops.
+            dead = np.isneginf(top)
+            top[dead] = 0
+        # From here on the slab holds u = s - max s, and the weights exp(u).
+        score3 -= top[:, None, :]
+        np.exp(score, out=expw)
+        expw[pad] = 0
+        if self_mask:
+            score[blank] = 0  # weight 0 already; keeps -inf * 0 out of the sums
+        denom = np.add.reduce(expw3, axis=1)
+        mean_u = np.einsum("bmc,bmc->bc", expw3, score3)
+        if self_mask:
+            denom[dead] = 1
+        mean_u /= denom
+        pooled = top if training else out[:, s:e]
+        np.add(mean_u, top, out=pooled)
+        pooled /= alpha
+        pooled += params.b[s:e]
         if not training:
-            return out
+            return
+        if self_mask:
+            pooled[dead] = -np.inf
+        losses, dz = sums
+        lo, hi = np.searchsorted(pos_cols, (s, e))
+        labels = (pos_rows[lo:hi], pos_cols[lo:hi] - s)
+        block_loss, dpooled = _loss_terms(pooled, labels, config.loss_kind, config.beta)
+        losses += block_loss
+        # d(loss)/d(x) = dpooled * w * (1 + alpha * (x - pooled))
+        #              = (dpooled / denom) * exp(u) * (u + 1 - mean_w(u)).
+        score3 += (1.0 - mean_u)[:, None, :]
+        score *= expw
+        score3 *= (dpooled / denom)[:, None, :]
+        dscore = score  # d(loss)/d(candidate score), (B*rows, cols)
+        # A bias shared by every row of a column moves the pooled score one
+        # for one, so its gradient is the batch sum of dpooled.
+        db = dpooled.sum(axis=0)
+        if separate:
+            dagg = dscore[m::rows]
+            grads.agg_W[s:e] += dagg.T @ flat_z[m::rows]
+            dz[m::rows] += dagg @ params.agg_W[s:e]
+            agg_db = dagg.sum(axis=0)
+            grads.agg_b[s:e] += agg_db
+            db -= agg_db
+            dagg[:] = 0  # the shared products below must not see it
+        grads.W[s:e] += dscore.T @ flat_z
+        dz += dscore @ w_blk
+        grads.b[s:e] += db
+
+    # Losses and dz, in each lane's own arrays allocated by this thread like
+    # the slabs (see the module docstring). A forward call, or one given a
+    # slab, has one lane: one pass over the blocks on the calling thread.
+    lanes = range(min(_LANES if training and slab is None else 1, len(blocks)))
+    sums = [(np.zeros(batch), np.zeros_like(flat_z)) if training else None for _ in lanes]
+    _run_lanes(blocks, run_block, sums, new_slab if slab is None else lambda: slab)
+    if not training:
+        return out
     # Lane order, whatever ran them: the sums do not depend on the threads.
-    losses, dz = lanes[0]
-    for lane_losses, lane_dz in lanes[1:]:
+    losses, dz = sums[0]
+    for lane_losses, lane_dz in sums[1:]:
         losses += lane_losses
         dz += lane_dz
 

@@ -18,10 +18,11 @@ mask-mode batch is cut by ``kernel._degree_buckets`` into buckets of
 ascending degree, at most ``kernel._BUCKET_ROWS`` padded rows each, with
 short neighbor lists padded by copies of their first edge
 (``kernel._padded_neighbors``, which evaluation shares) and the
-self-evidence mask on. A sampled batch's kernel call runs its lanes on the
-threads; a mask-mode batch deals its buckets to them instead, one bucket per
-thread at a time, with the bits of the buckets run one after another. Both
-use the same threads for every batch.
+self-evidence mask on. Both deal their sums to the threads by the kernel's
+one lane rule (``kernel._run_lanes``): a sampled batch's kernel call its
+type blocks, a mask-mode batch its buckets, bucket i in lane i % lanes, each
+lane into a ``GradientSet`` of its own, at most ``kernel._LANES`` in all.
+The bits do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import threading
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -182,24 +182,14 @@ def train_epoch(
     return total_loss / count
 
 
-# Buckets that threads may run ahead of the earliest one not yet folded, beyond
-# one per thread, so that a thread slowed on an early bucket holds the others
-# up less. Each bucket in flight keeps a set of classifier gradients; at 45,182
-# types and dimension 100 a set is 18.3 MB (36.5 MB with separate heads), so
-# two threads keep at most 73 MB (146 MB) of sets. On FB-shape mask-mode
-# batches (2-vCPU Xeon VM), 2 ran about 10% faster than 0 and within noise of
-# 6 (medians of five alternated runs of 12 batches).
-_FOLD_AHEAD = 2
-
-
 def _train_batch(params, graph, dataset, batch, config, rng):
     """One batch's per-entity losses and its summed gradients.
 
     A sampled batch is one ``sample_neighbors`` draw with every row valid,
-    one kernel call whose lanes run on the threads. A mask-mode batch draws
-    nothing from ``rng``; it is cut into ``_degree_buckets``, dealt to the
-    threads one bucket per task (``_masked_buckets``). The representation
-    gradients of the valid rows are scattered once, in bucket order.
+    one kernel call that deals its type blocks to lanes. A mask-mode batch
+    draws nothing from ``rng``; it deals its ``_degree_buckets`` to lanes
+    (``_masked_buckets``). The representation gradients of the valid rows
+    are scattered once, in bucket order.
     """
     grads = GradientSet.zeros_like(params)
     if config.mask_mode:
@@ -219,91 +209,37 @@ def _masked_buckets(params, graph, dataset, batch, config, grads):
     gradients) of its valid rows, in bucket order; its classifier gradients are
     added into ``grads``.
 
-    Up to ``kernel._THREADS`` threads take the buckets in ascending degree
-    order, one ``kernel._run_tasks`` task each, and each thread runs its
-    bucket's kernel call, one pass over its type blocks, in a slab of its own
-    for the whole batch. A bucket's classifier products go to a
-    ``_BucketFolds`` set and reach ``grads`` in bucket order, so the bits are
-    those of the buckets run one after another, whatever the number of
-    threads.
+    The buckets, in ascending degree order, go to ``kernel._run_lanes``:
+    bucket i to lane i % lanes, with ``min(kernel._LANES, buckets)`` lanes.
+    A lane runs its buckets' kernel calls, each one pass over its type blocks
+    in its thread's slab, into a ``GradientSet`` of its own: lane 0 into
+    ``grads``, the others into zeroed sets that are added into ``grads`` in
+    lane order at the end. Up to ``kernel._LANES`` buckets, that is the sum
+    of the buckets in bucket order, as if run one after another.
     """
     degrees = graph.degrees(batch)
     buckets = list(_degree_buckets(degrees))
     losses = np.empty(len(batch))
     edges = [None] * len(buckets)
-    folds = _BucketFolds(grads, params, len(buckets))
+    lanes = min(kernel._LANES, len(buckets))
+    sets = [grads] + [GradientSet.zeros_like(params) for _ in range(lanes - 1)]
 
-    def run_bucket(i: int, slab: np.ndarray) -> None:
-        try:
-            entities = [batch[j] for j in buckets[i]]
-            arrays, valid = _padded_neighbors(graph, entities)
-            positives = _positive_pairs(entities, dataset)
-            part = folds.take(i)
-            if part is None:  # a bucket failed
-                return
-            losses[buckets[i]], dreps = backward(
-                params, part, *arrays, positives, config, valid, self_mask=True, slab=slab
-            )
-        except BaseException:
-            folds.fail()  # later buckets may be waiting for this one to fold
-            raise
-        folds.finish(i)
+    def run_bucket(i: int, part: GradientSet, slab: np.ndarray) -> None:
+        entities = [batch[j] for j in buckets[i]]
+        arrays, valid = _padded_neighbors(graph, entities)
+        positives = _positive_pairs(entities, dataset)
+        losses[buckets[i]], dreps = backward(
+            params, part, *arrays, positives, config, valid, self_mask=True, slab=slab
+        )
         edges[i] = [a[valid] for a in arrays] + [dreps[valid]]
 
     rows = max(len(b) * (degrees[b[-1]] + 1) for b in buckets)  # the largest, Agg2T row included
     new_slab = partial(kernel._slab, rows, params.num_types, params.dtype)
-    kernel._run_tasks(run_bucket, range(len(buckets)), new_slab)
+    kernel._run_lanes(range(len(buckets)), run_bucket, sets, new_slab)
+    for part in sets[1:]:
+        for (_, total), (_, own) in zip(grads.named_dense(), part.named_dense()):
+            total += own
     return losses, edges
-
-
-class _BucketFolds:
-    """The classifier gradients of a mask-mode batch's buckets, added into the
-    batch's ``GradientSet`` in bucket order.
-
-    Bucket i adds its products into a zeroed ``GradientSet`` of its own, set
-    i % ``bound``. As soon as every earlier bucket is folded, its set is added
-    into the batch's and zeroed for bucket i + ``bound``. Each cell of the
-    batch's gradients therefore gets every bucket's product in bucket order,
-    as when the buckets ran one after another (0 + x == x). Bucket i waits for
-    its set until bucket i - ``bound`` is folded, so a slow early bucket
-    cannot pile up later ones: at most ``bound`` sets exist, and the earliest
-    bucket not yet folded never waits. The sets are allocated by the calling
-    thread. ``bound`` is ``kernel._THREADS`` + ``_FOLD_AHEAD``.
-    """
-
-    def __init__(self, total: GradientSet, params: ParameterSet, buckets: int):
-        self.total = total
-        bound = min(buckets, kernel._THREADS + _FOLD_AHEAD)
-        self.parts = [GradientSet.zeros_like(params) for _ in range(bound)]
-        self.folded = 0  # buckets folded so far, the earliest first
-        self.finished = set()  # buckets finished, not yet folded
-        self.failed = False
-        self.turn = threading.Condition()
-
-    def take(self, i: int) -> GradientSet | None:
-        """Bucket i's zeroed set, once bucket i - bound is folded; None once a bucket failed."""
-        with self.turn:
-            self.turn.wait_for(lambda: self.failed or i < self.folded + len(self.parts))
-            return None if self.failed else self.parts[i % len(self.parts)]
-
-    def finish(self, i: int) -> None:
-        """Mark bucket i done, and fold every finished bucket whose turn has come."""
-        with self.turn:
-            self.finished.add(i)
-            while self.folded in self.finished:
-                self.finished.remove(self.folded)
-                part = self.parts[self.folded % len(self.parts)]
-                for (_, total), (_, own) in zip(self.total.named_dense(), part.named_dense()):
-                    total += own
-                    own.fill(0)
-                self.folded += 1
-            self.turn.notify_all()
-
-    def fail(self) -> None:
-        """Release every bucket waiting for a set: none of them will run."""
-        with self.turn:
-            self.failed = True
-            self.turn.notify_all()
 
 
 @dataclass

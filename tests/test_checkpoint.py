@@ -159,13 +159,13 @@ class TestMemory:
         path = tmp_path / "model.cet"
         assert self.peak(lambda: save_checkpoint(path, params, vocab, {})) < nbytes / 8
 
-    def test_load_peak_is_the_file_and_the_tensors(self, wide, tmp_path):
-        # The file's bytes and the loaded tensors; slicing out the payload
-        # and then each tensor added over one more copy.
+    def test_load_peak_is_the_tensors(self, wide, tmp_path):
+        # The loaded tensors alone; holding the file's bytes while copying
+        # each tensor out of them took about twice the tensors' bytes.
         vocab, params, nbytes = wide
         path = tmp_path / "model.cet"
         save_checkpoint(path, params, vocab, {})
-        assert self.peak(lambda: load_checkpoint(path)) < 2.5 * nbytes
+        assert self.peak(lambda: load_checkpoint(path)) < 1.25 * nbytes
 
 
 class TestCorruption:

@@ -603,8 +603,8 @@ def bits(result):
 @contextmanager
 def lane_threads():
     """The threads that run kernel tasks while inside: one set per
-    ``_run_tasks`` call, which is one sampled training kernel call (its
-    lanes), one mask-mode training batch or one ``evaluate`` (their buckets).
+    ``_run_tasks`` call, which is one sampled training kernel call or one
+    mask-mode training batch (their lanes) or one ``evaluate`` (its buckets).
 
     Threads take tasks as they come free, so when a call has more than one
     thread, the caller holds its first task until a worker has taken another:
@@ -640,23 +640,27 @@ def thread_names(calls):
 
 
 class TestLanes:
-    """The type blocks of one sampled training kernel call, run in lanes, and
-    the degree buckets of one mask-mode batch or one ``evaluate``, on up to
-    ``_THREADS`` threads."""
+    """The type blocks of one sampled training kernel call and the degree
+    buckets of one mask-mode batch, run in lanes, and the degree buckets of
+    one ``evaluate``, on up to ``_THREADS`` threads."""
 
     @staticmethod
     def batches(monkeypatch, params, hub_setup, batch, config):
         """A sampled and a padded mask-mode batch, with one-type blocks (8 per
-        call) and several degree buckets; records which threads ran lanes or
-        buckets."""
+        call) and several degree buckets, then the mask-mode batch in
+        one-entity buckets, more than there are lanes; records which threads
+        ran lanes."""
         vocab, dataset, graph, *_ = hub_setup
         rows = max(graph.degree(e) for e in batch) + 1
         monkeypatch.setattr(cet.kernel, "_CELLS", len(batch) * rows)
         monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 12)
+        assert len(batch) > cet.kernel._LANES
         with lane_threads() as calls:
             sampled = _train_batch(params, graph, dataset, batch, config, np.random.default_rng(3))
             masked = _train_batch(params, graph, dataset, batch, with_mask_mode(config), None)
-        return [bits(sampled), bits(masked)], thread_names(calls)
+            monkeypatch.setattr(cet.kernel, "_BUCKET_ROWS", 1)
+            many = _train_batch(params, graph, dataset, batch, with_mask_mode(config), None)
+        return [bits(sampled), bits(masked), bits(many)], thread_names(calls)
 
     @staticmethod
     def forward(monkeypatch, params, hub_setup, config):
@@ -896,46 +900,37 @@ class TestLanes:
         assert run() == expected
         assert ended[0] != 0 and sorted(ended) == list(range(len(ended)))
 
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_fold_sets_stay_within_the_bound(self, hub_setup, monkeypatch, fails):
-        # Bucket 0 is held until the other thread has run every bucket up to
-        # the bound and has waited a while for a set. No bucket i starts
-        # before bucket i - bound ends, only ``bound`` sets ever reach the
-        # kernel, and the bytes are those of an unheld run. When bucket 0
-        # raises instead, the thread waiting for a set is released without
-        # running its bucket, and _train_batch raises that very exception.
+    def test_each_lane_sums_into_a_set_of_its_own(self, hub_setup, monkeypatch):
+        # Sixteen one-entity buckets in _LANES lanes, at 1, 2 and 8 threads:
+        # bucket i hands the kernel the set of lane i % _LANES, so exactly
+        # _LANES sets reach the kernel, lane 0's being the batch's own, and
+        # the batch's bytes do not depend on the threads.
         run, patch = self.mask_batch(monkeypatch, hub_setup, 4)
-        expected = run()
-        bound = cet.kernel._THREADS + cet.train._FOLD_AHEAD
-        failure = RuntimeError("bucket failed")
-        events, sets, ahead = [], set(), threading.Event()
+        lanes = cet.kernel._LANES
+        sets, scattered = {}, []
 
         def around(i, grads, call):
-            events.append(("start", i))
-            sets.add(id(grads))
-            if i == 0:
-                assert ahead.wait(timeout=60)
-                time.sleep(0.2)  # the other thread now waits for bucket 0's set
-                if fails:
-                    raise failure
-            result = call()
-            events.append(("end", i))
-            if i == bound - 1:
-                ahead.set()
-            return result
+            sets[i] = grads
+            return call()
 
+        def scatter_rows(grads, *edges):
+            scattered.append(grads)
+            scatter(grads, *edges)
+
+        scatter = cet.train._scatter_rows
         patch(around)
-        if fails:
-            with pytest.raises(RuntimeError) as raised:
-                run()
-            assert raised.value is failure
-            assert {i for kind, i in events if kind == "start"} == set(range(bound))
-            return
-        assert run() == expected
-        assert len(sets) == bound
-        for i in range(bound, len({i for _, i in events})):
-            assert events.index(("start", i)) > events.index(("end", i - bound)), i
-        assert events.index(("start", bound)) > events.index(("end", 0))
+        monkeypatch.setattr(cet.train, "_scatter_rows", scatter_rows)
+        results = []
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+            sets.clear()
+            scattered.clear()
+            results.append(run())
+            assert len(sets) == 16 > lanes
+            assert len({id(grads) for grads in sets.values()}) == lanes
+            assert all(sets[i] is sets[i % lanes] for i in sets)
+            assert sets[0] is scattered[0]
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_a_failed_bucket_stops_every_thread_in_training(self, hub_setup, monkeypatch):
         # The first mask-mode bucket taken raises once the other thread holds
