@@ -190,6 +190,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model_and_data(args: argparse.Namespace):
+    """The checkpoint's parameters and vocabulary, the data directory's dataset
+    and graph, and the scoring options: ``--alpha`` or the checkpoint's, and
+    the checkpoint's ``use_agg2t`` and ``use_activation``."""
     params, vocab, config = load_checkpoint(args.checkpoint)
     triples, train, valid, test = _load_corpus(args)
     data_vocab, dataset = assemble(triples, train, valid, test)
@@ -200,22 +203,14 @@ def _load_model_and_data(args: argparse.Namespace):
         )
     use_tan = bool(config.get("use_tan", True))
     graph = build_graph(vocab, triples, train, include_type_edges=use_tan)
-    return params, vocab, config, dataset, graph
+    alpha = args.alpha if args.alpha is not None else float(config.get("alpha", 0.5))
+    routes = {route: bool(config.get(route, True)) for route in ("use_agg2t", "use_activation")}
+    return params, vocab, dataset, graph, alpha, routes
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    params, vocab, config, dataset, graph = _load_model_and_data(args)
-    alpha = args.alpha if args.alpha is not None else float(config.get("alpha", 0.5))
-    report = evaluate(
-        params,
-        graph,
-        dataset,
-        args.split,
-        alpha,
-        use_agg2t=bool(config.get("use_agg2t", True)),
-        use_activation=bool(config.get("use_activation", True)),
-        filtered=not args.unfiltered,
-    )
+    params, vocab, dataset, graph, alpha, routes = _load_model_and_data(args)
+    report = evaluate(params, graph, dataset, args.split, alpha, filtered=not args.unfiltered, **routes)
     if not (math.isfinite(report.mr) and math.isfinite(report.mrr)):
         raise NumericError(f"non-finite {args.split} metrics: MR {report.mr}, MRR {report.mrr}")
     print(f"split\t{args.split}")
@@ -232,19 +227,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    params, vocab, config, _, graph = _load_model_and_data(args)
-    alpha = args.alpha if args.alpha is not None else float(config.get("alpha", 0.5))
-    result = explain(
-        params,
-        graph,
-        vocab,
-        args.entity,
-        args.type,
-        alpha,
-        top_k=args.top_k,
-        use_agg2t=bool(config.get("use_agg2t", True)),
-        use_activation=bool(config.get("use_activation", True)),
-    )
+    params, vocab, _, graph, alpha, routes = _load_model_and_data(args)
+    result = explain(params, graph, vocab, args.entity, args.type, alpha, top_k=args.top_k, **routes)
     if not math.isfinite(result.pooled_score):
         raise NumericError(
             f"non-finite pooled score {result.pooled_score} for ({args.entity}, {args.type})"

@@ -94,6 +94,13 @@ class TypingDataset:
         return self.train_types.get(entity, [])
 
 
+def _flat_pairs(groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(position, id) int64 arrays of every id of ``groups``, group by group in order."""
+    positions = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    ids = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=len(positions))
+    return positions, ids
+
+
 # Rows per ``.tolist()`` while a PairList is iterated: the column lists of one
 # chunk take about 2.5 MB, where those of a whole YAGO43kET-size split would
 # take tens of MB.

@@ -27,6 +27,10 @@ from .train import TrainConfig, _train_batch, sample_neighbors
 
 __all__ = ["GradcheckCase", "GradcheckReport", "run_gradient_check"]
 
+# Largest neighbor sample and embedding dimension of a micro-instance.
+_SAMPLE_MAX = 3
+_DIM_MAX = 5
+
 
 @contextlib.contextmanager
 def _quiet_dedupe_logs():
@@ -137,9 +141,6 @@ def run_gradient_check(
     step: float = 1e-5,
     tolerance: float = 1e-4,
     seed: int = 0,
-    *,
-    sample_max: int = 3,
-    dim_max: int = 5,
 ) -> GradcheckReport:
     """Sweep ``instances`` random micro-instances across the config grid.
 
@@ -164,11 +165,11 @@ def run_gradient_check(
         separate_heads = use_agg2t and index % 5 == 4
         ragged = masked and (index // len(grid)) % 2 == 0
         batch = _ragged_batch(graph, entity, rng) if ragged else [entity]
-        k = int(rng.integers(2, dim_max + 1))
+        k = int(rng.integers(2, _DIM_MAX + 1))
         params = _draw_params(vocab, k, rng, separate_heads)
 
         # Mask mode scores every neighbor, so its sample size is unused.
-        sample_size = 1 if masked else int(rng.integers(1, sample_max + 1))
+        sample_size = 1 if masked else int(rng.integers(1, _SAMPLE_MAX + 1))
         kernel_rng = copy.deepcopy(rng)  # replays the draws below in the kernel
         if masked:
             neighbors = [graph.neighbor_arrays(e) for e in batch]

@@ -39,35 +39,34 @@ in one call, padded as mask-mode training pads them (``_degree_buckets``,
 has hundreds of rows even when each entity has few, and a hub costs the
 blocks' slabs, not a (rows, types) candidate matrix.
 
-Threads take tasks with ``_run_tasks``: the degree buckets of an evaluation
-pass, one bucket per task, or lanes. Every sum that threads share goes
-through one rule, ``_run_lanes``: item i goes to lane i % lanes, at most
-``_LANES`` lanes; a lane runs its items in order on one thread, into
-accumulators of its own, and the lanes are added in lane order at the end.
-A sampled training call deals its type blocks so, its lanes summing the
-losses and representation gradients (blocks write disjoint rows of the
-classifier gradients). A mask-mode batch (``train._masked_buckets``) deals
-its degree buckets so, its lanes summing the classifier gradients, and
-each bucket's kernel call makes one pass over its blocks, as every forward
-call and every call given a slab does, on the calling thread. A pooled
-score is computed per column, so it does not depend on the thread or the
-block width either. Every result is therefore bit-identical whatever the
-number of threads: up to ``_THREADS``, the calling thread included, with
-the others taken from ``_WORKERS``, one pool for the whole process, whose
-threads start on first use and then wait, idle, for the next call (with
-``_THREADS`` = 1 none ever starts). Each thread takes the next task not yet
-taken until none is left, so a thread whose core is busy with another
-process takes fewer tasks instead of holding up the call; there are more
-lanes than threads so that there is work left to take. ``_THREADS`` is one
-per usable core, at most ``_LANES``, when BLAS is pinned to one thread
+Work reaches the threads one way, ``_run_lanes``: item i goes to lane
+i % lanes, threads take whole lanes as they come free, and a lane runs its
+items in order on one thread. A sampled training call deals its type blocks
+to ``_LANES`` lanes, which sum the losses and representation gradients
+(blocks write disjoint rows of the classifier gradients); a mask-mode batch
+(``train._masked_buckets``) deals its degree buckets to at most ``_LANES``
+lanes, which sum the classifier gradients. Each lane sums into accumulators
+of its own, and the lanes are added in lane order at the end. An evaluation
+pass gives each bucket a lane of its own, largest first, and sums nothing.
+Every forward call and every call given a slab, as each bucket's is, has one
+lane: one pass over its blocks on the calling thread. A pooled score is
+computed per column, so it does not depend on the thread or the block width
+either. Every result is therefore bit-identical whatever the number of
+threads: up to ``_THREADS``, the calling thread included, with the others
+taken from ``_WORKERS``, one pool for the whole process, whose threads start
+on first use and then wait, idle, for the next call (with ``_THREADS`` = 1
+none ever starts). A thread whose core is busy with another process takes
+fewer lanes instead of holding up the call; there are more lanes than
+threads so that there is work left to take. ``_THREADS`` is one per usable
+core, at most ``_LANES``, when BLAS is pinned to one thread
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` all
-1), else 1, because BLAS threads and task threads on the same cores only
+1), else 1, because BLAS threads and lane threads on the same cores only
 slow each other down. ``_LANES`` stays fixed whatever the core count, since
-it fixes the summation order and so the bits of a seeded run. The thread
-that deals the tasks allocates every thread's slab (one per thread for a
-whole evaluation pass or mask-mode batch) and every lane's accumulators, so
-that no worker thread's malloc arena keeps their memory after the call; an
-evaluation pass then returns its free pages.
+it fixes the summation order and so the bits of a seeded run. The calling
+thread allocates every thread's slab (one per thread for a whole evaluation
+pass or mask-mode batch) and every lane's accumulators, so that no worker
+thread's malloc arena keeps their memory after the call; an evaluation pass
+then returns its free pages.
 
 This kernel is the only backward pass and the only pooled forward:
 gradient checking differentiates the training batches that call it against
@@ -99,18 +98,15 @@ __all__ = ["ScoreBundle", "backward", "score_all_neighbors"]
 # kernel, which sets the block width; the kernel's working slabs scale with it.
 _CELLS = 1 << 19
 
-# Lanes of every sum that threads share (``_run_lanes``): the type blocks of
-# a sampled training call, block i in lane i % _LANES, and the degree buckets
-# of a mask-mode batch, at most one GradientSet per lane, so at most
-# _LANES - 1 besides the batch's own whatever the number of threads.
-# A lane sums into its own accumulators; the lanes are then added in lane
-# order, so the result does not depend on how many threads ran them. Threads
-# take lanes as they come free, and more lanes than cores let a thread that
-# is slowed take fewer. With 2 lanes on 2 threads a preempted thread held up
-# the whole call. Beside a process that kept one of two cores half busy,
-# FB-shape sampled batches took a median 43.6-44.3 ms with interquartile
-# range 8.6-11.3 ms at 2 lanes, against 41.4-43.0 and 5.7-9.2 ms at 8; on an
-# idle host both took 35.7 ms (2-vCPU Xeon VM).
+# Lanes of every sum that threads share (module docstring): a sampled training
+# call's type blocks, and a mask-mode batch's degree buckets, one GradientSet
+# per lane, so at most _LANES - 1 besides the batch's own whatever the number
+# of threads. More lanes than cores let a thread that is slowed take fewer.
+# With 2 lanes on 2 threads a preempted thread held up the whole call. Beside
+# a process that kept one of two cores half busy, FB-shape sampled batches
+# took a median 43.6-44.3 ms with interquartile range 8.6-11.3 ms at 2 lanes,
+# against 41.4-43.0 and 5.7-9.2 ms at 8; on an idle host both took 35.7 ms
+# (2-vCPU Xeon VM).
 _LANES = 8
 
 # Padded neighbor rows (entities * largest degree) in one degree bucket, for
@@ -127,8 +123,8 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Threads that may run lanes or buckets, the calling thread included: one per
-# usable core, up to one per lane, only when BLAS is pinned (module docstring).
+# Threads that may run lanes, the calling thread included: one per usable
+# core, up to one per lane, only when BLAS is pinned (module docstring).
 _BLAS_PINNED = all(
     os.environ.get(name) == "1"
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -141,12 +137,11 @@ _malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallo
 _malloc_trim.argtypes = [ctypes.c_size_t]  # it returns an int, ctypes' default (the no-op ignores both)
 
 
-# Threads that run tasks beside the caller, for every kernel call and
-# evaluation pass of the process. An executor starts a thread only when no
-# idle one can take the work, so each call reuses the threads of the last:
-# starting the threads per call instead was measured 8% slower in mask mode,
-# about 20 kernel calls per batch (2-vCPU Xeon VM). Idle threads are joined
-# at interpreter exit.
+# Threads that run lanes beside the caller, for every call of the process. An
+# executor starts a thread only when no idle one can take the work, so each
+# call reuses the threads of the last: starting the threads per call instead
+# was measured 8% slower in mask mode, about 20 kernel calls per batch (2-vCPU
+# Xeon VM). Idle threads are joined at interpreter exit.
 def _new_workers() -> None:
     global _WORKERS
     _WORKERS = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="cet-lane")
@@ -164,33 +159,35 @@ def _slab(rows: int, num_types: int, dtype) -> np.ndarray:
     return np.empty((2, max(rows, min(_CELLS, rows * num_types))), dtype=dtype)
 
 
-def _run_tasks(run_task: Callable, tasks: Sequence, new_slab: Callable[[], np.ndarray]) -> None:
-    """Call ``run_task(task, slab)`` once for every task: on the caller and, up
-    to ``_THREADS`` threads in all, on ``_WORKERS``.
+def _run_lanes(items: Sequence, run_item: Callable, lanes: int, new_slab: Callable) -> None:
+    """Call ``run_item(item, i % lanes, slab)`` for every item i: the one way
+    onto the threads (module docstring).
 
-    Each thread takes the next task not yet taken until none is left, so a
-    thread that is slowed (another process on its core) takes fewer tasks
-    instead of holding the others up. Each thread has its own slab, made by
-    ``new_slab`` on the calling thread. Once a task raises, no thread takes
-    another, and the first exception is raised again when every thread has
-    finished the task it holds. The tasks are an evaluation pass's buckets or
-    the lanes of ``_run_lanes``.
+    Up to ``_THREADS`` threads, the caller and ``_WORKERS``, take whole lanes
+    from one shared iterator; a lane runs its items in order on the thread
+    that took it, so a thread that is slowed (another process on its core)
+    takes fewer lanes instead of holding the others up, and one lane runs on
+    the caller. Each thread has one slab, made by ``new_slab`` on the calling
+    thread. Once an item raises, no thread starts another, not even the next
+    of its own lane, and the first exception is raised again when every
+    thread has finished.
     """
-    slabs = [new_slab() for _ in range(min(len(tasks), _THREADS))]
-    queue = iter(tasks)  # shared: next() runs under the GIL, so each task is taken once
+    slabs = [new_slab() for _ in range(min(lanes, _THREADS))]
+    queue = iter(range(lanes))  # shared: next() runs under the GIL, so each lane is taken once
     errors = []
 
     def share(slab: np.ndarray) -> None:
-        for task in queue:
-            if errors:
-                return
-            try:
-                run_task(task, slab)
-            except BaseException as exc:
-                errors.append(exc)
+        for lane in queue:
+            for item in items[lane::lanes]:
+                if errors:
+                    return
+                try:
+                    run_item(item, lane, slab)
+                except BaseException as exc:
+                    errors.append(exc)
 
     # Each worker runs in a copy of the caller's context, so that the caller's
-    # np.errstate holds on every task.
+    # np.errstate holds on every item.
     futures = [_WORKERS.submit(copy_context().run, share, slab) for slab in slabs[1:]]
     try:
         share(slabs[0])
@@ -201,30 +198,10 @@ def _run_tasks(run_task: Callable, tasks: Sequence, new_slab: Callable[[], np.nd
         raise errors[0]
 
 
-def _run_lanes(items: Sequence, run_item: Callable, accumulators: list, new_slab: Callable) -> None:
-    """Call ``run_item(item, accumulators[i % lanes], slab)`` for every item i,
-    one lane per accumulator, each lane's items in order on one thread: the
-    threads take the lanes through ``_run_tasks``, and a single lane runs on
-    the calling thread. Once an item raises, no thread starts another, not
-    even the next of its own lane. The caller adds the accumulators in lane
-    order, so its sums do not depend on the threads (module docstring).
-    """
-    failed = []
-
-    def run_lane(lane: int, slab: np.ndarray) -> None:
-        for item in items[lane :: len(accumulators)]:
-            if failed:
-                return
-            try:
-                run_item(item, accumulators[lane], slab)
-            except BaseException:
-                failed.append(lane)
-                raise
-
-    if len(accumulators) == 1:
-        run_lane(0, new_slab())
-    else:
-        _run_tasks(run_lane, range(len(accumulators)), new_slab)
+def _bucket_rows(degrees: np.ndarray, bucket: np.ndarray) -> int:
+    """A degree bucket's padded candidate rows, the Agg2T row included: its
+    entities times its largest degree plus one."""
+    return len(bucket) * (degrees[bucket[-1]] + 1)
 
 
 def _degree_buckets(degrees: np.ndarray):
@@ -331,8 +308,8 @@ def backward(
         out = np.empty((batch, num_types), dtype=flat_z.dtype)
     new_slab = partial(_slab, batch * rows, num_types, flat_z.dtype)
 
-    def run_block(s: int, sums: tuple[np.ndarray, np.ndarray] | None, slab: np.ndarray) -> None:
-        """Block s's pooled scores into ``out``, or in training its losses and dz into ``sums``."""
+    def run_block(s: int, lane: int, slab: np.ndarray) -> None:
+        """Block s's pooled scores into ``out``, or in training its losses and dz into its lane's sums."""
         e = min(s + width, num_types)
         cols = e - s
         score3, expw3 = (buf[: batch * rows * cols].reshape(batch, rows, cols) for buf in slab)
@@ -371,7 +348,7 @@ def backward(
             return
         if self_mask:
             pooled[dead] = -np.inf
-        losses, dz = sums
+        losses, dz = sums[lane]
         lo, hi = np.searchsorted(pos_cols, (s, e))
         labels = (pos_rows[lo:hi], pos_cols[lo:hi] - s)
         block_loss, dpooled = _loss_terms(pooled, labels, config.loss_kind, config.beta)
@@ -400,9 +377,9 @@ def backward(
     # Losses and dz, in each lane's own arrays allocated by this thread like
     # the slabs (see the module docstring). A forward call, or one given a
     # slab, has one lane: one pass over the blocks on the calling thread.
-    lanes = range(min(_LANES if training and slab is None else 1, len(blocks)))
-    sums = [(np.zeros(batch), np.zeros_like(flat_z)) if training else None for _ in lanes]
-    _run_lanes(blocks, run_block, sums, new_slab if slab is None else lambda: slab)
+    lanes = min(_LANES if training and slab is None else 1, len(blocks))
+    sums = [(np.zeros(batch), np.zeros_like(flat_z)) for _ in range(lanes if training else 0)]
+    _run_lanes(blocks, run_block, lanes, new_slab if slab is None else lambda: slab)
     if not training:
         return out
     # Lane order, whatever ran them: the sums do not depend on the threads.

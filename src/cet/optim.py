@@ -57,21 +57,17 @@ def init_params(
     return params
 
 
+# Adam's moment decay rates and denominator epsilon, the usual defaults.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment tensors congruent to a ParameterSet, plus the step count."""
 
-    def __init__(
-        self,
-        params: ParameterSet,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: ParameterSet, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(arr) for name, arr in params.named()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.named()}
@@ -132,7 +128,7 @@ def adam_step(params: ParameterSet, state: AdamState, grads: GradientSet) -> Non
         _check_finite(name, grad)
 
     state.t += 1
-    lr, b1, b2, eps = state.lr, state.beta1, state.beta2, state.eps
+    lr, b1, b2, eps = state.lr, _BETA1, _BETA2, _EPS
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     slices = []

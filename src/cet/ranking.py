@@ -15,16 +15,15 @@ tests check the bucket ranking against it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .data import TypingDataset
+from .data import TypingDataset, _flat_pairs
 from . import kernel
 from .graph import AugmentedGraph
-from .kernel import _degree_buckets, score_all_neighbors
+from .kernel import _bucket_rows, _degree_buckets, score_all_neighbors
 from .scoring import ParameterSet
 
 __all__ = ["MetricsReport", "rank_one", "evaluate"]
@@ -96,10 +95,11 @@ def evaluate(
 
     Entities are scored once and the vector reused for all their queried
     types. They are cut into the degree buckets of mask-mode training
-    (``kernel._degree_buckets``), which up to ``kernel._THREADS`` threads
-    take, largest padded bucket first, each thread in one slab of its own for
-    the whole pass (``kernel._run_tasks``). A thread scores its bucket with
-    one forward-only ``score_all_neighbors`` call and ranks the block as
+    (``kernel._degree_buckets``), and each bucket is one lane of
+    ``kernel._run_lanes``, largest padded bucket first: up to
+    ``kernel._THREADS`` threads take the next bucket as they come free, each
+    in one slab of its own for the whole pass. A thread scores its bucket
+    with one forward-only ``score_all_neighbors`` call and ranks the block as
     returned, all its queries at once into their own slots, so at most one
     block per thread exists at a time. Isolated entities (possible only
     without type edges) fall back to the bias vector, ranked the same way.
@@ -119,9 +119,7 @@ def evaluate(
 
     def rank_rows(entities: list[int], pooled: np.ndarray) -> None:
         """Rank every query of ``entities`` against its entity's row of ``pooled``."""
-        queries = [by_entity[entity] for entity in entities]
-        rows = np.repeat(np.arange(len(entities)), [len(q) for q in queries])
-        idx = np.concatenate(queries)
+        rows, idx = _flat_pairs([by_entity[entity] for entity in entities])
         golds = gold_types[idx]
         gold = pooled[rows, golds]
         greater, ties = np.empty((2, len(idx)), dtype=np.int64)
@@ -138,12 +136,7 @@ def evaluate(
             # The (query, type) pairs of each query's other known types,
             # taken back out of the counts.
             known = [dataset.known_types.get(entity, ()) for entity in entities]
-            sizes = np.array([len(types) for types in known])[rows]
-            pair_q = np.repeat(np.arange(len(idx)), sizes)
-            pair_t = np.fromiter(
-                itertools.chain.from_iterable(known[row] for row in rows.tolist()),
-                dtype=np.int64, count=len(pair_q),
-            )
+            pair_q, pair_t = _flat_pairs([known[row] for row in rows.tolist()])
             other = pair_t != golds[pair_q]
             pair_q, pair_t = pair_q[other], pair_t[other]
             known_scores = pooled[rows[pair_q], pair_t]
@@ -155,22 +148,20 @@ def evaluate(
 
     routes = dict(use_agg2t=use_agg2t, use_activation=use_activation)
 
-    def score_and_rank(entities: list[int], slab: np.ndarray) -> None:
+    def score_and_rank(entities: list[int], lane: int, slab: np.ndarray) -> None:
         bundle = score_all_neighbors(params, graph, entities, alpha, slab=slab, **routes)
         rank_rows(entities, bundle.pooled)
 
     queried = np.fromiter(by_entity, dtype=np.int64, count=len(by_entity))
     degrees = graph.degrees(queried)
     scorable, scored_degrees = queried[degrees > 0], degrees[degrees > 0]
-    # (padded rows, entities) per bucket, largest first: no thread ends the pass on a big one.
-    buckets = sorted(
-        ((len(b) * (scored_degrees[b[-1]] + 1), scorable[b].tolist())
-         for b in _degree_buckets(scored_degrees)),
-        key=lambda bucket: bucket[0], reverse=True,
-    )
+    # Largest padded bucket first, one lane each: no thread ends the pass on a big one.
+    rows = partial(_bucket_rows, scored_degrees)
+    buckets = sorted(_degree_buckets(scored_degrees), key=rows, reverse=True)
     if buckets:
-        new_slab = partial(kernel._slab, buckets[0][0], len(params.b), params.dtype)
-        kernel._run_tasks(score_and_rank, [entities for _, entities in buckets], new_slab)
+        new_slab = partial(kernel._slab, rows(buckets[0]), params.num_types, params.dtype)
+        lanes = [scorable[b].tolist() for b in buckets]
+        kernel._run_lanes(lanes, score_and_rank, len(lanes), new_slab)
     isolated = queried[degrees == 0].tolist()
     if isolated:
         rank_rows(isolated, np.broadcast_to(params.b, (len(isolated), len(params.b))))

@@ -27,7 +27,6 @@ The bits do not depend on the number of threads.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -35,14 +34,14 @@ from functools import partial
 
 import numpy as np
 
-from .data import TypingDataset
+from .data import TypingDataset, _flat_pairs
 from .ranking import evaluate
 from .graph import AugmentedGraph, Vocab
 from . import kernel
 # backward is called through this module's name, so that patching
 # cet.train.backward reaches every training batch; score_all_neighbors is
 # unused here, and only the benchmark's hook on this module looks it up.
-from .kernel import _degree_buckets, _padded_neighbors, backward
+from .kernel import _bucket_rows, _degree_buckets, _padded_neighbors, backward
 from .kernel import score_all_neighbors  # noqa: F401
 from .loss import LOSS_KINDS, GradientSet
 from .optim import AdamState, NumericError, adam_step, init_params
@@ -111,9 +110,7 @@ def _positive_pairs(
     entities: list[int], dataset: TypingDataset
 ) -> tuple[np.ndarray, np.ndarray]:
     """(batch row, type) pairs of the entities' training labels, unique and ordered by type."""
-    labels = [dataset.positives(entity) for entity in entities]
-    rows = np.repeat(np.arange(len(entities)), [len(types) for types in labels])
-    cols = np.fromiter(itertools.chain.from_iterable(labels), dtype=np.int64, count=len(rows))
+    rows, cols = _flat_pairs([dataset.positives(entity) for entity in entities])
     key = np.unique(cols * len(entities) + rows)
     return key % len(entities), key // len(entities)
 
@@ -224,18 +221,18 @@ def _masked_buckets(params, graph, dataset, batch, config, grads):
     lanes = min(kernel._LANES, len(buckets))
     sets = [grads] + [GradientSet.zeros_like(params) for _ in range(lanes - 1)]
 
-    def run_bucket(i: int, part: GradientSet, slab: np.ndarray) -> None:
+    def run_bucket(i: int, lane: int, slab: np.ndarray) -> None:
         entities = [batch[j] for j in buckets[i]]
         arrays, valid = _padded_neighbors(graph, entities)
         positives = _positive_pairs(entities, dataset)
         losses[buckets[i]], dreps = backward(
-            params, part, *arrays, positives, config, valid, self_mask=True, slab=slab
+            params, sets[lane], *arrays, positives, config, valid, self_mask=True, slab=slab
         )
         edges[i] = [a[valid] for a in arrays] + [dreps[valid]]
 
-    rows = max(len(b) * (degrees[b[-1]] + 1) for b in buckets)  # the largest, Agg2T row included
+    rows = max(_bucket_rows(degrees, b) for b in buckets)
     new_slab = partial(kernel._slab, rows, params.num_types, params.dtype)
-    kernel._run_lanes(range(len(buckets)), run_bucket, sets, new_slab)
+    kernel._run_lanes(range(len(buckets)), run_bucket, lanes, new_slab)
     for part in sets[1:]:
         for (_, total), (_, own) in zip(grads.named_dense(), part.named_dense()):
             total += own

@@ -602,36 +602,39 @@ def bits(result):
 
 @contextmanager
 def lane_threads():
-    """The threads that run kernel tasks while inside: one set per
-    ``_run_tasks`` call, which is one sampled training kernel call or one
-    mask-mode training batch (their lanes) or one ``evaluate`` (its buckets).
+    """The threads that run lanes while inside: one set per ``_run_lanes``
+    call of more than one lane, which is one sampled training kernel call,
+    one mask-mode training batch or one ``evaluate``. A call of one lane
+    runs on the calling thread, so it is not recorded.
 
-    Threads take tasks as they come free, so when a call has more than one
-    thread, the caller holds its first task until a worker has taken another:
-    otherwise a caller that ran every task before the worker started would
+    Threads take lanes as they come free, so when a call has more than one
+    thread, the caller holds its first item until a worker has taken a lane:
+    otherwise a caller that ran every lane before the worker started would
     leave the worker idle and the record without it.
     """
     calls = []
-    run_tasks = cet.kernel._run_tasks
+    run_lanes = cet.kernel._run_lanes
 
-    def recorded(run_task, tasks, new_slab):
+    def recorded(items, run_item, lanes, new_slab):
+        if lanes == 1:
+            return run_lanes(items, run_item, lanes, new_slab)
         threads = set()
         calls.append(threads)
         worker_started = threading.Event()
 
-        def run(task, slab):
+        def run(item, lane, slab):
             thread = threading.current_thread()
             threads.add(thread)
             if thread.name.startswith("cet-lane"):
                 worker_started.set()
-            elif min(len(tasks), cet.kernel._THREADS) > 1:
+            elif min(lanes, cet.kernel._THREADS) > 1:
                 worker_started.wait(timeout=60)
-            run_task(task, slab)
+            run_item(item, lane, slab)
 
-        run_tasks(run, tasks, new_slab)
+        run_lanes(items, run, lanes, new_slab)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cet.kernel, "_run_tasks", recorded)
+        mp.setattr(cet.kernel, "_run_lanes", recorded)
         yield calls
 
 
@@ -640,9 +643,102 @@ def thread_names(calls):
 
 
 class TestLanes:
-    """The type blocks of one sampled training kernel call and the degree
-    buckets of one mask-mode batch, run in lanes, and the degree buckets of
-    one ``evaluate``, on up to ``_THREADS`` threads."""
+    """The lane runner ``_run_lanes``, and what runs on it on up to
+    ``_THREADS`` threads: the type blocks of one sampled training kernel
+    call, the degree buckets of one mask-mode batch, and the degree buckets
+    of one ``evaluate``, one lane each."""
+
+    @staticmethod
+    @contextmanager
+    def fresh_pool(monkeypatch, threads):
+        """``_THREADS`` at ``threads``, with a pool of its own, shut down after."""
+        monkeypatch.setattr(cet.kernel, "_THREADS", threads)
+        pool = ThreadPoolExecutor(cet.kernel._LANES - 1, thread_name_prefix="cet-lane")
+        monkeypatch.setattr(cet.kernel, "_WORKERS", pool)
+        try:
+            yield
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_the_runner_deals_lanes_to_threads(self, monkeypatch, threads):
+        # Nineteen items in five lanes: item i runs in lane i % 5, and each
+        # lane's items run in order on one thread, in that thread's one slab.
+        # Exactly min(lanes, threads) slabs are made, all on the calling
+        # thread, and more than one thread runs lanes when there are more:
+        # the first thread to start an item holds it until a second thread
+        # has started one. One lane runs on the caller alone.
+        caller = threading.current_thread()
+        made, ran, seen, two = [], [], set(), threading.Event()
+
+        def new_slab():
+            made.append(threading.current_thread())
+            return object()
+
+        def run_item(item, lane, slab):
+            thread = threading.current_thread()
+            seen.add(thread)
+            if len(seen) > 1:
+                two.set()
+            elif threads > 1:
+                assert two.wait(timeout=60)
+            ran.append((item, lane, thread, slab))
+
+        with self.fresh_pool(monkeypatch, threads):
+            cet.kernel._run_lanes(list(range(19)), run_item, 5, new_slab)
+            assert made == [caller] * min(5, threads)
+            assert sorted(item for item, *_ in ran) == list(range(19))
+            for lane in range(5):
+                items = [(item, thread, slab) for item, at, thread, slab in ran if at == lane]
+                assert [item for item, *_ in items] == list(range(lane, 19, 5))
+                assert len({(thread, id(slab)) for _, thread, slab in items}) == 1
+            by_thread = {}
+            for _, _, thread, slab in ran:
+                by_thread.setdefault(thread, set()).add(id(slab))
+            assert all(len(ids) == 1 for ids in by_thread.values())
+            assert len(set.union(*by_thread.values())) == len(by_thread)
+            assert (len(by_thread) > 1) == (threads > 1)
+
+            made.clear()
+            ran.clear()
+            cet.kernel._run_lanes(list(range(4)), run_item, 1, new_slab)
+            assert made == [caller]
+            assert [(item, lane, thread) for item, lane, thread, _ in ran] == [
+                (item, 0, caller) for item in range(4)
+            ]
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_a_raise_stops_every_lane(self, monkeypatch, threads):
+        # Six items in two lanes. The caller's first item raises, on more
+        # than one thread once a worker's item has started; that item then
+        # finishes and raises too. No item starts after the first raise, not
+        # even the next of either lane, and the runner raises the first
+        # exception only once the worker's item has ended.
+        caller = threading.current_thread()
+        first, second = RuntimeError("first"), RuntimeError("second")
+        started, ended = [], []
+        holding, failed = threading.Event(), threading.Event()
+
+        def run_item(item, lane, slab):
+            started.append(item)
+            if threading.current_thread() is caller:
+                if threads > 1:
+                    assert holding.wait(timeout=10)
+                failed.set()
+                raise first
+            holding.set()
+            assert failed.wait(timeout=10)
+            time.sleep(0.1)  # still running when the caller's item has failed
+            ended.append(item)
+            raise second
+
+        with self.fresh_pool(monkeypatch, threads):
+            with pytest.raises(RuntimeError) as raised:
+                cet.kernel._run_lanes(list(range(6)), run_item, 2, object)
+            ended_at_raise = list(ended)  # before the pool's shutdown joins its thread
+        assert raised.value is first
+        assert sorted(started) == ([0] if threads == 1 else [0, 1])
+        assert len(ended_at_raise) == (threads > 1)
 
     @staticmethod
     def batches(monkeypatch, params, hub_setup, batch, config):
@@ -743,24 +839,25 @@ class TestLanes:
         # Float32 kernel calls with one type per block: 30 blocks. A sampled
         # call without a slab deals _LANES lanes to the threads, with the same
         # bytes at 1 and 2 threads. A mask-mode bucket's call, given a slab,
-        # sums its blocks in one pass on the calling thread, so its bytes are
-        # those of the same call with one lane; lanes run one after another
-        # would add the blocks in another order.
+        # is dealt as one lane, one pass over its blocks on the calling
+        # thread, so its bytes are those of the same call with one lane;
+        # lanes run one after another would add the blocks in another order.
         vocab, dataset, graph, *_ = assembled(hub_marker_corpus(n_entities=80, n_types=30))
         params = init_params(vocab, 12, seed=5)
         params.b[:] = np.random.default_rng(2).normal(size=vocab.num_types)
         batch = [e for e in sorted(dataset.train_types) if graph.degree(e) > 0][:16]
         positives = cet.train._positive_pairs(batch, dataset)
         monkeypatch.setattr(cet.kernel, "_CELLS", 1)
-        assert vocab.num_types >= 3 * cet.kernel._LANES
+        lanes = cet.kernel._LANES
+        assert vocab.num_types >= 3 * lanes
         dealt = []
-        run_tasks = cet.kernel._run_tasks
+        run_lanes = cet.kernel._run_lanes
 
-        def recorded(run_task, tasks, new_slab):
-            dealt.append(len(tasks))
-            run_tasks(run_task, tasks, new_slab)
+        def recorded(items, run_item, count, new_slab):
+            dealt.append(count)
+            run_lanes(items, run_item, count, new_slab)
 
-        monkeypatch.setattr(cet.kernel, "_run_tasks", recorded)
+        monkeypatch.setattr(cet.kernel, "_run_lanes", recorded)
 
         def call(arrays, valid, **kwargs):
             grads = GradientSet.zeros_like(params)
@@ -775,7 +872,7 @@ class TestLanes:
             monkeypatch.setattr(cet.kernel, "_THREADS", threads)
             results.append(call(sampled, np.ones(sampled[0].shape, dtype=bool)))
         assert results[1] == results[0]
-        assert dealt == [cet.kernel._LANES] * 2
+        assert dealt == [lanes] * 2
 
         padded, valid = cet.kernel._padded_neighbors(graph, batch)
         rows = valid.size + len(batch)  # the Agg2T rows included
@@ -787,7 +884,7 @@ class TestLanes:
         one_pass = masked()
         monkeypatch.setattr(cet.kernel, "_LANES", 1)
         assert masked() == one_pass
-        assert len(dealt) == 2
+        assert dealt == [lanes, lanes, 1, 1]
 
     def test_workers_keep_the_callers_errstate(self, hub_setup, monkeypatch):
         # Lanes on a worker thread run under the caller's np.errstate: the
